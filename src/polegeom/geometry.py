@@ -17,8 +17,9 @@ from .constructions import BilinearAltForm
 from .fields import GF, Field
 from .forms import TriForm
 from .poles import (
+    _radical_lines,
+    _zero_set_matches,
     enumerate_poles,
-    enumerate_upper_radical,
     point_degree,
     variety_candidates,
 )
@@ -64,10 +65,16 @@ def build_geometry(
         field = h.field
     hf = h if h.field == field else h.reduce_mod(field)
     report = enumerate_poles(hf, field, budget=budget, workers=workers)
-    lines = tuple(enumerate_upper_radical(hf, field, budget=budget))
+    lines = tuple(_radical_lines(report))
     degrees = {r.point: r.degree for r in report.records}
     points = tuple(r.point for r in report.records if r.degree >= 1)
-    points_by_line = tuple(tuple(line.points(field)) for line in lines)
+    p = field.p
+    # the points of each line from its reduced-echelon basis (r1, r2), in
+    # the order span_points gives: r1 + t*r2 for t = 0..p-1, then r2
+    points_by_line = tuple(
+        tuple(tuple((a + t * b) % p for a, b in zip(r1, r2)) for t in range(p)) + (r2,)
+        for r1, r2 in (line.basis for line in lines)
+    )
     lines_by_point: Dict[Vector, List[int]] = {}
     for idx, pts in enumerate(points_by_line):
         for pt in pts:
@@ -569,25 +576,21 @@ class GeometryFingerprint:
         )
 
 
-def _variety_degree(h: TriForm, field: GF, budget: Optional[int]) -> Optional[int]:
+def _variety_degree(hf: TriForm, geom: IncidenceStructure) -> Optional[int]:
     """Minimal degree among the verified per-index pole equations.
 
     The minimum is the invariant content: the variety is a set, and any
     verified equation bounds its degree from above.  None for even n or
-    when every point is a pole.
+    when every point is a pole.  Each candidate is checked against the
+    degrees of every point that ``build_geometry`` scanned.
     """
-    if h.n % 2 == 0:
+    if hf.n % 2 == 0:
         return None
-    hf = h if h.field == field else h.reduce_mod(field)
     cands = variety_candidates(hf)
-    if not cands:
-        return None
-    report = enumerate_poles(hf, field, budget=budget, with_radicals=False)
-    flags = [(r.point, r.degree >= 1) for r in report.records]
     # ascending degree: the first verified candidate realizes the minimum
     by_degree = sorted(cands.items(), key=lambda kv: (kv[1][2].degree(), kv[0]))
     for _, (_, _, g) in by_degree:
-        if all((g.evaluate(pt) == field.zero) == flag for pt, flag in flags):
+        if _zero_set_matches(geom.field, g, geom.degrees.items()):
             return g.degree()
     return None
 
@@ -604,7 +607,7 @@ def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> Geometry
         degree_histogram=tuple(sorted(deg_hist.items())),
         line_count=len(geom.lines),
         lines_per_point_histogram=tuple(sorted(geom.line_count_histogram().items())),
-        variety_degree=_variety_degree(h, field, budget),
+        variety_degree=_variety_degree(hf, geom),
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import kernels
 from .fields import GF, Field, Scalar
@@ -26,7 +26,7 @@ from .projective import (
     canonical_point,
     num_projective_points,
     pair_list,
-    span_points,
+    projective_point_at,
     wedge2_coordinates,
 )
 
@@ -244,21 +244,21 @@ def _rational_sample_points(n: int, count: int = 240) -> Iterable[Tuple[int, ...
 
 
 def _zero_set_matches(
-    h: TriForm, g: MultiPoly, field: Optional[GF], budget: Optional[int]
+    field: GF, g: MultiPoly, degrees: Iterable[Tuple[Vector, int]]
 ) -> bool:
-    """Pointwise check that {g = 0} equals the brute-force pole set."""
-    if field is not None:
-        hp = h if h.field == field else h.reduce_mod(field)
-        gp = MultiPoly(
-            g.nvars, field, {e: field.of(c) for e, c in g.terms.items()}
-        ) if g.field != field else g
-        report = enumerate_poles(hp, field, budget=budget, with_radicals=False)
-        for rec in report.records:
-            is_zero = gp.evaluate(rec.point) == field.zero
-            if is_zero != (rec.degree >= 1):
-                return False
-        return True
-    # rational form: sampled grid with exact arithmetic
+    """Pointwise check that {g = 0} equals the pole set of a scan.
+
+    ``degrees`` yields (point, degree) for every point of PG(n-1, p).
+    """
+    if g.field != field:
+        g = MultiPoly(g.nvars, field, {e: field.of(c) for e, c in g.terms.items()})
+    zero = field.zero
+    return all((g.evaluate(pt) == zero) == (deg >= 1) for pt, deg in degrees)
+
+
+def _grid_matches(h: TriForm, g: MultiPoly) -> bool:
+    """Pointwise check of {g = 0} against the poles of a rational form on a
+    sampled grid, with exact arithmetic."""
     F = h.field
     for pt in _rational_sample_points(h.n):
         delta, _ = point_degree(h, pt)
@@ -281,6 +281,19 @@ def pole_variety(
     zero set (checked over the form's field when finite, over a sampled
     grid plus optional finite reduction when rational) is returned.
     """
+    return _pole_variety(h, i, verify_field, budget)
+
+
+def _pole_variety(
+    h: TriForm,
+    i: Optional[int],
+    verify_field: Optional[GF],
+    budget: Optional[int],
+    report: Optional[PoleReport] = None,
+) -> VarietyResult:
+    """pole_variety, checking every candidate against one scan: ``report``
+    when the caller already holds a scan of h over its finite field,
+    otherwise a scan made here once."""
     if h.is_zero():
         raise ValueError("zero form")
     if h.n % 2 == 0:
@@ -293,19 +306,21 @@ def pole_variety(
     order = [i] if i is not None else sorted(candidates)
     if i is not None and i not in candidates:
         raise VarietyError(f"index {i} has identically zero Pfaffian")
-    check_field: Optional[GF]
-    if isinstance(h.field, GF):
-        check_field = h.field
-    else:
-        check_field = verify_field
+    finite = isinstance(h.field, GF)
+    check_field: Optional[GF] = h.field if finite else verify_field
+    if check_field is not None and report is None:
+        hp = h if h.field == check_field else h.reduce_mod(check_field)
+        report = enumerate_poles(hp, check_field, budget=budget, with_radicals=False)
     failed: List[int] = []
     for idx in order:
         d, alpha, g = candidates[idx]
-        ok = _zero_set_matches(h, g, check_field, budget)
-        if ok and not isinstance(h.field, GF):
-            ok = _zero_set_matches(h, g, None, budget)
+        ok = report is None or _zero_set_matches(
+            check_field, g, ((r.point, r.degree) for r in report.records)
+        )
+        if ok and not finite:
+            ok = _grid_matches(h, g)
         if ok:
-            if isinstance(h.field, GF):
+            if finite:
                 verified = repr(h.field)
             elif verify_field is not None:
                 verified = f"grid+{verify_field!r}"
@@ -353,22 +368,68 @@ def upper_radical_system(h: TriForm) -> PluckerSystem:
     return PluckerSystem(n=n, pairs=pairs, equations=eq, solution=kernel)
 
 
-def _line_directions(
-    field: GF, u: Sequence[Scalar], radical: Sequence[Vector]
-) -> List[Vector]:
-    """One direction vector per line through [u] inside the radical span.
+def _line_rref(p: int, u: Vector, y: Sequence[int]) -> Tuple[Vector, Vector]:
+    """Reduced-echelon basis (r1, r2) of the line [u, y] mod p, for a
+    canonical point u and a vector y outside <u>."""
+    a = next(i for i, x in enumerate(u) if x)
+    t = y[a]
+    if t:
+        y = [(x - t * w) % p for x, w in zip(y, u)]
+    b = next(i for i, x in enumerate(y) if x)
+    s = pow(y[b], p - 2, p)
+    y = tuple(x * s % p for x in y)
+    if b < a:
+        return y, u  # u[b] == 0 and y[a] == 0 already
+    t = u[b]
+    if t:
+        return tuple((w - t * x) % p for w, x in zip(u, y)), y
+    return u, y
 
-    The lines [u, y] correspond to the projective points of a complement
-    of <u> inside span(radical); dropping one reduced basis vector whose
-    coordinate in u is nonzero yields such a complement.
+
+def _lines_at(p: int, u: Vector, radical: Sequence[Vector]) -> Iterator[Tuple[Vector, Vector]]:
+    """Reduced-echelon bases of the lines [u, y], y in Rad(chi_u), one per line.
+
+    ``radical`` is a kernel basis as the scan kernels and
+    ``Matrix.rank_and_kernel`` return it: the vector of free column f has
+    its last nonzero entry 1 at f and is 0 at every other free column.  So
+    u is the sum of u[f] times the vector of f, and dropping one vector
+    with u[f] != 0 leaves a complement of <u>; the points of that
+    complement are the directions of the lines through [u], one each.
     """
-    red, pivots = Matrix(field, [list(r) for r in radical]).rref()
-    basis = [red.rows[i] for i in range(len(pivots))]
-    drop = next(i for i, c in enumerate(pivots) if u[c] != field.zero)
-    complement = [basis[i] for i in range(len(basis)) if i != drop]
-    if not complement:
-        return []
-    return span_points(field, complement)
+    free = [max(i for i, x in enumerate(v) if x) for v in radical]
+    drop = next(j for j, f in enumerate(free) if u[f])
+    complement = [v for j, v in enumerate(radical) if j != drop]
+    n, k = len(u), len(complement)
+    for idx in range(num_projective_points(p, k)):
+        coeffs = projective_point_at(p, k, idx)
+        y = [0] * n
+        for c, v in zip(coeffs, complement):
+            if c:
+                y = [a + c * x for a, x in zip(y, v)]
+        yield _line_rref(p, u, [a % p for a in y])
+
+
+def _radical_lines(report: PoleReport) -> List[PluckerLine]:
+    """The upper-radical lines of a scan with radicals, sorted, each once.
+
+    A line is kept only at the pole u with u == r1; r1 is the line's least
+    point in the canonical enumeration order, so no line comes twice.  None
+    is missed either: h(u, y, .) = 0 is symmetric in u and y and survives a
+    change of basis of the line, so for every radical line r1 is a pole and
+    the whole line lies in Rad(chi_r1), among the lines through r1.
+    """
+    p = report.field.p
+    bases: List[Tuple[Vector, Vector]] = []
+    for rec in report.records:
+        if rec.degree >= 1:
+            u = rec.point
+            bases.extend(b for b in _lines_at(p, u, rec.radical) if b[0] == u)
+    bases.sort()
+    return [_plucker_line(report.field, b) for b in bases]
+
+
+def _plucker_line(field: GF, basis: Tuple[Vector, Vector]) -> PluckerLine:
+    return PluckerLine(basis=basis, wedge=wedge2_coordinates(field, *basis))
 
 
 def lines_through_point(h: TriForm, u: Sequence[Scalar]) -> List[PluckerLine]:
@@ -380,10 +441,7 @@ def lines_through_point(h: TriForm, u: Sequence[Scalar]) -> List[PluckerLine]:
     if delta == 0:
         return []
     u_pt = canonical_point(F, u)
-    return sorted(
-        PluckerLine.from_pair(F, u_pt, y)
-        for y in _line_directions(F, u_pt, radical)
-    )
+    return sorted(_plucker_line(F, b) for b in _lines_at(F.p, u_pt, radical))
 
 
 def _all_lines(field: GF, n: int) -> Iterable[PluckerLine]:
@@ -423,7 +481,7 @@ def enumerate_upper_radical(
 ) -> List[PluckerLine]:
     """All lines of the upper radical, canonical and sorted.
 
-    method "points" unions the radical lines through every pole;
+    method "points" scans once and assembles each line from its least pole;
     method "wedge" filters every line of PG(n-1, q) through the linear
     system (the independent cross-check route).
     """
@@ -441,21 +499,7 @@ def enumerate_upper_radical(
         )
     if method != "points":
         raise ValueError(f"unknown method {method!r}")
-    report = enumerate_poles(h, field, budget=budget, with_radicals=True)
-    F = field
-    seen = set()
-    found: List[Tuple] = []
-    for rec in report.records:
-        if rec.degree < 1:
-            continue
-        u = rec.point
-        for y in _line_directions(F, u, rec.radical):
-            key = canonical_point(F, wedge2_coordinates(F, u, y))
-            if key not in seen:
-                seen.add(key)
-                found.append((u, y))
-    lines = [PluckerLine.from_pair(F, u, y) for (u, y) in found]
-    return sorted(lines)
+    return _radical_lines(enumerate_poles(h, field, budget=budget, with_radicals=True))
 
 
 def full_report(
@@ -471,13 +515,13 @@ def full_report(
         field = h.field
     hf = h if h.field == field else h.reduce_mod(field)
     report = enumerate_poles(hf, field, budget=budget, workers=workers)
-    lines = enumerate_upper_radical(hf, field, budget=budget)
+    lines = _radical_lines(report)
     from .poly import render_poly
 
     if hf.n % 2 == 0:
         variety = {"i": None, "g": "all-points", "verified": "parity"}
     else:
-        v = pole_variety(hf, budget=budget)
+        v = _pole_variety(hf, None, None, budget, report)
         if v.all_points:
             variety = {"i": None, "g": "all-points", "verified": "symbolic"}
         else:

@@ -1,6 +1,9 @@
 """CLI subcommands, exit codes and output determinism."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from polegeom.cli import main
 
@@ -263,3 +266,51 @@ def test_check_with_file_source(tmp_path, capsys):
     form_file.write_text(out)
     code, out, _ = run_cli(capsys, "check", "hexagon", "--file", str(form_file))
     assert code == 0
+
+
+# Byte-for-byte locks on the JSON output of the pipeline commands.  The
+# files under tests/golden/ are the stdout of `polegeom <argv>` as
+# recorded before the one-scan pipeline landed; regenerate one only for a
+# deliberate change of output, with `python tests/test_cli.py`.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_INSTANCES = {
+    "T9_gf2": ("--catalog", "T9", "--field", "gf(2)"),
+    "T7_gf3": ("--catalog", "T7", "--field", "gf(3)"),
+    "T10_1-2_gf3": ("--catalog", "T10_1", "--param", "2", "--field", "gf(3)"),
+    "T4_gf3": ("--catalog", "T4", "--field", "gf(3)"),
+}
+GOLDEN_CASES = {
+    f"{command}_{name}": ((command, *source, "--output", "json"), 0)
+    for command in ("poles", "radical-lines", "fingerprint")
+    for name, source in GOLDEN_INSTANCES.items()
+}
+# the known-red T7 cone check: exit 1 with its "468 of 481" witness
+GOLDEN_CASES["check-cone_T7_gf3"] = (
+    ("check", "cone", *GOLDEN_INSTANCES["T7_gf3"], "--output", "json"),
+    1,
+)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_outputs(capsys, name):
+    argv, want_code = GOLDEN_CASES[name]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == want_code
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def _record_golden() -> None:
+    import contextlib
+    import io
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, (argv, want_code) in sorted(GOLDEN_CASES.items()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(list(argv))
+        assert code == want_code, (name, code)
+        (GOLDEN_DIR / f"{name}.json").write_text(buf.getvalue())
+
+
+if __name__ == "__main__":
+    _record_golden()

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from polegeom import kernels
 from polegeom.fields import GF, QQ
 from polegeom.forms import TriForm, catalog_form
+from polegeom.geometry import build_geometry, fingerprint
 from polegeom.linalg import Matrix
 from polegeom.poles import (
     BudgetExceededError,
@@ -332,10 +334,22 @@ def test_enumerate_upper_radical_hexagon_count():
 
 
 @pytest.mark.parametrize(
-    "tag,lam", [("T9", None), ("T5", None), ("T10_2", 1), ("T1", None), ("T4", None)]
+    "tag,lam,p",
+    [
+        pytest.param("T9", None, 2, id="T9-None"),
+        pytest.param("T5", None, 2, id="T5-None"),
+        pytest.param("T10_2", 1, 2, id="T10_2-1"),
+        pytest.param("T1", None, 2, id="T1-None"),
+        pytest.param("T4", None, 2, id="T4-None"),
+        # odd p reaches the pivot scaling of the integer line assembly,
+        # which GF(2) never does; the wedge route filters all 11,011
+        # lines of PG(5, 3)
+        pytest.param("T10_1", 2, 3, id="T10_1-2-gf3"),
+        pytest.param("T4", None, 3, id="T4-None-gf3"),
+    ],
 )
-def test_methods_agree(tag, lam):
-    field = GF(2)
+def test_methods_agree(tag, lam, p):
+    field = GF(p)
     n = 6 if tag in ("T1", "T4") else None
     h = catalog_form(tag, field, param=lam, n=n)
     by_points = enumerate_upper_radical(h, method="points")
@@ -360,6 +374,38 @@ def test_serial_parallel_identical():
     assert [(r.point, r.degree, r.radical) for r in serial.records] == [
         (r.point, r.degree, r.radical) for r in parallel.records
     ]
+    serial_geom = build_geometry(h, workers=1)
+    parallel_geom = build_geometry(h, workers=3)
+    for attr in ("points", "lines", "points_by_line", "degrees"):
+        assert getattr(serial_geom, attr) == getattr(parallel_geom, attr)
+
+
+# One top-level call each; every one of them must scan PG(n-1, p) once.
+# T2/GF(3) has a first variety candidate that fails verification, so its
+# cases also try a second candidate against the same scan.
+ONE_SCAN_CALLS = {
+    "full_report-odd-n": lambda: full_report(catalog_form("T2", GF(3))),
+    "full_report-even-n": lambda: full_report(catalog_form("T10_1", GF(3), param=2)),
+    "build_geometry": lambda: build_geometry(catalog_form("T7", GF(3))),
+    "fingerprint": lambda: fingerprint(catalog_form("T9", GF(3)), GF(3)),
+    "enumerate_upper_radical": lambda: enumerate_upper_radical(catalog_form("T5", GF(3))),
+    "pole_variety-gf": lambda: pole_variety(catalog_form("T2", GF(3))),
+    "pole_variety-rational": lambda: pole_variety(catalog_form("T9", QQ), verify_field=GF(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SCAN_CALLS))
+def test_one_scan_per_call(monkeypatch, name):
+    calls = []
+    real_scan = kernels.scan
+
+    def counting_scan(*args):
+        calls.append(args[3:5])
+        return real_scan(*args)
+
+    monkeypatch.setattr(kernels, "scan", counting_scan)
+    ONE_SCAN_CALLS[name]()
+    assert len(calls) == 1
 
 
 def test_budget_exceeded():
