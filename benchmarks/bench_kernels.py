@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled scan/BFS kernels against the pure-Python twins.
+"""Benchmark the compiled scan kernels against the pure-Python twins.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -9,7 +9,6 @@ import time
 from polegeom import _kernels_py
 from polegeom.fields import GF
 from polegeom.forms import catalog_form
-from polegeom.geometry import build_geometry
 from polegeom.poles import structure_cube
 from polegeom.projective import num_projective_points
 
@@ -42,42 +41,12 @@ def bench_scan(tag, p, lam=None, want_kernels=True):
     )
 
 
-def bench_graph(tag, p, lam=None):
-    field = GF(p)
-    geom = build_geometry(catalog_form(tag, field, param=lam))
-    point_ids = {pt: i for i, pt in enumerate(geom.points)}
-    np_ = len(geom.points)
-    adj = [[] for _ in range(np_ + len(geom.lines))]
-    for li, pts in enumerate(geom.points_by_line):
-        for pt in pts:
-            adj[point_ids[pt]].append(np_ + li)
-            adj[np_ + li].append(point_ids[pt])
-    offsets = [0]
-    neighbors = []
-    for row in adj:
-        neighbors.extend(row)
-        offsets.append(len(neighbors))
-    label = f"graph {tag} gf({p}) [{len(adj)} vertices]"
-    t_py, out_py = timed(_kernels_py.graph_stats, offsets, neighbors)
-    if _gfkernels is None:
-        print(f"{label:<52} pure {t_py:8.3f}s   (no compiled backend)")
-        return
-    t_cy, out_cy = timed(_gfkernels.graph_stats, offsets, neighbors)
-    assert out_py == out_cy
-    print(
-        f"{label:<52} pure {t_py:8.3f}s   cython {t_cy:8.3f}s   x{t_py / t_cy:6.1f}"
-    )
-
-
 def main():
     print("backend available:", "cython" if _gfkernels else "pure only")
     bench_scan("T9", 2)
     bench_scan("T9", 3)
     bench_scan("T9", 5, want_kernels=False)
     bench_scan("T10_1", 7, lam=3)
-    bench_graph("T9", 2)
-    bench_graph("T9", 3)
-    bench_graph("T9", 5)
 
 
 if __name__ == "__main__":

@@ -133,64 +133,6 @@ def kernel_mod_p(rows, long p):
     return out
 
 
-def graph_stats(offsets, neighbors):
-    """Exact girth and diameter of an undirected graph via BFS from every
-    vertex (adjacency in CSR form); girth/diameter are -1 when undefined
-    (acyclic / disconnected)."""
-    cdef int nv = len(offsets) - 1
-    cdef int ne = len(neighbors)
-    cdef int* off = <int*> malloc((nv + 1) * sizeof(int))
-    cdef int* nbr = <int*> malloc(ne * sizeof(int)) if ne else <int*> malloc(sizeof(int))
-    cdef int* dist = <int*> malloc(nv * sizeof(int))
-    cdef int* parent = <int*> malloc(nv * sizeof(int))
-    cdef int* queue = <int*> malloc(nv * sizeof(int))
-    cdef int girth = -1, diameter = 0
-    cdef int root, i, u, v, du, head, tail, ei, cycle, ecc
-    cdef bint connected = True
-    for i in range(nv + 1):
-        off[i] = offsets[i]
-    for i in range(ne):
-        nbr[i] = neighbors[i]
-    with nogil:
-        for root in range(nv):
-            for i in range(nv):
-                dist[i] = -1
-                parent[i] = -1
-            dist[root] = 0
-            queue[0] = root
-            head = 0
-            tail = 1
-            while head < tail:
-                u = queue[head]
-                head += 1
-                du = dist[u]
-                for ei in range(off[u], off[u + 1]):
-                    v = nbr[ei]
-                    if dist[v] < 0:
-                        dist[v] = du + 1
-                        parent[v] = u
-                        queue[tail] = v
-                        tail += 1
-                    elif v != parent[u]:
-                        cycle = du + dist[v] + 1
-                        if girth < 0 or cycle < girth:
-                            girth = cycle
-            if tail != nv:
-                connected = False
-                break
-            ecc = dist[queue[tail - 1]]
-            if ecc > diameter:
-                diameter = ecc
-    free(off)
-    free(nbr)
-    free(dist)
-    free(parent)
-    free(queue)
-    if not connected:
-        return girth, -1, False
-    return girth, diameter, True
-
-
 def scan(cube, int n, long p, long start, long stop, bint want_kernels):
     """Degrees (and optionally radical bases) of canonical projective points
     with enumeration indices in [start, stop)."""

@@ -1,8 +1,9 @@
-"""Pure-Python hot kernels for GF(p) scans.
+"""Pure-Python hot kernels for GF(p) scans, and incidence-graph statistics.
 
-Mirrors the compiled extension's API and must produce identical output
-(same enumeration order, same reduced-echelon kernel convention) so the
-backends are interchangeable.
+scan/rank_mod_p/kernel_mod_p mirror the compiled extension's API and must
+produce identical output (same enumeration order, same reduced-echelon
+kernel convention) so the backends are interchangeable.  graph_stats has
+no compiled twin: both backends use the one here.
 """
 
 from __future__ import annotations
@@ -81,43 +82,71 @@ def kernel_mod_p(rows: List[List[int]], p: int) -> List[Tuple[int, ...]]:
 
 
 def graph_stats(offsets: List[int], neighbors: List[int]) -> Tuple[int, int, bool]:
-    """Exact girth and diameter of an undirected graph via BFS from every
-    vertex (adjacency in CSR form); girth/diameter are -1 when undefined
-    (acyclic / disconnected)."""
+    """Exact girth and diameter of a simple undirected graph in CSR form.
+
+    Returns (girth, diameter, connected); girth is -1 for a forest and the
+    diameter is -1 for a disconnected graph.  The girth is the least over
+    all components.
+
+    Works on balls kept as int bitsets: R_d(v), the vertices within
+    distance d of v, is R_{d-1}(v) OR the R_{d-1}(u) of every neighbour u.
+    The diameter is the first d at which every ball is full; if no ball
+    grows and some ball is not full, the graph is disconnected.  Only two
+    generations of balls are held, about V^2/8 bytes each.
+
+    The girth comes from the same balls.  At radius d, for a vertex v and
+    two distinct neighbours u1, u2, a vertex w outside R_{d-1}(v) lying in
+    R_{d-1}(u1) and R_{d-1}(u2) shows a cycle of length <= 2d (even test),
+    and one lying in R_{d-1}(u1) and R_d(u2) a cycle of length <= 2d+1
+    (odd test).  Sound: shortest paths u1..w and u2..w avoid v, as w is
+    farther from v than their lengths allow, so the closed walk
+    v, u1..w..u2, v passes v once between distinct neighbours and contains
+    a cycle through v no longer than itself.  Complete: a shortest cycle is
+    isometric, so with v on it, u1 and u2 its neighbours on it and w the
+    vertex (or one of the two vertices) opposite v, it passes the test at
+    exactly half its length.  So the first radius with a hit gives the
+    girth, and every cycle shows by the radius of its component's diameter.
+    """
     nv = len(offsets) - 1
+    if nv <= 1:
+        return -1, 0, True
+    adj = [neighbors[offsets[v] : offsets[v + 1]] for v in range(nv)]
+    full = (1 << nv) - 1
+    cur = [1 << v for v in range(nv)]
     girth = -1
-    diameter = 0
-    dist = [-1] * nv
-    parent = [-1] * nv
-    queue = [0] * nv
-    for root in range(nv):
-        for i in range(nv):
-            dist[i] = -1
-            parent[i] = -1
-        dist[root] = 0
-        queue[0] = root
-        head, tail = 0, 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            for ei in range(offsets[u], offsets[u + 1]):
-                v = neighbors[ei]
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    parent[v] = u
-                    queue[tail] = v
-                    tail += 1
-                elif v != parent[u]:
-                    cycle = du + dist[v] + 1
-                    if girth < 0 or cycle < girth:
-                        girth = cycle
-        if tail != nv:
+    d = 0
+    while True:
+        d += 1
+        nxt = []
+        for v, nbrs in enumerate(adj):
+            ball = cur[v]
+            for u in nbrs:
+                ball |= cur[u]
+            nxt.append(ball)
+        if girth < 0:
+            odd = False
+            for v, nbrs in enumerate(adj):
+                # seen*: union over the neighbours so far; dup: in two of the
+                # R_{d-1}; hit: in R_{d-1} of one and R_d of another
+                seen_in = seen_out = dup = hit = 0
+                for u in nbrs:
+                    inner, outer = cur[u], nxt[u]
+                    dup |= seen_in & inner
+                    hit |= (seen_in & outer) | (seen_out & inner)
+                    seen_in |= inner
+                    seen_out |= outer
+                if dup & ~cur[v]:
+                    girth = 2 * d
+                    break
+                if not odd and hit & ~cur[v]:
+                    odd = True
+            if girth < 0 and odd:
+                girth = 2 * d + 1
+        if all(ball == full for ball in nxt):
+            return girth, d, True
+        if nxt == cur:
             return girth, -1, False
-        ecc = dist[queue[tail - 1]]
-        if ecc > diameter:
-            diameter = ecc
-    return girth, diameter, True
+        cur = nxt
 
 
 def scan(

@@ -13,10 +13,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ._kernels_py import _inverse_table, _rref_mod_p
 from .constructions import BilinearAltForm
 from .fields import GF, Field
 from .forms import TriForm
 from .poles import (
+    _line_bases,
+    _line_rref,
     _radical_lines,
     _zero_set_matches,
     enumerate_poles,
@@ -30,8 +33,9 @@ from .projective import (
     projective_points,
     span_points,
     subspace_rref,
+    wedge2_coordinates,
 )
-from .linalg import Matrix, solve_homogeneous
+from .linalg import solve_homogeneous
 
 
 @dataclass
@@ -120,8 +124,8 @@ def normal_spread_check(geom: IncidenceStructure) -> bool:
     """
     if not spread_check(geom).is_spread:
         raise ValueError("normality is only defined for spreads")
-    field = geom.field
-    q = field.p
+    q = geom.field.p
+    inv = _inverse_table(q)
     lines = geom.lines
     count = len(lines)
     point_to_line: Dict[Vector, int] = {}
@@ -136,12 +140,10 @@ def normal_spread_check(geom: IncidenceStructure) -> bool:
         todo = full & ~masks[i]
         while todo:
             j = (todo & -todo).bit_length() - 1
-            basis = subspace_rref(field, list(lines[i].basis) + list(lines[j].basis))
-            if len(basis) != 4:
+            basis = [list(row) for row in lines[i].basis + lines[j].basis]
+            if len(_rref_mod_p(basis, geom.n, q, inv)) != 4:
                 return False
-            members: Set[int] = set()
-            for pt in span_points(field, list(basis)):
-                members.add(point_to_line[pt])
+            members = {point_to_line[pt] for pt in _rref_span_points(q, basis)}
             # q^2+1 pairwise disjoint lines of q+1 points cover the span
             # exactly; more distinct lines means some line exits the span
             if len(members) != expected or (expected * (q + 1)) != span_size:
@@ -153,6 +155,28 @@ def normal_spread_check(geom: IncidenceStructure) -> bool:
                 masks[m] |= group
             todo = full & ~masks[i]
     return True
+
+
+def _rref_span_points(p: int, rows: Sequence[Sequence[int]]) -> List[Vector]:
+    """Canonical points of the span of reduced-echelon rows mod p, in no
+    particular order: sum c_i r_i over the coefficient vectors c whose first
+    nonzero entry is 1.  No normalisation is needed, since each such sum is
+    already canonical: with i the first index where c_i = 1, every r_k with
+    k >= i is zero before the pivot of r_i, and only r_i is nonzero there.
+    """
+    n = len(rows[0])
+    out: List[Vector] = []
+    tail: List[Vector] = [(0,) * n]  # every combination of the rows after k
+    for k in range(len(rows) - 1, -1, -1):
+        row = rows[k]
+        out.extend(tuple((a + b) % p for a, b in zip(row, vec)) for vec in tail)
+        if k:
+            tail = [
+                tuple((c * a + b) % p for a, b in zip(row, vec))
+                for c in range(p)
+                for vec in tail
+            ]
+    return out
 
 
 def unit_equation(n: int, index: int) -> Tuple[int, ...]:
@@ -167,23 +191,49 @@ def polar_space_lines(
     apex_eqs: Optional[Sequence[Sequence[int]]] = None,
 ) -> List[PluckerLine]:
     """Lines inside the carrier subspace, totally isotropic for beta, and
-    meeting the apex subspace non-trivially when one is given."""
-    from .poles import _all_lines
+    meeting the apex subspace non-trivially when one is given.
 
+    The carrier's lines are walked as coefficient pairs (s, t) over a basis
+    b_1..b_m of it, on ints mod p: beta and the apex equations are first
+    restricted to that basis, so both tests are read off s and t, and the
+    line [x, y], x = sum s_a b_a, y = sum t_a b_a, is built only when kept.
+    """
     basis = solve_homogeneous(field, [list(e) for e in carrier_eqs], n)
     m = len(basis)
     if m < 2:
         return []
+    p = field.p
+    # beta(x, y) = sum over a < b of beta(b_a, b_b) * (s_a t_b - s_b t_a)
+    gram = [
+        (a, b, beta.evaluate(basis[a], basis[b]))
+        for a in range(m)
+        for b in range(a + 1, m)
+    ]
+    # the apex equations on the carrier basis; [x, y] meets the apex iff
+    # the two rows of their values have rank <= 1
+    apex = (
+        [[sum(e * x for e, x in zip(eq, vec)) % p for vec in basis] for eq in apex_eqs]
+        if apex_eqs
+        else None
+    )
     out = []
-    apex_rows = [list(e) for e in apex_eqs] if apex_eqs else None
-    for inner in _all_lines(field, m):
-        x = _combine(field, basis, inner.basis[0])
-        y = _combine(field, basis, inner.basis[1])
-        if beta.evaluate(x, y) != field.zero:
+    for s, t in _line_bases(p, m):
+        if sum(c * (s[a] * t[b] - s[b] * t[a]) for a, b, c in gram) % p:
             continue
-        if apex_rows is not None and not _meets(field, apex_rows, x, y):
-            continue
-        out.append(PluckerLine.from_pair(field, x, y))
+        if apex is not None:
+            vs = [sum(e * c for e, c in zip(row, s)) % p for row in apex]
+            vt = [sum(e * c for e, c in zip(row, t)) % p for row in apex]
+            if any(
+                (vs[i] * vt[j] - vs[j] * vt[i]) % p
+                for i in range(len(apex))
+                for j in range(i + 1, len(apex))
+            ):
+                continue
+        x = [sum(c * vec[k] for c, vec in zip(s, basis)) % p for k in range(n)]
+        y = [sum(c * vec[k] for c, vec in zip(t, basis)) % p for k in range(n)]
+        lead = pow(next(v for v in x if v), p - 2, p)
+        r1, r2 = _line_rref(p, tuple(v * lead % p for v in x), y)
+        out.append(PluckerLine(basis=(r1, r2), wedge=wedge2_coordinates(field, r1, r2)))
     return sorted(out)
 
 
@@ -195,20 +245,6 @@ def _combine(field: Field, basis: Sequence[Vector], coeffs: Sequence[int]) -> Tu
             for i in range(n):
                 vec[i] = field.add(vec[i], field.mul(c, b[i]))
     return tuple(vec)
-
-
-def _meets(field: Field, eq_rows: Sequence[Sequence[int]], x: Vector, y: Vector) -> bool:
-    """Whether the line [x, y] meets the solution space of the equations."""
-    vx = [_dot(field, e, x) for e in eq_rows]
-    vy = [_dot(field, e, y) for e in eq_rows]
-    return Matrix(field, [vx, vy]).rank() <= 1
-
-
-def _dot(field: Field, a: Sequence[int], b: Sequence) -> int:
-    acc = field.zero
-    for x, y in zip(a, b):
-        acc = field.add(acc, field.mul(field.of(x), y))
-    return acc
 
 
 POLAR_CONFIGS: Dict[str, List[dict]] = {
@@ -396,7 +432,11 @@ class HexagonStats:
 
 
 def incidence_graph_stats(geom: IncidenceStructure) -> HexagonStats:
-    """Exact bipartite incidence-graph statistics via breadth-first search."""
+    """Exact statistics of the bipartite point-line incidence graph.
+
+    The graph goes to ``kernels.graph_stats`` in CSR form, points first and
+    then lines; girth and diameter come from its int-bitset balls, and are
+    None for an acyclic or a disconnected graph respectively."""
     from . import kernels
 
     point_ids = {pt: i for i, pt in enumerate(geom.points)}

@@ -3,6 +3,8 @@
 The compiled extension is used when it imported cleanly; setting the
 environment variable POLEGEOM_PURE=1 forces the pure-Python fallback.
 Both backends expose scan/rank_mod_p/kernel_mod_p with identical output.
+graph_stats (girth, diameter and connectivity from int-bitset balls) has
+one implementation, in _kernels_py, whichever backend is selected.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ BACKEND: str = _impl.BACKEND
 scan = _impl.scan
 rank_mod_p = _impl.rank_mod_p
 kernel_mod_p = _impl.kernel_mod_p
-graph_stats = _impl.graph_stats
+graph_stats = _kernels_py.graph_stats
 
 
 def backend_name() -> str:

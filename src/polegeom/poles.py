@@ -444,9 +444,9 @@ def lines_through_point(h: TriForm, u: Sequence[Scalar]) -> List[PluckerLine]:
     return sorted(_plucker_line(F, b) for b in _lines_at(F.p, u_pt, radical))
 
 
-def _all_lines(field: GF, n: int) -> Iterable[PluckerLine]:
-    """Every line of PG(n-1, q) by reduced-echelon shape enumeration."""
-    p = field.p
+def _line_bases(p: int, n: int) -> Iterator[Tuple[Vector, Vector]]:
+    """The reduced-echelon basis of every line of PG(n-1, p), on ints, by
+    echelon shape: pivots i < j, then the free entries as a base-p odometer."""
     for i in range(n):
         for j in range(i + 1, n):
             free1 = [c for c in range(i + 1, n) if c != j]
@@ -467,10 +467,13 @@ def _all_lines(field: GF, n: int) -> Iterable[PluckerLine]:
                     row1[c] = v
                 for c, v in zip(free2, vals[len(free1) :]):
                     row2[c] = v
-                yield PluckerLine(
-                    basis=(tuple(row1), tuple(row2)),
-                    wedge=wedge2_coordinates(field, row1, row2),
-                )
+                yield tuple(row1), tuple(row2)
+
+
+def _all_lines(field: GF, n: int) -> Iterable[PluckerLine]:
+    """Every line of PG(n-1, q) by reduced-echelon shape enumeration."""
+    for row1, row2 in _line_bases(field.p, n):
+        yield PluckerLine(basis=(row1, row2), wedge=wedge2_coordinates(field, row1, row2))
 
 
 def enumerate_upper_radical(

@@ -289,6 +289,21 @@ GOLDEN_CASES["check-cone_T7_gf3"] = (
     ("check", "cone", *GOLDEN_INSTANCES["T7_gf3"], "--output", "json"),
     1,
 )
+# the checks whose inner loops run on ints: the H(3) incidence graph, the
+# polar-space lines of T5 and T8, and the normal spread of T10_1(2)
+GOLDEN_CASES["check-hexagon_T9_gf3"] = (
+    ("check", "hexagon", "--catalog", "T9", "--field", "gf(3)", "--output", "json"),
+    0,
+)
+for _family in ("T5", "T8"):
+    GOLDEN_CASES[f"check-polar_{_family}_gf3"] = (
+        ("check", "polar", "--catalog", _family, "--field", "gf(3)", "--output", "json"),
+        0,
+    )
+GOLDEN_CASES["check-normal-spread_T10_1-2_gf3"] = (
+    ("check", "normal-spread", *GOLDEN_INSTANCES["T10_1-2_gf3"], "--output", "json"),
+    0,
+)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

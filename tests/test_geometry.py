@@ -25,7 +25,7 @@ from polegeom.geometry import (
     unit_equation,
     verdict,
 )
-from polegeom.linalg import random_invertible
+from polegeom.linalg import Matrix, random_invertible
 from polegeom.projective import PluckerLine
 
 
@@ -94,6 +94,43 @@ def test_perturbed_spread_rejected():
         normal_spread_check(perturbed)
 
 
+def _regulus_switched(geom):
+    """The spread with the regulus through three of its lines in the span of
+    its first two replaced by the opposite regulus: still a spread, but no
+    longer normal."""
+    field = geom.field
+
+    def rank(rows):
+        return Matrix(field, rows).rank()
+
+    def transversals(x, y, z):
+        # through each point P of x, the line meeting y and z: P and the
+        # point where the plane <P, y> meets z
+        out = []
+        for pt in x.points(field):
+            hit = next(c for c in z.points(field) if rank([pt, c, *y.basis]) == 3)
+            out.append(PluckerLine.from_pair(field, pt, hit))
+        return out
+
+    a, b = geom.lines[:2]
+    span = [*a.basis, *b.basis]
+    c = next(l for l in geom.lines[2:] if rank(span + list(l.basis)) == 4)
+    opposite = transversals(a, b, c)
+    regulus = set(transversals(*opposite[:3]))
+    assert regulus <= set(geom.lines)
+    lines = tuple(l for l in geom.lines if l not in regulus) + tuple(opposite)
+    return dataclasses.replace(
+        geom, lines=lines, points_by_line=tuple(tuple(l.points(field)) for l in lines)
+    )
+
+
+@pytest.mark.parametrize("tag,p,lam", [("T10_2", 2, 1), ("T10_1", 3, 2)])
+def test_regulus_switched_spread_not_normal(tag, p, lam):
+    switched = _regulus_switched(build_geometry(catalog_form(tag, GF(p), param=lam)))
+    assert spread_check(switched).is_spread
+    assert not normal_spread_check(switched)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_polar_t6(p):
     field = GF(p)
@@ -156,6 +193,13 @@ def test_hexagon_t9_gf2():
 def test_hexagon_t9_gf3():
     stats = hexagon_check(build_geometry(catalog_form("T9", GF(3))))
     assert stats.as_tuple() == (364, 364, 4, 4, 12, 6)
+
+
+def test_hexagon_t9_gf5():
+    """The split Cayley hexagon H(5): (q^6-1)/(q-1) = 3906 points and as many
+    lines, s = t = 5, girth 12, diameter 6."""
+    stats = hexagon_check(build_geometry(catalog_form("T9", GF(5))))
+    assert stats.as_tuple() == (3906, 3906, 6, 6, 12, 6)
 
 
 def test_hexagon_t12_matches_t9():

@@ -1,4 +1,4 @@
-"""Backend parity: the compiled kernels must replicate the pure ones."""
+"""Backend parity of the scan kernels, and the incidence-graph statistics."""
 
 import random
 
@@ -86,49 +86,53 @@ def test_scan_range_parity():
     assert merged_points == whole[0]
 
 
-@needs_ext
-def test_graph_stats_parity():
-    rng = random.Random(4040)
-    for _ in range(25):
-        nv = rng.randint(2, 14)
-        edges = set()
-        for _ in range(rng.randint(1, 2 * nv)):
-            a, b = rng.randrange(nv), rng.randrange(nv)
-            if a != b:
-                edges.add((min(a, b), max(a, b)))
-        adj = [[] for _ in range(nv)]
-        for a, b in sorted(edges):
-            adj[a].append(b)
-            adj[b].append(a)
-        offsets = [0]
-        neighbors = []
-        for row in adj:
-            neighbors.extend(row)
-            offsets.append(len(neighbors))
-        assert _gfkernels.graph_stats(offsets, neighbors) == _kernels_py.graph_stats(
-            offsets, neighbors
-        )
-
-
-def test_graph_stats_known_values():
-    # a 6-cycle: girth 6, diameter 3
-    nv = 6
-    adj = [[(i + 1) % nv, (i - 1) % nv] for i in range(nv)]
+def _csr(nv, edges):
+    adj = [[] for _ in range(nv)]
+    for a, b in sorted(edges):
+        adj[a].append(b)
+        adj[b].append(a)
     offsets = [0]
     neighbors = []
     for row in adj:
         neighbors.extend(row)
         offsets.append(len(neighbors))
-    girth, diameter, connected = _kernels_py.graph_stats(offsets, neighbors)
-    assert (girth, diameter, connected) == (6, 3, True)
+    return offsets, neighbors
+
+
+def test_graph_stats_matches_networkx():
+    import networkx as nx  # a test-only reference
+    rng = random.Random(4040)
+    for _ in range(400):
+        nv = rng.randint(1, 16)
+        density = rng.choice((0.1, 0.2, 0.3, 0.5, 0.8))
+        edges = [(a, b) for a in range(nv) for b in range(a + 1, nv) if rng.random() < density]
+        graph = nx.Graph()
+        graph.add_nodes_from(range(nv))
+        graph.add_edges_from(edges)
+        connected = nx.is_connected(graph)
+        girth = nx.girth(graph)
+        want = (
+            -1 if girth == float("inf") else girth,
+            nx.diameter(graph) if connected else -1,
+            connected,
+        )
+        assert kernels.graph_stats(*_csr(nv, edges)) == want, (nv, edges)
+
+
+def test_graph_stats_known_values():
+    # a 6-cycle: girth 6, diameter 3
+    cycle = [(i, (i + 1) % 6) for i in range(6)]
+    assert kernels.graph_stats(*_csr(6, cycle)) == (6, 3, True)
     # a path: acyclic
-    offsets2 = [0, 1, 3, 4]
-    neighbors2 = [1, 0, 2, 1]
-    girth, diameter, connected = _kernels_py.graph_stats(offsets2, neighbors2)
-    assert (girth, diameter, connected) == (-1, 2, True)
+    assert kernels.graph_stats(*_csr(3, [(0, 1), (1, 2)])) == (-1, 2, True)
     # two isolated vertices: disconnected
-    girth, diameter, connected = _kernels_py.graph_stats([0, 0, 0], [])
-    assert connected is False
+    assert kernels.graph_stats([0, 0, 0], []) == (-1, -1, False)
+    # the girth of a disconnected graph is the least over its components,
+    # whichever vertex comes first
+    triangle = [(1, 2), (2, 3), (1, 3)]
+    assert kernels.graph_stats(*_csr(4, triangle)) == (3, -1, False)
+    triangle_first = [(0, 1), (1, 2), (0, 2)]
+    assert kernels.graph_stats(*_csr(4, triangle_first)) == (3, -1, False)
 
 
 def test_pure_env_override(monkeypatch):
