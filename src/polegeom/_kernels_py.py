@@ -8,12 +8,13 @@ no compiled twin: both backends use the one here.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 BACKEND = "python"
 
 
-def _rref_mod_p(work: List[List[int]], ncols: int, p: int, inv: List[int]):
+def _rref_mod_p(work: List[List[int]], ncols: int, p: int, inv: Sequence[int]):
     """In-place reduced row echelon form mod p; returns pivot columns."""
     nrows = len(work)
     pivots: List[int] = []
@@ -47,11 +48,9 @@ def _rref_mod_p(work: List[List[int]], ncols: int, p: int, inv: List[int]):
     return pivots
 
 
-def _inverse_table(p: int) -> List[int]:
-    inv = [0] * p
-    for a in range(1, p):
-        inv[a] = pow(a, p - 2, p)
-    return inv
+@lru_cache(maxsize=None)
+def _inverse_table(p: int) -> Tuple[int, ...]:
+    return (0,) + tuple(pow(a, p - 2, p) for a in range(1, p))
 
 
 def rank_mod_p(rows: List[List[int]], p: int) -> int:
@@ -149,6 +148,37 @@ def graph_stats(offsets: List[int], neighbors: List[int]) -> Tuple[int, int, boo
         cur = nxt
 
 
+def _packed_reducer(p: int, bound: int) -> Tuple[int, int, int]:
+    """Lane width w, multiplier m and shift s such that, for every lane
+    value x in [0, bound], (x * m) >> s == x // p and x * m < 2**w.
+
+    A packed int X with values x in lanes of w bits is then reduced mod p in
+    all lanes at once by X - p * (((X * m) >> s) & LOW), LOW holding the low
+    w - s bits of every lane: x * m stays inside its lane, and the bits that
+    the shift moves down from the lane above land above the LOW mask.
+    """
+    s = bound.bit_length() + p.bit_length()
+    m = (1 << s) // p + 1
+    w = max((bound * m).bit_length(), s + 1)
+    for x in range(bound + 1):
+        if (x * m) >> s != x // p:
+            raise ArithmeticError(f"multiply-shift fails mod {p} at {x}")
+    return w, m, s
+
+
+def _require_alternating(cube: List[List[List[int]]], n: int, p: int) -> None:
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                v = cube[i][j][k] % p
+                if (
+                    (v + cube[j][i][k]) % p
+                    or (v + cube[i][k][j]) % p
+                    or (i == j or j == k) and v
+                ):
+                    raise ValueError("scan needs an alternating cube")
+
+
 def scan(
     cube: List[List[List[int]]],
     n: int,
@@ -158,34 +188,145 @@ def scan(
     want_kernels: bool,
 ) -> Tuple[List[Tuple[int, ...]], List[int], Optional[List[List[Tuple[int, ...]]]]]:
     """Degrees (and optionally radical bases) of canonical projective points
-    with enumeration indices in [start, stop)."""
-    from .projective import projective_point_at
+    with enumeration indices in [start, stop).
 
-    inv = _inverse_table(p)
+    The cube must be alternating (ValueError otherwise).  The points are
+    walked as an odometer in the canonical order, and M_u = sum_i u_i C_i is
+    kept as one packed int: the n*n entries are lanes of w bits, row j at
+    lanes j*n .. j*n+n-1 with column k in lane j*n + n-1-k, so the leading
+    column of a row is read off its bit length.  The tables a*C_i mod p are
+    built once, with a prefix sum per odometer digit, so each point costs
+    one addition; all lanes are then reduced mod p at once by multiply-shift
+    (_packed_reducer).  Forward elimination gives the rank, and
+    back-substitution to the reduced echelon form runs only when radicals
+    are wanted and the rank is below n-1.  The radicals are the
+    reduced-echelon kernel bases of kernel_mod_p, which is unique.
+    """
+    from .projective import num_projective_points, projective_point_at
+
     points: List[Tuple[int, ...]] = []
     degrees: List[int] = []
     kernels: Optional[List[List[Tuple[int, ...]]]] = [] if want_kernels else None
-    for idx in range(start, stop):
-        u = projective_point_at(p, n, idx)
-        m = [[0] * n for _ in range(n)]
-        for i in range(n):
-            ui = u[i]
-            if not ui:
-                continue
-            plane = cube[i]
+    _require_alternating(cube, n, p)
+    if start >= stop:
+        return points, degrees, kernels
+    if stop > num_projective_points(p, n):
+        raise IndexError("projective point index out of range")
+    inv = _inverse_table(p)
+    # lanes hold at most n entries below p before reduction, and
+    # x + (p - a) * y with x, y, a below p during elimination
+    w, mul, shift = _packed_reducer(p, max(n, p) * (p - 1))
+    lane = (1 << w) - 1
+    low = (1 << (w - shift)) - 1
+    row_bits = n * w
+    row_mask = (1 << row_bits) - 1
+    row_low = sum(low << (k * w) for k in range(n))
+    all_low = sum(row_low << (j * row_bits) for j in range(n))
+    # tables[i][a]: a * C_i mod p, packed
+    tables = []
+    for i in range(n):
+        plane = cube[i]
+        packed = [0] * p
+        for a in range(1, p):
+            x = 0
             for j in range(n):
                 row = plane[j]
-                mj = m[j]
                 for k in range(n):
-                    v = row[k]
-                    if v:
-                        mj[k] = (mj[k] + ui * v) % p
+                    x |= (a * row[k] % p) << ((j * n + n - 1 - k) * w)
+            packed[a] = x
+        tables.append(packed)
+
+    u = list(projective_point_at(p, n, start))
+    lead = u.index(1)
+    # acc[i]: the packed sum of u_i' C_i' over i' <= i
+    acc = [0] * n
+    acc[lead] = tables[lead][1]
+    for i in range(lead + 1, n):
+        acc[i] = acc[i - 1] + tables[i][u[i]]
+    last = n - 1
+    for _ in range(stop - start):
+        pt = tuple(u)
+        x = acc[last]
+        x -= p * (((x * mul) >> shift) & all_low)
+        # u^T M_u = h(u, u, .) = 0 for an alternating cube, so row `lead`
+        # (u_lead = 1) is minus the sum of u_j times the other rows: it
+        # changes neither the row space nor its reduced echelon form
+        rows = []
+        for j in range(n):
+            if j != lead:
+                r = (x >> (j * row_bits)) & row_mask
+                if r:
+                    rows.append(r)
+        # forward elimination: the greatest row has the leftmost leading
+        # column, and the rows left all lead at or right of it
+        piv_rows: List[int] = []
+        piv_lanes: List[int] = []
+        while rows:
+            r = max(rows)
+            rows.remove(r)
+            at = (r.bit_length() - 1) // w * w
+            a = r >> at
+            if a != 1:
+                r *= inv[a]
+                r -= p * (((r * mul) >> shift) & row_low)
+            kept = []
+            for y in rows:
+                a = y >> at
+                if a:
+                    y += (p - a) * r
+                    y -= p * (((y * mul) >> shift) & row_low)
+                if y:
+                    kept.append(y)
+            rows = kept
+            piv_rows.append(r)
+            piv_lanes.append(at)
+        rank = len(piv_rows)
+        degrees.append(last - rank)
+        points.append(pt)
         if want_kernels:
-            basis = kernel_mod_p(m, p)
-            rank = n - len(basis)
-            kernels.append(basis)
+            if rank == last:
+                # the radical is <u>: scale its last nonzero entry to 1
+                f = max(i for i in range(n) if u[i])
+                c = inv[u[f]]
+                kernels.append([tuple(v * c % p for v in u)])
+            else:
+                # back-substitution to the reduced echelon form
+                for t in range(rank - 1, 0, -1):
+                    r, at = piv_rows[t], piv_lanes[t]
+                    for q in range(t):
+                        y = piv_rows[q]
+                        a = (y >> at) & lane
+                        if a:
+                            y += (p - a) * r
+                            piv_rows[q] = y - p * (((y * mul) >> shift) & row_low)
+                pivot_cols = [last - at // w for at in piv_lanes]
+                basis = []
+                for f in range(n):
+                    if f in pivot_cols:
+                        continue
+                    vec = [0] * n
+                    vec[f] = 1
+                    at = (last - f) * w
+                    for r, c in zip(piv_rows, pivot_cols):
+                        vec[c] = -((r >> at) & lane) % p
+                    basis.append(tuple(vec))
+                kernels.append(basis)
+        # advance the odometer: the last coordinate turns fastest
+        i = last
+        while i > lead and u[i] == p - 1:
+            u[i] = 0
+            i -= 1
+        if i > lead:
+            u[i] += 1
+            x = acc[i - 1] + tables[i][u[i]]
+        elif lead < last:
+            u[lead] = 0
+            lead += 1
+            u[lead] = 1
+            i = lead
+            x = tables[lead][1]
         else:
-            rank = len(_rref_mod_p(m, n, p, inv))
-        points.append(u)
-        degrees.append(n - 1 - rank)
+            break
+        for j in range(i, n):
+            acc[j] = x
     return points, degrees, kernels

@@ -2,9 +2,14 @@
 
 The compiled extension is used when it imported cleanly; setting the
 environment variable POLEGEOM_PURE=1 forces the pure-Python fallback.
-Both backends expose scan/rank_mod_p/kernel_mod_p with identical output.
-graph_stats (girth, diameter and connectivity from int-bitset balls) has
-one implementation, in _kernels_py, whichever backend is selected.
+Both backends expose scan/rank_mod_p/kernel_mod_p with identical output:
+the same points, degrees and reduced-echelon radicals, in the canonical
+order.  The pure scan walks the points as an odometer over packed-row
+integers and needs an alternating cube (it raises ValueError otherwise);
+the radicals agree because the reduced echelon form of a row space is
+unique.  graph_stats (girth, diameter and connectivity from int-bitset
+balls) has one implementation, in _kernels_py, whichever backend is
+selected.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from .projective import (
     PluckerLine,
     Vector,
     canonical_point,
+    num_projective_lines,
     num_projective_points,
     pair_list,
     projective_point_at,
@@ -34,7 +35,8 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured p^n budget."""
+    """An enumeration would exceed the configured budget (p^n, or the line
+    count of a walk over every line)."""
 
 
 class VarietyError(RuntimeError):
@@ -248,12 +250,26 @@ def _zero_set_matches(
 ) -> bool:
     """Pointwise check that {g = 0} equals the pole set of a scan.
 
-    ``degrees`` yields (point, degree) for every point of PG(n-1, p).
+    ``degrees`` yields (point, degree) for every point of PG(n-1, p), with
+    integer coordinates.  g is evaluated on ints: each term becomes
+    (coefficient mod p, its variables each repeated by its exponent) once,
+    and the sum is reduced mod p once per point.
     """
-    if g.field != field:
-        g = MultiPoly(g.nvars, field, {e: field.of(c) for e, c in g.terms.items()})
-    zero = field.zero
-    return all((g.evaluate(pt) == zero) == (deg >= 1) for pt, deg in degrees)
+    p = field.p
+    terms = []
+    for exps, c in g.terms.items():
+        c = field.of(c)
+        if c:
+            terms.append((c, [i for i, e in enumerate(exps) for _ in range(e)]))
+    for pt, deg in degrees:
+        total = 0
+        for c, factors in terms:
+            for i in factors:
+                c *= pt[i]
+            total += c
+        if (total % p == 0) != (deg >= 1):
+            return False
+    return True
 
 
 def _grid_matches(h: TriForm, g: MultiPoly) -> bool:
@@ -496,6 +512,13 @@ def enumerate_upper_radical(
         h = h.reduce_mod(field)
     _require_enumerable(field, h.n, budget)
     if method == "wedge":
+        # the walk below visits every line of PG(n-1, p), not p^n points
+        limit = enumeration_budget(budget)
+        count = num_projective_lines(field.p, h.n)
+        if count > limit:
+            raise BudgetExceededError(
+                f"{count} lines of PG({h.n - 1}, {field.p}) exceed budget {limit}"
+            )
         system = upper_radical_system(h)
         return sorted(
             line for line in _all_lines(field, h.n) if system.contains(line.wedge)

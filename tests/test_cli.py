@@ -304,6 +304,16 @@ GOLDEN_CASES["check-normal-spread_T10_1-2_gf3"] = (
     ("check", "normal-spread", *GOLDEN_INSTANCES["T10_1-2_gf3"], "--output", "json"),
     0,
 )
+# fingerprints over primes above 3, where the scan's lane widths and
+# reduction constants differ from those of GF(2) and GF(3)
+GOLDEN_CASES["fingerprint_T9_gf5"] = (
+    ("fingerprint", "--catalog", "T9", "--field", "gf(5)", "--output", "json"),
+    0,
+)
+GOLDEN_CASES["fingerprint_T10_1-3_gf7"] = (
+    ("fingerprint", "--catalog", "T10_1", "--param", "3", "--field", "gf(7)", "--output", "json"),
+    0,
+)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

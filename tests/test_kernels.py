@@ -81,9 +81,81 @@ def test_scan_range_parity():
         _gfkernels.scan(cube, 7, 3, lo, hi, True)
         for lo, hi in zip(cuts, cuts[1:])
     ]
-    merged_points = [pt for piece in pieces for pt in piece[0]]
     whole = _kernels_py.scan(cube, 7, 3, 0, total, True)
-    assert merged_points == whole[0]
+    for part in range(3):
+        assert [x for piece in pieces for x in piece[part]] == whole[part]
+
+
+def _alternating_cube(rng, n, p):
+    cube = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if rng.random() < 0.6:
+                    v = rng.randrange(p)
+                    for a, b, c, s in (
+                        (i, j, k, 1), (j, k, i, 1), (k, i, j, 1),
+                        (j, i, k, -1), (i, k, j, -1), (k, j, i, -1),
+                    ):
+                        cube[a][b][c] = s * v % p
+    return cube
+
+
+def _reference_scan(cube, n, p):
+    """The whole scan with radicals by the definition: M_u = sum_i u_i C_i
+    at every point, then kernel_mod_p."""
+    points, degrees, radicals = [], [], []
+    for idx in range(num_projective_points(p, n)):
+        u = projective_point_at(p, n, idx)
+        m = [
+            [sum(u[i] * cube[i][j][k] for i in range(n)) % p for k in range(n)]
+            for j in range(n)
+        ]
+        basis = _kernels_py.kernel_mod_p(m, p)
+        points.append(u)
+        degrees.append(len(basis) - 1)
+        radicals.append(basis)
+    return points, degrees, radicals
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(2, 3), (2, 5), (2, 8), (3, 4), (3, 6), (5, 4), (5, 5), (7, 4),
+     (11, 3), (11, 4), (13, 3), (211, 3)],
+)
+def test_scan_matches_reference(p, n):
+    rng = random.Random(1000 * p + n)
+    cube = _alternating_cube(rng, n, p)
+    total = num_projective_points(p, n)
+    block = p ** (n - 1)  # the points with leading 1 in the first coordinate
+    # an empty range, a single point, a range inside a lead block, a range
+    # across blocks and the last point
+    cuts = [0, 1, 1, block // 3, 2 * block // 3 + 1, total - 1, total]
+    points, degrees, radicals = _reference_scan(cube, n, p)
+    for want_kernels in (False, True):
+        want = (points, degrees, radicals if want_kernels else None)
+        assert _kernels_py.scan(cube, n, p, 0, total, want_kernels) == want
+        pieces = [
+            _kernels_py.scan(cube, n, p, lo, hi, want_kernels)
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        assert pieces[1] == ([], [], [] if want_kernels else None)
+        for part in range(2 + want_kernels):
+            assert [x for piece in pieces for x in piece[part]] == want[part]
+
+
+def test_scan_rejects_non_alternating_cube():
+    rng = random.Random(77)
+    for p in (2, 5):
+        cube = _alternating_cube(rng, 4, p)
+        cube[0][1][2] = (cube[0][1][2] + 1) % p  # breaks antisymmetry
+        with pytest.raises(ValueError):
+            _kernels_py.scan(cube, 4, p, 0, 1, False)
+    # symmetric in a pair but not alternating: a diagonal entry over GF(2)
+    cube = _alternating_cube(rng, 4, 2)
+    cube[0][0][1] = cube[0][1][0] = cube[1][0][0] = 1
+    with pytest.raises(ValueError):
+        _kernels_py.scan(cube, 4, 2, 0, 5, True)
 
 
 def _csr(nv, edges):

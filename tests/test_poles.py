@@ -12,6 +12,8 @@ from polegeom.linalg import Matrix
 from polegeom.poles import (
     BudgetExceededError,
     VarietyError,
+    _pole_variety,
+    _zero_set_matches,
     contraction_matrix,
     enumerate_poles,
     enumerate_upper_radical,
@@ -23,7 +25,7 @@ from polegeom.poles import (
     upper_radical_system,
     variety_candidates,
 )
-from polegeom.poly import equal_up_to_scalar, parse_poly, render_poly
+from polegeom.poly import MultiPoly, equal_up_to_scalar, parse_poly, render_poly
 from polegeom.projective import projective_points, subspace_rref
 from conftest import desk_instances
 
@@ -411,6 +413,31 @@ def test_one_scan_per_call(monkeypatch, name):
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         enumerate_poles(catalog_form("T9", GF(7)), budget=1000)
+
+
+def test_wedge_route_charges_its_lines_to_the_budget():
+    # p^7 = 2,187 is under the budget, the 99,463 lines of PG(6, 3) are not
+    with pytest.raises(BudgetExceededError, match="99463 lines"):
+        enumerate_upper_radical(catalog_form("T9", GF(3)), method="wedge", budget=10_000)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("pulled", [False, True], ids=["catalog", "pullback"])
+def test_zero_set_matches_both_verdicts(p, pulled):
+    field = GF(p)
+    h = catalog_form("T9", field)
+    if pulled:
+        rows = [[1 if j >= i else 0 for j in range(7)] for i in range(7)]
+        rows[6][0] = 2  # unit upper triangular plus a corner: invertible
+        h = h.pullback(Matrix(field, rows))
+    report = enumerate_poles(h, field, with_radicals=False)
+    pairs = [(r.point, r.degree) for r in report.records]
+    eq = _pole_variety(h, None, None, None, report).g
+    assert _zero_set_matches(field, eq, pairs)
+    assert not _zero_set_matches(field, eq + MultiPoly.constant(7, field, 1), pairs)
+    first_pole = next(pos for pos, (_, deg) in enumerate(pairs) if deg >= 1)
+    pairs[first_pole] = (pairs[first_pole][0], 0)
+    assert not _zero_set_matches(field, eq, pairs)
 
 
 def test_budget_environment_default(monkeypatch):
