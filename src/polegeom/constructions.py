@@ -200,10 +200,3 @@ def coordinate_swap_map(n: int) -> Dict[int, int]:
         out[i] = i + half
         out[i + half] = i
     return out
-
-
-def apply_index_map(point: Sequence[Scalar], mapping: Dict[int, int]) -> Tuple[Scalar, ...]:
-    out = list(point)
-    for src, dst in mapping.items():
-        out[dst - 1] = point[src - 1]
-    return tuple(out)

@@ -23,7 +23,7 @@ from .fields import (
     same_field,
 )
 from .linalg import Matrix
-from .projective import Vector, pair_list, wedge2_coordinates
+from .projective import Vector, pair_list
 
 Triple = Tuple[int, int, int]
 
@@ -258,14 +258,6 @@ class TriForm:
         if n is None or fld is None:
             raise ValueError("missing n or field header")
         return cls.from_terms(n, fld, terms)
-
-
-def evaluate_form(h: TriForm, x, y, z) -> Scalar:
-    return h.evaluate(x, y, z)
-
-
-def wedge2(h_field: Field, x, y) -> Vector:
-    return wedge2_coordinates(h_field, x, y)
 
 
 # -- the catalog ------------------------------------------------------------

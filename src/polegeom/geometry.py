@@ -13,10 +13,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ._kernels_py import _inverse_table, _rref_mod_p
 from .constructions import BilinearAltForm
 from .fields import GF, Field
 from .forms import TriForm
+from .kernels import _inverse_table, _rref_mod_p
 from .poles import (
     _line_bases,
     _line_rref,

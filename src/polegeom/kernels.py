@@ -1,38 +1,325 @@
-"""Backend selection for the GF(p) scan kernels.
+"""GF(p) kernels: the point scan, kernel bases mod p, and incidence-graph statistics.
 
-The compiled extension is used when it imported cleanly; setting the
-environment variable POLEGEOM_PURE=1 forces the pure-Python fallback.
-Both backends expose scan/rank_mod_p/kernel_mod_p with identical output:
-the same points, degrees and reduced-echelon radicals, in the canonical
-order.  The pure scan walks the points as an odometer over packed-row
-integers and needs an alternating cube (it raises ValueError otherwise);
-the radicals agree because the reduced echelon form of a row space is
-unique.  graph_stats (girth, diameter and connectivity from int-bitset
-balls) has one implementation, in _kernels_py, whichever backend is
-selected.
+scan walks PG(n-1, p) in the canonical order and returns every point's
+degree and, on request, its radical as a reduced-echelon basis.
+kernel_mod_p gives the same basis convention for any matrix mod p.
+graph_stats gives girth, diameter and connectivity from int-bitset balls.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
-from . import _kernels_py
-
-if os.environ.get("POLEGEOM_PURE"):
-    _impl = _kernels_py
-else:
-    try:
-        from . import _gfkernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _kernels_py
-
-BACKEND: str = _impl.BACKEND
-
-scan = _impl.scan
-rank_mod_p = _impl.rank_mod_p
-kernel_mod_p = _impl.kernel_mod_p
-graph_stats = _kernels_py.graph_stats
+BACKEND = "python"
 
 
-def backend_name() -> str:
-    return BACKEND
+def _rref_mod_p(work: List[List[int]], ncols: int, p: int, inv: Sequence[int]):
+    """In-place reduced row echelon form mod p; returns pivot columns."""
+    nrows = len(work)
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = -1
+        for i in range(r, nrows):
+            if work[i][c]:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+        piv_inv = inv[work[r][c]]
+        if piv_inv != 1:
+            row = work[r]
+            for j in range(c, ncols):
+                row[j] = (row[j] * piv_inv) % p
+        row_r = work[r]
+        for i in range(nrows):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                row_i = work[i]
+                for j in range(c, ncols):
+                    row_i[j] = (row_i[j] - f * row_r[j]) % p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+@lru_cache(maxsize=None)
+def _inverse_table(p: int) -> Tuple[int, ...]:
+    return (0,) + tuple(pow(a, p - 2, p) for a in range(1, p))
+
+
+def kernel_mod_p(rows: List[List[int]], p: int) -> List[Tuple[int, ...]]:
+    """Reduced-echelon right-kernel basis, free columns ascending."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    work = [[x % p for x in row] for row in rows]
+    pivots = _rref_mod_p(work, ncols, p, _inverse_table(p))
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = (-work[r][f]) % p
+        basis.append(tuple(vec))
+    return basis
+
+
+def graph_stats(offsets: List[int], neighbors: List[int]) -> Tuple[int, int, bool]:
+    """Exact girth and diameter of a simple undirected graph in CSR form.
+
+    Returns (girth, diameter, connected); girth is -1 for a forest and the
+    diameter is -1 for a disconnected graph.  The girth is the least over
+    all components.
+
+    Works on balls kept as int bitsets: R_d(v), the vertices within
+    distance d of v, is R_{d-1}(v) OR the R_{d-1}(u) of every neighbour u.
+    The diameter is the first d at which every ball is full; if no ball
+    grows and some ball is not full, the graph is disconnected.  Only two
+    generations of balls are held, about V^2/8 bytes each.
+
+    The girth comes from the same balls.  At radius d, for a vertex v and
+    two distinct neighbours u1, u2, a vertex w outside R_{d-1}(v) lying in
+    R_{d-1}(u1) and R_{d-1}(u2) shows a cycle of length <= 2d (even test),
+    and one lying in R_{d-1}(u1) and R_d(u2) a cycle of length <= 2d+1
+    (odd test).  Sound: shortest paths u1..w and u2..w avoid v, as w is
+    farther from v than their lengths allow, so the closed walk
+    v, u1..w..u2, v passes v once between distinct neighbours and contains
+    a cycle through v no longer than itself.  Complete: a shortest cycle is
+    isometric, so with v on it, u1 and u2 its neighbours on it and w the
+    vertex (or one of the two vertices) opposite v, it passes the test at
+    exactly half its length.  So the first radius with a hit gives the
+    girth, and every cycle shows by the radius of its component's diameter.
+    """
+    nv = len(offsets) - 1
+    if nv <= 1:
+        return -1, 0, True
+    adj = [neighbors[offsets[v] : offsets[v + 1]] for v in range(nv)]
+    full = (1 << nv) - 1
+    cur = [1 << v for v in range(nv)]
+    girth = -1
+    d = 0
+    while True:
+        d += 1
+        nxt = []
+        for v, nbrs in enumerate(adj):
+            ball = cur[v]
+            for u in nbrs:
+                ball |= cur[u]
+            nxt.append(ball)
+        if girth < 0:
+            odd = False
+            for v, nbrs in enumerate(adj):
+                # seen*: union over the neighbours so far; dup: in two of the
+                # R_{d-1}; hit: in R_{d-1} of one and R_d of another
+                seen_in = seen_out = dup = hit = 0
+                for u in nbrs:
+                    inner, outer = cur[u], nxt[u]
+                    dup |= seen_in & inner
+                    hit |= (seen_in & outer) | (seen_out & inner)
+                    seen_in |= inner
+                    seen_out |= outer
+                if dup & ~cur[v]:
+                    girth = 2 * d
+                    break
+                if not odd and hit & ~cur[v]:
+                    odd = True
+            if girth < 0 and odd:
+                girth = 2 * d + 1
+        if all(ball == full for ball in nxt):
+            return girth, d, True
+        if nxt == cur:
+            return girth, -1, False
+        cur = nxt
+
+
+def _packed_reducer(p: int, bound: int) -> Tuple[int, int, int]:
+    """Lane width w, multiplier m and shift s such that, for every lane
+    value x in [0, bound], (x * m) >> s == x // p and x * m < 2**w.
+
+    A packed int X with values x in lanes of w bits is then reduced mod p in
+    all lanes at once by X - p * (((X * m) >> s) & LOW), LOW holding the low
+    w - s bits of every lane: x * m stays inside its lane, and the bits that
+    the shift moves down from the lane above land above the LOW mask.
+    """
+    s = bound.bit_length() + p.bit_length()
+    m = (1 << s) // p + 1
+    w = max((bound * m).bit_length(), s + 1)
+    for x in range(bound + 1):
+        if (x * m) >> s != x // p:
+            raise ArithmeticError(f"multiply-shift fails mod {p} at {x}")
+    return w, m, s
+
+
+def _require_alternating(cube: List[List[List[int]]], n: int, p: int) -> None:
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                v = cube[i][j][k] % p
+                if (
+                    (v + cube[j][i][k]) % p
+                    or (v + cube[i][k][j]) % p
+                    or (i == j or j == k) and v
+                ):
+                    raise ValueError("scan needs an alternating cube")
+
+
+def scan(
+    cube: List[List[List[int]]],
+    n: int,
+    p: int,
+    start: int,
+    stop: int,
+    want_kernels: bool,
+) -> Tuple[List[Tuple[int, ...]], List[int], Optional[List[List[Tuple[int, ...]]]]]:
+    """Degrees (and optionally radical bases) of canonical projective points
+    with enumeration indices in [start, stop).
+
+    The cube must be alternating (ValueError otherwise).  The points are
+    walked as an odometer in the canonical order, and M_u = sum_i u_i C_i is
+    kept as one packed int: the n*n entries are lanes of w bits, row j at
+    lanes j*n .. j*n+n-1 with column k in lane j*n + n-1-k, so the leading
+    column of a row is read off its bit length.  The tables a*C_i mod p are
+    built once, with a prefix sum per odometer digit, so each point costs
+    one addition; all lanes are then reduced mod p at once by multiply-shift
+    (_packed_reducer).  Forward elimination gives the rank, and
+    back-substitution to the reduced echelon form runs only when radicals
+    are wanted and the rank is below n-1.  The radicals are the
+    reduced-echelon kernel bases of kernel_mod_p, which is unique.
+    """
+    from .projective import num_projective_points, projective_point_at
+
+    points: List[Tuple[int, ...]] = []
+    degrees: List[int] = []
+    kernels: Optional[List[List[Tuple[int, ...]]]] = [] if want_kernels else None
+    _require_alternating(cube, n, p)
+    if start >= stop:
+        return points, degrees, kernels
+    if stop > num_projective_points(p, n):
+        raise IndexError("projective point index out of range")
+    inv = _inverse_table(p)
+    # lanes hold at most n entries below p before reduction, and
+    # x + (p - a) * y with x, y, a below p during elimination
+    w, mul, shift = _packed_reducer(p, max(n, p) * (p - 1))
+    lane = (1 << w) - 1
+    low = (1 << (w - shift)) - 1
+    row_bits = n * w
+    row_mask = (1 << row_bits) - 1
+    row_low = sum(low << (k * w) for k in range(n))
+    all_low = sum(row_low << (j * row_bits) for j in range(n))
+    # tables[i][a]: a * C_i mod p, packed
+    tables = []
+    for i in range(n):
+        plane = cube[i]
+        packed = [0] * p
+        for a in range(1, p):
+            x = 0
+            for j in range(n):
+                row = plane[j]
+                for k in range(n):
+                    x |= (a * row[k] % p) << ((j * n + n - 1 - k) * w)
+            packed[a] = x
+        tables.append(packed)
+
+    u = list(projective_point_at(p, n, start))
+    lead = u.index(1)
+    # acc[i]: the packed sum of u_i' C_i' over i' <= i
+    acc = [0] * n
+    acc[lead] = tables[lead][1]
+    for i in range(lead + 1, n):
+        acc[i] = acc[i - 1] + tables[i][u[i]]
+    last = n - 1
+    for _ in range(stop - start):
+        pt = tuple(u)
+        x = acc[last]
+        x -= p * (((x * mul) >> shift) & all_low)
+        # u^T M_u = h(u, u, .) = 0 for an alternating cube, so row `lead`
+        # (u_lead = 1) is minus the sum of u_j times the other rows: it
+        # changes neither the row space nor its reduced echelon form
+        rows = []
+        for j in range(n):
+            if j != lead:
+                r = (x >> (j * row_bits)) & row_mask
+                if r:
+                    rows.append(r)
+        # forward elimination: the greatest row has the leftmost leading
+        # column, and the rows left all lead at or right of it
+        piv_rows: List[int] = []
+        piv_lanes: List[int] = []
+        while rows:
+            r = max(rows)
+            rows.remove(r)
+            at = (r.bit_length() - 1) // w * w
+            a = r >> at
+            if a != 1:
+                r *= inv[a]
+                r -= p * (((r * mul) >> shift) & row_low)
+            kept = []
+            for y in rows:
+                a = y >> at
+                if a:
+                    y += (p - a) * r
+                    y -= p * (((y * mul) >> shift) & row_low)
+                if y:
+                    kept.append(y)
+            rows = kept
+            piv_rows.append(r)
+            piv_lanes.append(at)
+        rank = len(piv_rows)
+        degrees.append(last - rank)
+        points.append(pt)
+        if want_kernels:
+            if rank == last:
+                # the radical is <u>: scale its last nonzero entry to 1
+                f = max(i for i in range(n) if u[i])
+                c = inv[u[f]]
+                kernels.append([tuple(v * c % p for v in u)])
+            else:
+                # back-substitution to the reduced echelon form
+                for t in range(rank - 1, 0, -1):
+                    r, at = piv_rows[t], piv_lanes[t]
+                    for q in range(t):
+                        y = piv_rows[q]
+                        a = (y >> at) & lane
+                        if a:
+                            y += (p - a) * r
+                            piv_rows[q] = y - p * (((y * mul) >> shift) & row_low)
+                pivot_cols = [last - at // w for at in piv_lanes]
+                basis = []
+                for f in range(n):
+                    if f in pivot_cols:
+                        continue
+                    vec = [0] * n
+                    vec[f] = 1
+                    at = (last - f) * w
+                    for r, c in zip(piv_rows, pivot_cols):
+                        vec[c] = -((r >> at) & lane) % p
+                    basis.append(tuple(vec))
+                kernels.append(basis)
+        # advance the odometer: the last coordinate turns fastest
+        i = last
+        while i > lead and u[i] == p - 1:
+            u[i] = 0
+            i -= 1
+        if i > lead:
+            u[i] += 1
+            x = acc[i - 1] + tables[i][u[i]]
+        elif lead < last:
+            u[lead] = 0
+            lead += 1
+            u[lead] = 1
+            i = lead
+            x = tables[lead][1]
+        else:
+            break
+        for j in range(i, n):
+            acc[j] = x
+    return points, degrees, kernels

@@ -58,9 +58,6 @@ class Matrix:
     def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i][j]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [])
-
     def mul_vec(self, vec: Sequence[Scalar]) -> Tuple[Scalar, ...]:
         F = self.field
         v = [F.of(x) for x in vec]
@@ -73,23 +70,6 @@ class Matrix:
                 acc = F.add(acc, F.mul(a, b))
             out.append(acc)
         return tuple(out)
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        same_field(self.field, other.field)
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        F = self.field
-        cols = list(zip(*other.rows))
-        rows = []
-        for row in self.rows:
-            out = []
-            for col in cols:
-                acc = F.zero
-                for a, b in zip(row, col):
-                    acc = F.add(acc, F.mul(a, b))
-                out.append(acc)
-            rows.append(out)
-        return Matrix(F, rows)
 
     def rref(self) -> Tuple["Matrix", List[int]]:
         """Reduced row echelon form and its pivot column list."""

@@ -148,9 +148,6 @@ class PoleReport:
     def poles(self) -> List[PoleRecord]:
         return [r for r in self.records if r.degree >= 1]
 
-    def pole_points(self) -> List[Tuple[int, ...]]:
-        return [r.point for r in self.records if r.degree >= 1]
-
 
 def _scan_chunk(args):
     cube, n, p, start, stop, want_kernels = args

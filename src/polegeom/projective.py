@@ -150,10 +150,3 @@ def subspace_rref(field: Field, vectors: Sequence[Sequence[Scalar]]) -> Tuple[Ve
     """Canonical (RREF, zero rows dropped) basis of a vector span."""
     red, pivots = Matrix(field, vectors).rref()
     return tuple(red.rows[i] for i in range(len(pivots)))
-
-
-def in_span(field: Field, basis: Sequence[Vector], vec: Sequence[Scalar]) -> bool:
-    if not basis:
-        return all(field.of(x) == field.zero for x in vec)
-    rows = list(basis) + [vec]
-    return Matrix(field, rows).rank() == len(subspace_rref(field, basis))

@@ -1,25 +1,17 @@
-"""Backend parity of the scan kernels, and the incidence-graph statistics."""
+"""The GF(p) scan against a by-definition reference, and the incidence-graph
+statistics against networkx."""
 
 import random
 
 import pytest
 
-from polegeom import _kernels_py, kernels
+from polegeom import kernels
 from polegeom.fields import GF
-from polegeom.forms import catalog_form
-from polegeom.poles import structure_cube
 from polegeom.projective import num_projective_points, projective_point_at, projective_points
-
-try:
-    from polegeom import _gfkernels
-except ImportError:
-    _gfkernels = None
-
-needs_ext = pytest.mark.skipif(_gfkernels is None, reason="compiled kernels not built")
 
 
 def test_backend_reports_name():
-    assert kernels.backend_name() in ("python", "cython")
+    assert kernels.BACKEND == "python"
 
 
 def test_enumeration_order_matches_random_access():
@@ -30,60 +22,6 @@ def test_enumeration_order_matches_random_access():
         for idx, pt in enumerate(listed):
             assert projective_point_at(p, n, idx) == pt
         assert len(set(listed)) == len(listed)
-
-
-@needs_ext
-def test_rank_parity():
-    rng = random.Random(808)
-    for p in (2, 3, 7):
-        for _ in range(40):
-            nrows = rng.randint(1, 6)
-            ncols = rng.randint(1, 6)
-            rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
-            assert _gfkernels.rank_mod_p(rows, p) == _kernels_py.rank_mod_p(rows, p)
-
-
-@needs_ext
-def test_kernel_parity():
-    rng = random.Random(809)
-    for p in (2, 3, 7):
-        for _ in range(40):
-            nrows = rng.randint(1, 6)
-            ncols = rng.randint(1, 6)
-            rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
-            assert _gfkernels.kernel_mod_p(rows, p) == _kernels_py.kernel_mod_p(rows, p)
-
-
-@needs_ext
-@pytest.mark.parametrize(
-    "tag,p,lam",
-    [("T9", 2, None), ("T9", 3, None), ("T4", 2, None), ("T10_1", 3, 2), ("T5", 3, None)],
-)
-def test_scan_parity(tag, p, lam):
-    field = GF(p)
-    h = catalog_form(tag, field, param=lam)
-    cube = structure_cube(h, field)
-    total = num_projective_points(p, h.n)
-    for want_kernels in (False, True):
-        fast = _gfkernels.scan(cube, h.n, p, 0, total, want_kernels)
-        pure = _kernels_py.scan(cube, h.n, p, 0, total, want_kernels)
-        assert fast == pure
-
-
-@needs_ext
-def test_scan_range_parity():
-    field = GF(3)
-    h = catalog_form("T9", field)
-    cube = structure_cube(h, field)
-    total = num_projective_points(3, 7)
-    cuts = [0, total // 3, total // 2, total]
-    pieces = [
-        _gfkernels.scan(cube, 7, 3, lo, hi, True)
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
-    whole = _kernels_py.scan(cube, 7, 3, 0, total, True)
-    for part in range(3):
-        assert [x for piece in pieces for x in piece[part]] == whole[part]
 
 
 def _alternating_cube(rng, n, p):
@@ -111,7 +49,7 @@ def _reference_scan(cube, n, p):
             [sum(u[i] * cube[i][j][k] for i in range(n)) % p for k in range(n)]
             for j in range(n)
         ]
-        basis = _kernels_py.kernel_mod_p(m, p)
+        basis = kernels.kernel_mod_p(m, p)
         points.append(u)
         degrees.append(len(basis) - 1)
         radicals.append(basis)
@@ -134,9 +72,9 @@ def test_scan_matches_reference(p, n):
     points, degrees, radicals = _reference_scan(cube, n, p)
     for want_kernels in (False, True):
         want = (points, degrees, radicals if want_kernels else None)
-        assert _kernels_py.scan(cube, n, p, 0, total, want_kernels) == want
+        assert kernels.scan(cube, n, p, 0, total, want_kernels) == want
         pieces = [
-            _kernels_py.scan(cube, n, p, lo, hi, want_kernels)
+            kernels.scan(cube, n, p, lo, hi, want_kernels)
             for lo, hi in zip(cuts, cuts[1:])
         ]
         assert pieces[1] == ([], [], [] if want_kernels else None)
@@ -150,12 +88,12 @@ def test_scan_rejects_non_alternating_cube():
         cube = _alternating_cube(rng, 4, p)
         cube[0][1][2] = (cube[0][1][2] + 1) % p  # breaks antisymmetry
         with pytest.raises(ValueError):
-            _kernels_py.scan(cube, 4, p, 0, 1, False)
+            kernels.scan(cube, 4, p, 0, 1, False)
     # symmetric in a pair but not alternating: a diagonal entry over GF(2)
     cube = _alternating_cube(rng, 4, 2)
     cube[0][0][1] = cube[0][1][0] = cube[1][0][0] = 1
     with pytest.raises(ValueError):
-        _kernels_py.scan(cube, 4, 2, 0, 5, True)
+        kernels.scan(cube, 4, 2, 0, 5, True)
 
 
 def _csr(nv, edges):
@@ -206,13 +144,3 @@ def test_graph_stats_known_values():
     triangle_first = [(0, 1), (1, 2), (0, 2)]
     assert kernels.graph_stats(*_csr(4, triangle_first)) == (3, -1, False)
 
-
-def test_pure_env_override(monkeypatch):
-    import importlib
-    import polegeom.kernels as kmod
-
-    monkeypatch.setenv("POLEGEOM_PURE", "1")
-    reloaded = importlib.reload(kmod)
-    assert reloaded.backend_name() == "python"
-    monkeypatch.delenv("POLEGEOM_PURE")
-    importlib.reload(kmod)
