@@ -33,7 +33,7 @@ from .projective import (
     projective_points,
     span_points,
     subspace_rref,
-    wedge2_coordinates,
+    wedge2_mod_p,
 )
 from .linalg import solve_homogeneous
 
@@ -233,7 +233,7 @@ def polar_space_lines(
         y = [sum(c * vec[k] for c, vec in zip(t, basis)) % p for k in range(n)]
         lead = pow(next(v for v in x if v), p - 2, p)
         r1, r2 = _line_rref(p, tuple(v * lead % p for v in x), y)
-        out.append(PluckerLine(basis=(r1, r2), wedge=wedge2_coordinates(field, r1, r2)))
+        out.append(PluckerLine(basis=(r1, r2), wedge=wedge2_mod_p(p, r1, r2)))
     return sorted(out)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import kernels
+from .kernels import _inverse_table, _rref_mod_p
 from .fields import GF, Field, Scalar
 from .forms import TriForm
 from .linalg import Matrix, PolyMatrix, pfaffian
@@ -28,7 +29,7 @@ from .projective import (
     num_projective_points,
     pair_list,
     projective_point_at,
-    wedge2_coordinates,
+    wedge2_mod_p,
 )
 
 DEFAULT_BUDGET = 10**7
@@ -425,24 +426,53 @@ def _lines_at(p: int, u: Vector, radical: Sequence[Vector]) -> Iterator[Tuple[Ve
 def _radical_lines(report: PoleReport) -> List[PluckerLine]:
     """The upper-radical lines of a scan with radicals, sorted, each once.
 
-    A line is kept only at the pole u with u == r1; r1 is the line's least
-    point in the canonical enumeration order, so no line comes twice.  None
-    is missed either: h(u, y, .) = 0 is symmetric in u and y and survives a
-    change of basis of the line, so for every radical line r1 is a pole and
-    the whole line lies in Rad(chi_r1), among the lines through r1.
+    Each line is built only at its least point r1 (in the canonical
+    enumeration order), whose reduced-echelon basis (r1, r2) it has.  For
+    a pole u with lead index a, the lines with r1 = u are the lines [u, y]
+    with y a canonical point of W = Rad(chi_u) ∩ {y_0 = ... = y_a = 0} and
+    u[lead(y)] = 0, and y = r2 is the only such point of its line: (u, y)
+    is then reduced, and conversely r2 of a line with r1 = u is zero up to
+    and including a, with u zero at its lead.  W is spanned by the rows of
+    the reduced radical basis whose pivot exceeds a, so its points are the
+    sums of those rows over coefficient vectors with first nonzero entry 1,
+    canonical without normalisation; the block of points led by a row is
+    skipped when u is nonzero at that row's pivot.
+
+    No line is missed: h(u, y, .) = 0 is symmetric in u and y and survives
+    a change of basis of the line, so for every radical line r1 is a pole
+    and the whole line lies in Rad(chi_r1).  Poles are visited in tuple
+    order and each pole's r2 are sorted, so the list comes out sorted.
     """
     p = report.field.p
-    bases: List[Tuple[Vector, Vector]] = []
-    for rec in report.records:
-        if rec.degree >= 1:
-            u = rec.point
-            bases.extend(b for b in _lines_at(p, u, rec.radical) if b[0] == u)
-    bases.sort()
-    return [_plucker_line(report.field, b) for b in bases]
-
-
-def _plucker_line(field: GF, basis: Tuple[Vector, Vector]) -> PluckerLine:
-    return PluckerLine(basis=basis, wedge=wedge2_coordinates(field, *basis))
+    inv = _inverse_table(p)
+    lines: List[PluckerLine] = []
+    for rec in sorted((r for r in report.records if r.degree >= 1), key=lambda r: r.point):
+        u = rec.point
+        n = len(u)
+        a = u.index(1)
+        rows = [list(v) for v in rec.radical]
+        pivots = _rref_mod_p(rows, n, p, inv)
+        w = [(c, rows[i]) for i, c in enumerate(pivots) if c > a]
+        first = next((k for k, (c, _) in enumerate(w) if not u[c]), None)
+        if first is None:
+            continue
+        ys: List[Vector] = []
+        tail: List[Sequence[int]] = [(0,) * n]  # combinations of the rows after k
+        for k in range(len(w) - 1, first - 1, -1):
+            c, row = w[k]
+            block = [tuple((x + t) % p for x, t in zip(row, vec)) for vec in tail]
+            if not u[c]:
+                ys += block
+            if k > first:
+                tail += block
+                tail += [
+                    tuple((s * x + t) % p for x, t in zip(row, vec))
+                    for s in range(2, p)
+                    for vec in tail[: len(block)]
+                ]
+        ys.sort()
+        lines.extend(PluckerLine(basis=(u, y), wedge=wedge2_mod_p(p, u, y)) for y in ys)
+    return lines
 
 
 def lines_through_point(h: TriForm, u: Sequence[Scalar]) -> List[PluckerLine]:
@@ -454,7 +484,9 @@ def lines_through_point(h: TriForm, u: Sequence[Scalar]) -> List[PluckerLine]:
     if delta == 0:
         return []
     u_pt = canonical_point(F, u)
-    return sorted(_plucker_line(F, b) for b in _lines_at(F.p, u_pt, radical))
+    return sorted(
+        PluckerLine(basis=b, wedge=wedge2_mod_p(F.p, *b)) for b in _lines_at(F.p, u_pt, radical)
+    )
 
 
 def _line_bases(p: int, n: int) -> Iterator[Tuple[Vector, Vector]]:
@@ -486,7 +518,7 @@ def _line_bases(p: int, n: int) -> Iterator[Tuple[Vector, Vector]]:
 def _all_lines(field: GF, n: int) -> Iterable[PluckerLine]:
     """Every line of PG(n-1, q) by reduced-echelon shape enumeration."""
     for row1, row2 in _line_bases(field.p, n):
-        yield PluckerLine(basis=(row1, row2), wedge=wedge2_coordinates(field, row1, row2))
+        yield PluckerLine(basis=(row1, row2), wedge=wedge2_mod_p(field.p, row1, row2))
 
 
 def enumerate_upper_radical(

@@ -11,6 +11,7 @@ which the parallel scans rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, Sequence, Tuple
 
 from .fields import GF, Field, Scalar
@@ -121,6 +122,17 @@ def wedge2_coordinates(field: Field, x: Sequence[Scalar], y: Sequence[Scalar]) -
     if not nonzero:
         raise ValueError("dependent vectors span no line")
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _index_pairs(n: int) -> Tuple[Tuple[int, int], ...]:
+    return tuple((j, k) for j in range(n) for k in range(j + 1, n))
+
+
+def wedge2_mod_p(p: int, x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
+    """wedge2_coordinates over GF(p) on ints: (x_j*y_k - x_k*y_j) mod p,
+    pairs in lexicographic order.  The caller passes independent vectors."""
+    return tuple([(x[j] * y[k] - x[k] * y[j]) % p for j, k in _index_pairs(len(x))])
 
 
 @dataclass(frozen=True, order=True)

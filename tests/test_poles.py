@@ -1,6 +1,7 @@
 """Pole enumeration, degrees, the variety pipeline and the upper radical."""
 
 import random
+import sys
 
 import pytest
 
@@ -8,11 +9,13 @@ from polegeom import kernels
 from polegeom.fields import GF, QQ
 from polegeom.forms import TriForm, catalog_form
 from polegeom.geometry import build_geometry, fingerprint
-from polegeom.linalg import Matrix
+from polegeom.linalg import Matrix, random_invertible
 from polegeom.poles import (
     BudgetExceededError,
     VarietyError,
+    _lines_at,
     _pole_variety,
+    _radical_lines,
     _zero_set_matches,
     contraction_matrix,
     enumerate_poles,
@@ -26,7 +29,13 @@ from polegeom.poles import (
     variety_candidates,
 )
 from polegeom.poly import MultiPoly, equal_up_to_scalar, parse_poly, render_poly
-from polegeom.projective import projective_points, subspace_rref
+from polegeom.projective import (
+    PluckerLine,
+    projective_points,
+    subspace_rref,
+    wedge2_coordinates,
+    wedge2_mod_p,
+)
 from conftest import desk_instances
 
 
@@ -348,6 +357,10 @@ def test_enumerate_upper_radical_hexagon_count():
         # lines of PG(5, 3)
         pytest.param("T10_1", 2, 3, id="T10_1-2-gf3"),
         pytest.param("T4", None, 3, id="T4-None-gf3"),
+        # radicals of dimension 3 and 5 (both forms have degree-2 and
+        # degree-4 poles); PG(6, 2) has only 2,667 lines for the wedge route
+        pytest.param("T7", None, 2, id="T7-None"),
+        pytest.param("T11_2", 1, 2, id="T11_2-1"),
     ],
 )
 def test_methods_agree(tag, lam, p):
@@ -357,6 +370,83 @@ def test_methods_agree(tag, lam, p):
     by_points = enumerate_upper_radical(h, method="points")
     by_wedge = enumerate_upper_radical(h, method="wedge")
     assert by_points == by_wedge
+
+
+@pytest.mark.parametrize(
+    "tag,lam,p",
+    [
+        pytest.param("T7", None, 3, id="T7-gf3"),
+        pytest.param("T11_1", 2, 3, id="T11_1-2-gf3"),
+        pytest.param("T9", None, 3, id="T9-gf3"),
+        pytest.param("T4", None, 3, id="T4-gf3"),
+        # odd p > 3 reaches pivot scaling that GF(2) and GF(3) never do
+        pytest.param("T10_1", 3, 7, id="T10_1-3-gf7"),
+    ],
+)
+def test_radical_lines_match_lines_through_each_pole(tag, lam, p):
+    """The lines built at their least pole are exactly the lines through
+    every pole, each once: the same scan, an independent route."""
+    field = GF(p)
+    h = catalog_form(tag, field, param=lam)
+    h = h.pullback(random_invertible(field, h.n, random.Random(f"{tag}/{p}")))
+    report = enumerate_poles(h)
+    if tag == "T7":
+        assert {2, 4} <= set(report.histogram)
+    bases = {b for rec in report.poles() for b in _lines_at(p, rec.point, rec.radical)}
+    expected = sorted(PluckerLine(basis=b, wedge=wedge2_coordinates(field, *b)) for b in bases)
+    assert expected
+    assert _radical_lines(report) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_wedge2_mod_p_matches_field_wedge(p):
+    rng = random.Random(p)
+    field = GF(p)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(2, 8)
+        x = [rng.randrange(-p, 2 * p) for _ in range(n)]
+        y = [rng.randrange(-p, 2 * p) for _ in range(n)]
+        try:
+            want = wedge2_coordinates(field, x, y)
+        except ValueError:  # dependent pair
+            continue
+        assert wedge2_mod_p(p, x, y) == want
+        checked += 1
+
+
+def _forbid_everywhere(monkeypatch, name):
+    """Make every polegeom module's binding of ``name`` raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} called on the integer path")
+
+    bound = [
+        mod
+        for mod_name, mod in list(sys.modules.items())
+        if mod_name.split(".")[0] == "polegeom" and hasattr(mod, name)
+    ]
+    assert bound, name
+    for mod in bound:
+        monkeypatch.setattr(mod, name, forbidden)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: full_report(catalog_form("T9", GF(3))),
+        lambda: full_report(catalog_form("T4", GF(3))),
+        lambda: build_geometry(catalog_form("T7", GF(3))),
+        lambda: fingerprint(catalog_form("T11_1", GF(3), param=2), GF(3)),
+    ],
+    ids=["full_report-odd-n", "full_report-even-n", "build_geometry", "fingerprint"],
+)
+def test_line_assembly_stays_on_ints(monkeypatch, call):
+    """Reports, geometries and fingerprints over GF(p) build their lines
+    without the Field-based Pluecker map or a per-line reduction."""
+    _forbid_everywhere(monkeypatch, "wedge2_coordinates")
+    _forbid_everywhere(monkeypatch, "_line_rref")
+    call()
 
 
 def test_system_membership_matches_lines():
