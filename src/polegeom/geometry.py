@@ -237,16 +237,6 @@ def polar_space_lines(
     return sorted(out)
 
 
-def _combine(field: Field, basis: Sequence[Vector], coeffs: Sequence[int]) -> Tuple:
-    n = len(basis[0])
-    vec = [field.zero] * n
-    for c, b in zip(coeffs, basis):
-        if c != field.zero:
-            for i in range(n):
-                vec[i] = field.add(vec[i], field.mul(c, b[i]))
-    return tuple(vec)
-
-
 POLAR_CONFIGS: Dict[str, List[dict]] = {
     # carrier/apex given by coordinate equations, beta by signed pair
     # coefficients; the second T5 component carries w56 - w17
@@ -318,17 +308,21 @@ class ConeReport:
         )
 
 
-def _plane_lines(field: GF, plane_basis: Sequence[Vector]) -> Set[PluckerLine]:
-    from .poles import _all_lines
+def _plane_lines(p: int, plane_basis: Sequence[Vector]) -> Set[PluckerLine]:
+    """The lines of a plane mod p, from its reduced-echelon basis b_1..b_3.
 
-    return {
-        PluckerLine.from_pair(
-            field,
-            _combine(field, plane_basis, inner.basis[0]),
-            _combine(field, plane_basis, inner.basis[1]),
-        )
-        for inner in _all_lines(field, len(plane_basis))
-    }
+    Each reduced-echelon coefficient pair (s, t) of a line of PG(2, p)
+    gives x = sum s_a b_a and y = sum t_a b_a, and (x, y) is already the
+    reduced basis of its line, by the argument of ``_rref_span_points``:
+    at the pivot columns of the b_a, x and y read the entries of s and t.
+    """
+    n = len(plane_basis[0])
+    out: Set[PluckerLine] = set()
+    for s, t in _line_bases(p, 3):
+        x = tuple(sum(c * b[k] for c, b in zip(s, plane_basis)) % p for k in range(n))
+        y = tuple(sum(c * b[k] for c, b in zip(t, plane_basis)) % p for k in range(n))
+        out.add(PluckerLine(basis=(x, y), wedge=wedge2_mod_p(p, x, y)))
+    return out
 
 
 def cone_structure_check(geom: IncidenceStructure, h: TriForm) -> ConeReport:
@@ -362,20 +356,23 @@ def cone_structure_check(geom: IncidenceStructure, h: TriForm) -> ConeReport:
     line_set = set(geom.lines)
     conic_set = set(conic)
     witness = None
-    candidate_planes: Dict[Tuple, None] = {}
+    # the reduced radical basis of each degree-2 pole, read again in (d)
+    pencils: Dict[Vector, Tuple] = {}
     for pt in geom.points:
         if geom.degrees[pt] != 2:
             continue
         _, radical = point_degree(hf, pt)
-        basis = subspace_rref(field, [tuple(v) for v in radical])
-        if len(basis) == 3:
-            candidate_planes[basis] = None
+        pencils[pt] = subspace_rref(field, [tuple(v) for v in radical])
+    meets_conic: Dict[Tuple, bool] = {}
     covered: Set[PluckerLine] = set()
-    for basis in candidate_planes:
-        plane_lines = _plane_lines(field, list(basis))
-        plane_pts = set(span_points(field, list(basis)))
-        if plane_lines <= line_set and plane_pts & conic_set:
-            covered.update(plane_lines)
+    for basis in pencils.values():
+        if basis in meets_conic:
+            continue
+        meets_conic[basis] = bool(set(span_points(field, list(basis))) & conic_set)
+        if meets_conic[basis]:
+            plane_lines = _plane_lines(field.p, basis)
+            if plane_lines <= line_set:
+                covered.update(plane_lines)
     uncovered = line_set - covered
     line_planes_ok = not uncovered
     if uncovered:
@@ -395,9 +392,7 @@ def cone_structure_check(geom: IncidenceStructure, h: TriForm) -> ConeReport:
             off_vertex_ok = False
             witness = f"off-vertex pole {pt} has degree {d}"
             break
-        _, radical = point_degree(hf, pt)
-        plane = span_points(field, [tuple(v) for v in radical])
-        if not (set(plane) & conic_set):
+        if not meets_conic[pencils[pt]]:
             off_vertex_ok = False
             witness = f"pencil plane of {pt} misses the conic"
             break
@@ -536,7 +531,7 @@ def t11_structure_check(geom: IncidenceStructure, h: TriForm) -> T11Report:
     if partition_ok:
         expected_lines: Set[PluckerLine] = set()
         for basis in planes:
-            expected_lines.update(_plane_lines(field, list(basis)))
+            expected_lines.update(_plane_lines(field.p, basis))
         if set(geom.lines) != expected_lines:
             partition_ok = False
             witness = "upper radical differs from the union of pencil planes"
@@ -568,7 +563,7 @@ def t4_line_check(geom: IncidenceStructure) -> T4Report:
         raise ValueError("T4 check applies to n = 6")
     expected: Set[PluckerLine] = set()
     v1_basis = [unit_equation(n, i) for i in (4, 5, 6)]
-    expected.update(_plane_lines(field, v1_basis))
+    expected.update(_plane_lines(field.p, v1_basis))
     q = field.p
     for a_pt in span_points(field, [unit_equation(n, i) for i in (1, 2, 3)]):
         omega_a = a_pt[3:] + a_pt[:3]
@@ -594,7 +589,12 @@ def t4_line_check(geom: IncidenceStructure) -> T4Report:
 
 @dataclass(frozen=True)
 class GeometryFingerprint:
-    """Deterministic near-equivalence proxy for a form over a finite field."""
+    """Deterministic near-equivalence proxy for a form over a finite field.
+
+    Every field is read off one scan of the point degrees: the pole count
+    and degree histogram directly, the line counts by the closed form in
+    ``fingerprint``, and the variety degree by checking each principal-
+    Pfaffian candidate against the scanned degrees."""
 
     rank: int
     n: int
@@ -616,13 +616,14 @@ class GeometryFingerprint:
         )
 
 
-def _variety_degree(hf: TriForm, geom: IncidenceStructure) -> Optional[int]:
+def _variety_degree(hf: TriForm, degrees: Sequence[Tuple[Vector, int]]) -> Optional[int]:
     """Minimal degree among the verified per-index pole equations.
 
     The minimum is the invariant content: the variety is a set, and any
     verified equation bounds its degree from above.  None for even n or
-    when every point is a pole.  Each candidate is checked against the
-    degrees of every point that ``build_geometry`` scanned.
+    when every point is a pole.  Each candidate is checked against
+    ``degrees``, the (point, degree) pair of every point of PG(n-1, p) in
+    a scan of hf over its finite field.
     """
     if hf.n % 2 == 0:
         return None
@@ -630,24 +631,43 @@ def _variety_degree(hf: TriForm, geom: IncidenceStructure) -> Optional[int]:
     # ascending degree: the first verified candidate realizes the minimum
     by_degree = sorted(cands.items(), key=lambda kv: (kv[1][2].degree(), kv[0]))
     for _, (_, _, g) in by_degree:
-        if _zero_set_matches(geom.field, g, geom.degrees.items()):
+        if _zero_set_matches(hf.field, g, degrees):
             return g.degree()
     return None
 
 
 def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> GeometryFingerprint:
-    geom = build_geometry(h, field, budget=budget)
+    """The fingerprint of h over field, from one scan without radicals.
+
+    The degrees alone fix every line count.  A pole u of degree d has
+    Rad(chi_u) of dimension d+1 containing u, and every [u, y] with y in
+    it is radical, so the lines through u are the points of
+    PG(Rad(chi_u)/<u>): (p^d - 1)/(p - 1) of them.  Each radical line
+    has p+1 points, all poles, so the line count is the sum of these over
+    the poles divided by p+1.  ``build_geometry`` assembles the same lines
+    one by one, and the tests hold the two counts equal.
+    """
     hf = h if h.field == field else h.reduce_mod(field)
-    deg_hist = Counter(geom.degrees.values())
-    deg_hist.pop(0, None)
+    report = enumerate_poles(hf, field, budget=budget, with_radicals=False)
+    p = field.p
+    deg_hist = {d: c for d, c in report.histogram.items() if d >= 1}
+    lines_per_point: Counter = Counter()
+    for d, c in deg_hist.items():
+        lines_per_point[(p**d - 1) // (p - 1)] += c
+    line_count, rest = divmod(sum(k * c for k, c in lines_per_point.items()), p + 1)
+    if rest:
+        raise RuntimeError(
+            f"pole-line incidences of {h.label or h!r} over {field!r} are not "
+            f"a multiple of {p + 1}: the scan's degrees are inconsistent"
+        )
     return GeometryFingerprint(
         rank=hf.rank(),
-        n=geom.n,
-        pole_count=len(geom.points),
+        n=hf.n,
+        pole_count=sum(deg_hist.values()),
         degree_histogram=tuple(sorted(deg_hist.items())),
-        line_count=len(geom.lines),
-        lines_per_point_histogram=tuple(sorted(geom.line_count_histogram().items())),
-        variety_degree=_variety_degree(hf, geom),
+        line_count=line_count,
+        lines_per_point_histogram=tuple(sorted(lines_per_point.items())),
+        variety_degree=_variety_degree(hf, [(r.point, r.degree) for r in report.records]),
     )
 
 

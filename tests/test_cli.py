@@ -314,6 +314,14 @@ GOLDEN_CASES["fingerprint_T10_1-3_gf7"] = (
     ("fingerprint", "--catalog", "T10_1", "--param", "3", "--field", "gf(7)", "--output", "json"),
     0,
 )
+# mixed degrees above p = 3, where the lines through a pole of degree d,
+# (p^d - 1)/(p - 1), are not trivial: T7 has degrees 2 and 4 (6 and 156
+# lines per point), T4 degrees 1 and 3 (1 and 31)
+for _family in ("T7", "T4"):
+    GOLDEN_CASES[f"fingerprint_{_family}_gf5"] = (
+        ("fingerprint", "--catalog", _family, "--field", "gf(5)", "--output", "json"),
+        0,
+    )
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

@@ -1,6 +1,8 @@
 """Incidence-structure analytics: spreads, polar spaces, cone, hexagon."""
 
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +12,7 @@ from polegeom.fields import GF
 from polegeom.forms import catalog_form
 from polegeom.geometry import (
     POLAR_CONFIGS,
+    _plane_lines,
     build_geometry,
     cone_structure_check,
     expected_polar_lines,
@@ -26,7 +29,8 @@ from polegeom.geometry import (
     verdict,
 )
 from polegeom.linalg import Matrix, random_invertible
-from polegeom.projective import PluckerLine
+from polegeom.poles import _all_lines
+from polegeom.projective import PluckerLine, subspace_rref
 
 
 def test_build_geometry_t9_counts():
@@ -178,6 +182,24 @@ def test_cone_t7_clauses(p):
     assert "fully-radical" in report.witness
 
 
+@pytest.mark.parametrize(
+    "tag, witness",
+    [
+        ("T9", "pencil plane of (1, 0, 0, 0, 0, 1, 0) misses the conic"),
+        ("T8", "off-vertex pole (0, 1, 0, 0, 0, 0, 1) has degree 4"),
+    ],
+)
+def test_cone_check_refutes_other_families(tag, witness):
+    """Clause (d) fails on the rank-7 families that are not cones, at the
+    first off-vertex pole in canonical order."""
+    field = GF(3)
+    h = catalog_form(tag, field)
+    report = cone_structure_check(build_geometry(h), h)
+    assert not report.off_vertex_ok
+    assert not report.passed
+    assert report.witness == witness
+
+
 def test_cone_t7_pole_count_gf3():
     geom = build_geometry(catalog_form("T7", GF(3)))
     # cone with plane vertex (13 points) over a hyperbolic quadric:
@@ -318,3 +340,76 @@ def test_parallel_build_identical():
     assert serial.lines == parallel.lines
     assert serial.degrees == parallel.degrees
     assert serial.points_by_line == parallel.points_by_line
+
+
+# every desk instance over GF(2) and GF(3), as catalogued and pulled back
+# by one seeded invertible map, then three cases over GF(5) and GF(7)
+FINGERPRINT_CROSS_CASES = [
+    (tag, field, lam, pulled)
+    for tag, field, lam in desk_instances()
+    for pulled in (False, True)
+] + [
+    ("T9", GF(5), None, False),
+    ("T10_1", GF(5), 2, False),
+    ("T10_1", GF(7), 3, False),
+]
+
+
+@pytest.mark.parametrize(
+    "tag, field, lam, pulled",
+    FINGERPRINT_CROSS_CASES,
+    ids=[
+        f"{tag}{'' if lam is None else f'({lam})'}-gf{field.p}{'-pullback' if pulled else ''}"
+        for tag, field, lam, pulled in FINGERPRINT_CROSS_CASES
+    ],
+)
+def test_fingerprint_counts_match_assembled_lines(tag, field, lam, pulled):
+    """The closed-form line counts of ``fingerprint`` equal the lines that
+    ``build_geometry`` assembles one by one."""
+    h = catalog_form(tag, field, param=lam)
+    if pulled:
+        h = h.pullback(random_invertible(field, h.n, random.Random(f"{tag}-{field.p}")))
+    fp = fingerprint(h, field)
+    geom = build_geometry(h, field)
+    assert fp.line_count == len(geom.lines)
+    assert dict(fp.lines_per_point_histogram) == geom.line_count_histogram()
+    degrees = Counter(d for d in geom.degrees.values() if d >= 1)
+    assert fp.degree_histogram == tuple(sorted(degrees.items()))
+    assert fp.pole_count == len(geom.points)
+
+
+def _plane_lines_by_field(field, rows):
+    """The Field route that ``_plane_lines`` replaced: each line of PG(2, p)
+    combined over the plane's rows with Field operations, then reduced by
+    ``PluckerLine.from_pair``."""
+    n = len(rows[0])
+
+    def combine(coeffs):
+        vec = [field.zero] * n
+        for c, b in zip(coeffs, rows):
+            if c != field.zero:
+                for i in range(n):
+                    vec[i] = field.add(vec[i], field.mul(c, b[i]))
+        return tuple(vec)
+
+    return {
+        PluckerLine.from_pair(field, combine(inner.basis[0]), combine(inner.basis[1]))
+        for inner in _all_lines(field, 3)
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_plane_lines_match_field_route(p):
+    """60 random planes per prime: the integer lines of the reduced basis
+    equal the Field route's lines of the unreduced spanning rows."""
+    rng = random.Random(1000 + p)
+    field = GF(p)
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        basis = ()
+        while len(basis) != 3:
+            rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(3)]
+            basis = subspace_rref(field, rows)
+        got = _plane_lines(p, basis)
+        assert len(got) == p * p + p + 1
+        assert got == _plane_lines_by_field(field, rows)

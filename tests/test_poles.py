@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from polegeom import kernels
+from polegeom import geometry, kernels
 from polegeom.fields import GF, QQ
 from polegeom.forms import TriForm, catalog_form
 from polegeom.geometry import build_geometry, fingerprint
@@ -447,6 +447,44 @@ def test_line_assembly_stays_on_ints(monkeypatch, call):
     _forbid_everywhere(monkeypatch, "wedge2_coordinates")
     _forbid_everywhere(monkeypatch, "_line_rref")
     call()
+
+
+@pytest.mark.parametrize(
+    "tag, lam, lines",
+    [("T9", None, 364), ("T10_1", 2, 91)],
+    ids=["odd-n", "even-n"],
+)
+def test_fingerprint_reads_degrees_only(monkeypatch, tag, lam, lines):
+    """A fingerprint is one scan without radicals: no line is assembled and
+    no incidence structure is built."""
+    _forbid_everywhere(monkeypatch, "_radical_lines")
+    _forbid_everywhere(monkeypatch, "build_geometry")
+    want_kernels = []
+    real_scan = kernels.scan
+
+    def recording_scan(*args):
+        want_kernels.append(args[5])
+        return real_scan(*args)
+
+    monkeypatch.setattr(kernels, "scan", recording_scan)
+    fp = fingerprint(catalog_form(tag, GF(3), param=lam), GF(3))
+    assert want_kernels == [False]
+    assert fp.line_count == lines
+
+
+def test_fingerprint_rejects_inconsistent_degrees(monkeypatch):
+    """One pole of degree 1 too many on T4/GF(3) (1 and 13 lines per pole)
+    leaves a pole-line incidence count that p+1 = 4 does not divide."""
+    real = geometry.enumerate_poles
+
+    def one_pole_too_many(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.histogram[1] += 1
+        return report
+
+    monkeypatch.setattr(geometry, "enumerate_poles", one_pole_too_many)
+    with pytest.raises(RuntimeError, match="not a multiple of 4"):
+        fingerprint(catalog_form("T4", GF(3)), GF(3))
 
 
 def test_system_membership_matches_lines():
