@@ -23,18 +23,9 @@ from .poles import (
     _radical_lines,
     _zero_set_matches,
     enumerate_poles,
-    point_degree,
     variety_candidates,
 )
-from .projective import (
-    PluckerLine,
-    Vector,
-    num_projective_points,
-    projective_points,
-    span_points,
-    subspace_rref,
-    wedge2_mod_p,
-)
+from .projective import PluckerLine, Vector, num_projective_points, wedge2_mod_p
 from .linalg import solve_homogeneous
 
 
@@ -45,6 +36,7 @@ class IncidenceStructure:
     field: GF
     n: int
     points: Tuple[Vector, ...]
+    # every point of PG(n-1, p), degree 0 included, in canonical order
     degrees: Dict[Vector, int]
     lines: Tuple[PluckerLine, ...]
     points_by_line: Tuple[Tuple[Vector, ...], ...]
@@ -325,26 +317,40 @@ def _plane_lines(p: int, plane_basis: Sequence[Vector]) -> Set[PluckerLine]:
     return out
 
 
+def _pencil_plane(geom: IncidenceStructure, u: Vector) -> Tuple[Vector, ...]:
+    """The reduced-echelon basis of the pencil plane [Rad(chi_u)] of a pole
+    u of degree 2, read off the radical lines on ints mod p.
+
+    The radical lines through u are the [u, y] with y in the 3-space
+    Rad(chi_u), p+1 >= 3 of them, so the first two span the plane.
+    """
+    p = geom.field.p
+    i, j = geom.lines_by_point[u][:2]
+    work = [list(row) for row in geom.lines[i].basis + geom.lines[j].basis]
+    rank = len(_rref_mod_p(work, geom.n, p, _inverse_table(p)))
+    return tuple(tuple(row) for row in work[:rank])
+
+
 def cone_structure_check(geom: IncidenceStructure, h: TriForm) -> ConeReport:
-    """Verify the vertex-plane cone description of the T7 pole geometry."""
-    field = geom.field
+    """Verify the vertex-plane cone description of the T7 pole geometry.
+
+    Reads only ``geom``, on ints mod p: the scan's degree of every point of
+    PG(6, p) and the pencil planes off the radical lines.  ``h`` is kept
+    for callers and not read.
+    """
+    p = geom.field.p
     n = geom.n
     if n != 7:
         raise ValueError("cone structure check applies to n = 7")
-    hf = h if h.field == field else h.reduce_mod(field)
     # (a) pole set is the quadric u5*u7 + u4*u6 = 0
-    quad = lambda u: field.add(
-        field.mul(u[4], u[6]), field.mul(u[3], u[5])
+    pole_set_ok = all(
+        ((u[4] * u[6] + u[3] * u[5]) % p == 0) == (d >= 1) for u, d in geom.degrees.items()
     )
-    pole_set = {pt for pt, d in geom.degrees.items() if d >= 1}
-    all_points = list(projective_points(field, n))
-    pole_set_ok = all((quad(pt) == field.zero) == (pt in pole_set) for pt in all_points)
     # (b) degree-4 points form the conic u1^2 = u2*u3 of the vertex plane
     conic = tuple(
-        pt
-        for pt in all_points
-        if all(pt[i] == field.zero for i in (3, 4, 5, 6))
-        and field.sub(field.mul(pt[0], pt[0]), field.mul(pt[1], pt[2])) == field.zero
+        u
+        for u in geom.degrees
+        if not any(u[3:]) and (u[0] * u[0] - u[1] * u[2]) % p == 0
     )
     degree4 = tuple(pt for pt in geom.points if geom.degrees[pt] == 4)
     degree4_is_conic = set(degree4) == set(conic)
@@ -356,21 +362,16 @@ def cone_structure_check(geom: IncidenceStructure, h: TriForm) -> ConeReport:
     line_set = set(geom.lines)
     conic_set = set(conic)
     witness = None
-    # the reduced radical basis of each degree-2 pole, read again in (d)
-    pencils: Dict[Vector, Tuple] = {}
-    for pt in geom.points:
-        if geom.degrees[pt] != 2:
-            continue
-        _, radical = point_degree(hf, pt)
-        pencils[pt] = subspace_rref(field, [tuple(v) for v in radical])
+    # the pencil plane of each degree-2 pole, read again in (d)
+    pencils = {pt: _pencil_plane(geom, pt) for pt in geom.points if geom.degrees[pt] == 2}
     meets_conic: Dict[Tuple, bool] = {}
     covered: Set[PluckerLine] = set()
     for basis in pencils.values():
         if basis in meets_conic:
             continue
-        meets_conic[basis] = bool(set(span_points(field, list(basis))) & conic_set)
+        meets_conic[basis] = not conic_set.isdisjoint(_rref_span_points(p, basis))
         if meets_conic[basis]:
-            plane_lines = _plane_lines(field.p, basis)
+            plane_lines = _plane_lines(p, basis)
             if plane_lines <= line_set:
                 covered.update(plane_lines)
     uncovered = line_set - covered
@@ -385,7 +386,7 @@ def cone_structure_check(geom: IncidenceStructure, h: TriForm) -> ConeReport:
     # meets the conic
     off_vertex_ok = True
     for pt in geom.points:
-        if all(pt[i] == field.zero for i in (3, 4, 5, 6)):
+        if not any(pt[3:]):
             continue
         d = geom.degrees[pt]
         if d != 2:
@@ -484,17 +485,18 @@ class T11Report:
 
 def t11_structure_check(geom: IncidenceStructure, h: TriForm) -> T11Report:
     """Pole set u1 = u4 = 0, a unique degree-4 point [e7], and pencil planes
-    through [e7] partitioning the rest."""
-    field = geom.field
+    through [e7] partitioning the rest.
+
+    Reads only ``geom``, on ints mod p, as ``cone_structure_check`` does;
+    ``h`` is kept for callers and not read.
+    """
+    p = geom.field.p
     n = geom.n
-    hf = h if h.field == field else h.reduce_mod(field)
-    expected_points = {
-        pt
-        for pt in projective_points(field, n)
-        if pt[0] == field.zero and pt[3] == field.zero
-    }
+    if n != 7:
+        raise ValueError("t11 check applies to n = 7")
+    expected_points = {u for u in geom.degrees if u[0] == 0 and u[3] == 0}
     pole_set_ok = set(geom.points) == expected_points
-    e7 = tuple(field.zero if i < n - 1 else field.one for i in range(n))
+    e7 = (0,) * (n - 1) + (1,)
     degree4 = [pt for pt in geom.points if geom.degrees[pt] == 4]
     unique_degree4_ok = degree4 == [e7]
     planes: Dict[Tuple, Set] = {}
@@ -508,13 +510,9 @@ def t11_structure_check(geom: IncidenceStructure, h: TriForm) -> T11Report:
             partition_ok = False
             witness = f"point {pt} has degree {d}"
             break
-        _, radical = point_degree(hf, pt)
-        basis = subspace_rref(field, [tuple(v) for v in radical])
-        if len(basis) != 3:
-            partition_ok = False
-            witness = f"pencil of {pt} is not a plane"
-            break
-        planes.setdefault(basis, set()).update(span_points(field, list(basis)))
+        basis = _pencil_plane(geom, pt)
+        if basis not in planes:
+            planes[basis] = set(_rref_span_points(p, basis))
     if partition_ok:
         covered: Counter = Counter()
         for basis, pts in planes.items():
@@ -531,7 +529,7 @@ def t11_structure_check(geom: IncidenceStructure, h: TriForm) -> T11Report:
     if partition_ok:
         expected_lines: Set[PluckerLine] = set()
         for basis in planes:
-            expected_lines.update(_plane_lines(field.p, basis))
+            expected_lines.update(_plane_lines(p, basis))
         if set(geom.lines) != expected_lines:
             partition_ok = False
             witness = "upper radical differs from the union of pencil planes"
@@ -557,29 +555,23 @@ class T4Report:
 def t4_line_check(geom: IncidenceStructure) -> T4Report:
     """Line set {[a+b, omega(a)]} union {lines of V1} with omega the
     half-coordinate swap, and degrees 3 on [V1], 1 elsewhere."""
-    field = geom.field
+    p = geom.field.p
     n = geom.n
     if n != 6:
         raise ValueError("T4 check applies to n = 6")
-    expected: Set[PluckerLine] = set()
-    v1_basis = [unit_equation(n, i) for i in (4, 5, 6)]
-    expected.update(_plane_lines(field.p, v1_basis))
-    q = field.p
-    for a_pt in span_points(field, [unit_equation(n, i) for i in (1, 2, 3)]):
-        omega_a = a_pt[3:] + a_pt[:3]
-        for code in range(q**3):
-            b = [code % q, (code // q) % q, (code // q // q) % q]
-            vec = tuple(
-                field.add(x, field.of(y))
-                for x, y in zip(a_pt, (0, 0, 0, *b))
-            )
-            expected.add(PluckerLine.from_pair(field, vec, omega_a))
+    expected = _plane_lines(p, [unit_equation(n, i) for i in (4, 5, 6)])
+    for a in _rref_span_points(p, [unit_equation(n, i) for i in (1, 2, 3)]):
+        omega_a = a[3:] + a[:3]
+        for code in range(p**3):
+            # a+b for b in V1 is canonical with a's lead, as _line_rref needs
+            b = (code % p, code // p % p, code // (p * p))
+            r1, r2 = _line_rref(p, a[:3] + b, omega_a)
+            expected.add(PluckerLine(basis=(r1, r2), wedge=wedge2_mod_p(p, r1, r2)))
     lines_ok = set(geom.lines) == expected
     hist_ok = True
     witness = None
     for pt, d in geom.degrees.items():
-        in_v1 = all(pt[i] == field.zero for i in (0, 1, 2))
-        want = 3 if in_v1 else 1
+        want = 1 if any(pt[:3]) else 3
         if d != want:
             hist_ok = False
             witness = f"point {pt} has degree {d}, expected {want}"

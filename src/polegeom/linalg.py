@@ -356,11 +356,6 @@ def _det_cofactor(m: PolyMatrix) -> MultiPoly:
     return rec(0, tuple(range(n)))
 
 
-def rank_and_kernel(m: Matrix) -> Tuple[int, List[Tuple[Scalar, ...]]]:
-    """Module-level convenience wrapper around Matrix.rank_and_kernel."""
-    return m.rank_and_kernel()
-
-
 def solve_homogeneous(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int):
     """Reduced-echelon kernel basis of a (possibly empty) system of rows."""
     if not rows:

@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import sys
+
 from polegeom.fields import GF, QQ
 from polegeom.forms import catalog_tags
 
@@ -25,3 +27,19 @@ def desk_instances(fields=(GF(2), GF(3))):
             for field in fields:
                 out.append((tag, field, None))
     return out
+
+
+def forbid_everywhere(monkeypatch, name):
+    """Make every polegeom module's binding of ``name`` raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} called on the integer path")
+
+    bound = [
+        mod
+        for mod_name, mod in list(sys.modules.items())
+        if mod_name.split(".")[0] == "polegeom" and hasattr(mod, name)
+    ]
+    assert bound, name
+    for mod in bound:
+        monkeypatch.setattr(mod, name, forbidden)

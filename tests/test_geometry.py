@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import desk_instances
+from conftest import desk_instances, forbid_everywhere
 from polegeom.constructions import BilinearAltForm
 from polegeom.fields import GF
 from polegeom.forms import catalog_form
@@ -30,7 +30,7 @@ from polegeom.geometry import (
 )
 from polegeom.linalg import Matrix, random_invertible
 from polegeom.poles import _all_lines
-from polegeom.projective import PluckerLine, subspace_rref
+from polegeom.projective import PluckerLine, projective_points, subspace_rref
 
 
 def test_build_geometry_t9_counts():
@@ -174,6 +174,10 @@ def test_cone_t7_clauses(p):
     assert report.pole_set_ok
     assert report.degree4_is_conic
     assert len(report.conic_points) == p + 1
+    # the conic in the canonical enumeration order of PG(6, p)
+    assert report.conic_points == tuple(
+        pt for pt in projective_points(field, 7) if pt in set(report.conic_points)
+    )
     assert report.off_vertex_ok
     # the fully-radical-plane clause fails: the opposite regulus of the
     # base quadric consists of radical lines lying in no such plane
@@ -198,6 +202,84 @@ def test_cone_check_refutes_other_families(tag, witness):
     assert not report.off_vertex_ok
     assert not report.passed
     assert report.witness == witness
+
+
+@pytest.mark.parametrize(
+    "check, tag, want",
+    [
+        (
+            "t11",
+            "T9",
+            {
+                "partition_ok": False,
+                "witness": "plane ((1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0), "
+                "(0, 0, 0, 0, 0, 1, 0)) misses [e7]",
+            },
+        ),
+        (
+            "t11",
+            "T8",
+            {"partition_ok": False, "witness": "point (0, 1, 0, 0, 0, 0, 0) has degree 4"},
+        ),
+        (
+            "t4",
+            "T3",
+            {
+                "lines_ok": False,
+                "histogram_ok": False,
+                "witness": "point (1, 0, 0, 0, 0, 0) has degree 3, expected 1",
+            },
+        ),
+    ],
+)
+def test_t11_and_t4_checks_refute_other_families(check, tag, want):
+    """The failing branches of the t11 and t4 checks, with exact witnesses:
+    the T9 one names a pencil plane by its reduced basis."""
+    field = GF(3)
+    h = catalog_form(tag, field)
+    geom = build_geometry(h)
+    report = t11_structure_check(geom, h) if check == "t11" else t4_line_check(geom)
+    assert not report.passed
+    assert {k: getattr(report, k) for k in want} == want
+
+
+def test_t11_check_rejects_wrong_dimension():
+    h = catalog_form("T1", GF(2))
+    with pytest.raises(ValueError, match="n = 7"):
+        t11_structure_check(build_geometry(h), h)
+
+
+@pytest.mark.parametrize(
+    "check, tag, lam",
+    [
+        ("cone", "T7", None),
+        ("cone", "T9", None),
+        ("t11", "T11_1", 2),
+        ("t4", "T4", None),
+    ],
+)
+def test_checks_stay_on_ints(monkeypatch, check, tag, lam):
+    """Once the geometry is built, the cone, t11 and t4 checks read it on
+    ints mod p: no GF arithmetic, no Field-based radical, span or line."""
+    field = GF(3)
+    h = catalog_form(tag, field, param=lam)
+    geom = build_geometry(h)
+    run = {
+        "cone": lambda: cone_structure_check(geom, h),
+        "t11": lambda: t11_structure_check(geom, h),
+        "t4": lambda: t4_line_check(geom),
+    }[check]
+    want = run()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Field-based call in an integer check")
+
+    for name in ("of", "add", "sub", "mul", "neg", "inv"):
+        monkeypatch.setattr(GF, name, forbidden)
+    monkeypatch.setattr(PluckerLine, "from_pair", forbidden)
+    forbid_everywhere(monkeypatch, "point_degree")
+    forbid_everywhere(monkeypatch, "span_points")
+    assert run() == want
 
 
 def test_cone_t7_pole_count_gf3():

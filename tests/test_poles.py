@@ -1,7 +1,6 @@
 """Pole enumeration, degrees, the variety pipeline and the upper radical."""
 
 import random
-import sys
 
 import pytest
 
@@ -36,7 +35,7 @@ from polegeom.projective import (
     wedge2_coordinates,
     wedge2_mod_p,
 )
-from conftest import desk_instances
+from conftest import desk_instances, forbid_everywhere
 
 
 def test_symbolic_matrix_t1():
@@ -415,22 +414,6 @@ def test_wedge2_mod_p_matches_field_wedge(p):
         checked += 1
 
 
-def _forbid_everywhere(monkeypatch, name):
-    """Make every polegeom module's binding of ``name`` raise."""
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError(f"{name} called on the integer path")
-
-    bound = [
-        mod
-        for mod_name, mod in list(sys.modules.items())
-        if mod_name.split(".")[0] == "polegeom" and hasattr(mod, name)
-    ]
-    assert bound, name
-    for mod in bound:
-        monkeypatch.setattr(mod, name, forbidden)
-
-
 @pytest.mark.parametrize(
     "call",
     [
@@ -444,8 +427,8 @@ def _forbid_everywhere(monkeypatch, name):
 def test_line_assembly_stays_on_ints(monkeypatch, call):
     """Reports, geometries and fingerprints over GF(p) build their lines
     without the Field-based Pluecker map or a per-line reduction."""
-    _forbid_everywhere(monkeypatch, "wedge2_coordinates")
-    _forbid_everywhere(monkeypatch, "_line_rref")
+    forbid_everywhere(monkeypatch, "wedge2_coordinates")
+    forbid_everywhere(monkeypatch, "_line_rref")
     call()
 
 
@@ -457,8 +440,8 @@ def test_line_assembly_stays_on_ints(monkeypatch, call):
 def test_fingerprint_reads_degrees_only(monkeypatch, tag, lam, lines):
     """A fingerprint is one scan without radicals: no line is assembled and
     no incidence structure is built."""
-    _forbid_everywhere(monkeypatch, "_radical_lines")
-    _forbid_everywhere(monkeypatch, "build_geometry")
+    forbid_everywhere(monkeypatch, "_radical_lines")
+    forbid_everywhere(monkeypatch, "build_geometry")
     want_kernels = []
     real_scan = kernels.scan
 
