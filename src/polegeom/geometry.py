@@ -52,7 +52,6 @@ def build_geometry(
     h: TriForm,
     field: Optional[GF] = None,
     budget: Optional[int] = None,
-    workers: int = 1,
 ) -> IncidenceStructure:
     """Enumerate poles and radical lines and compute exact incidence."""
     if field is None:
@@ -60,10 +59,10 @@ def build_geometry(
             raise ValueError("geometry needs a finite field")
         field = h.field
     hf = h if h.field == field else h.reduce_mod(field)
-    report = enumerate_poles(hf, field, budget=budget, workers=workers)
+    report = enumerate_poles(hf, field, budget=budget)
     lines = tuple(_radical_lines(report))
-    degrees = {r.point: r.degree for r in report.records}
-    points = tuple(r.point for r in report.records if r.degree >= 1)
+    degrees = dict(zip(report.points, report.degrees))
+    points = tuple(u for u, deg in zip(report.points, report.degrees) if deg >= 1)
     p = field.p
     # the points of each line from its reduced-echelon basis (r1, r2), in
     # the order span_points gives: r1 + t*r2 for t = 0..p-1, then r2
@@ -659,7 +658,7 @@ def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> Geometry
         degree_histogram=tuple(sorted(deg_hist.items())),
         line_count=line_count,
         lines_per_point_histogram=tuple(sorted(lines_per_point.items())),
-        variety_degree=_variety_degree(hf, [(r.point, r.degree) for r in report.records]),
+        variety_degree=_variety_degree(hf, list(zip(report.points, report.degrees))),
     )
 
 

@@ -1,7 +1,7 @@
 """GF(p) kernels: the point scan, kernel bases mod p, and incidence-graph statistics.
 
 scan walks PG(n-1, p) in the canonical order and returns every point's
-degree and, on request, its radical as a reduced-echelon basis.
+degree and, on request, each pole's radical as a reduced-echelon basis.
 kernel_mod_p gives the same basis convention for any matrix mod p.
 graph_stats gives girth, diameter and connectivity from int-bitset balls.
 """
@@ -179,9 +179,9 @@ def scan(
     start: int,
     stop: int,
     want_kernels: bool,
-) -> Tuple[List[Tuple[int, ...]], List[int], Optional[List[List[Tuple[int, ...]]]]]:
-    """Degrees (and optionally radical bases) of canonical projective points
-    with enumeration indices in [start, stop).
+) -> Tuple[List[Tuple[int, ...]], List[int], Optional[List[Optional[List[Tuple[int, ...]]]]]]:
+    """Degrees (and optionally the radical bases of the poles) of canonical
+    projective points with enumeration indices in [start, stop).
 
     The cube must be alternating (ValueError otherwise).  The points are
     walked as an odometer in the canonical order, and M_u = sum_i u_i C_i is
@@ -193,7 +193,9 @@ def scan(
     (_packed_reducer).  Forward elimination gives the rank, and
     back-substitution to the reduced echelon form runs only when radicals
     are wanted and the rank is below n-1.  The radicals are the
-    reduced-echelon kernel bases of kernel_mod_p, which is unique.
+    reduced-echelon kernel bases of kernel_mod_p, which is unique; at a
+    point of degree 0 the radical would be <u>, and None stands in its
+    place.
     """
     from .projective import num_projective_points, projective_point_at
 
@@ -278,10 +280,8 @@ def scan(
         points.append(pt)
         if want_kernels:
             if rank == last:
-                # the radical is <u>: scale its last nonzero entry to 1
-                f = max(i for i in range(n) if u[i])
-                c = inv[u[f]]
-                kernels.append([tuple(v * c % p for v in u)])
+                # degree 0: the radical is <u>, which no caller reads
+                kernels.append(None)
             else:
                 # back-substitution to the reduced echelon form
                 for t in range(rank - 1, 0, -1):

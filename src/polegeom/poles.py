@@ -11,8 +11,8 @@ Pfaffian of the i-th principal submatrix of the symbolic M_u.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import kernels
@@ -133,40 +133,35 @@ def structure_cube(h: TriForm, field: GF) -> List[List[List[int]]]:
 
 
 @dataclass
-class PoleRecord:
-    point: Tuple[int, ...]
-    degree: int
-    radical: Optional[Tuple[Tuple[int, ...], ...]] = None
-
-
-@dataclass
 class PoleReport:
-    field: Field
+    """One scan of PG(n-1, p): the three aligned columns of ``kernels.scan``.
+
+    ``points`` is every point in the canonical order, so a point's position
+    is its enumeration index.  ``degrees[i]`` is the degree of
+    ``points[i]``.  ``radicals`` is None for a scan without radicals;
+    otherwise ``radicals[i]`` is the reduced-echelon basis of Rad(chi_u)
+    at a pole and None at a point of degree 0.
+    """
+
+    field: GF
     n: int
-    records: List[PoleRecord]
-    histogram: Dict[int, int] = dc_field(default_factory=dict)
-
-    def poles(self) -> List[PoleRecord]:
-        return [r for r in self.records if r.degree >= 1]
-
-
-def _scan_chunk(args):
-    cube, n, p, start, stop, want_kernels = args
-    return kernels.scan(cube, n, p, start, stop, want_kernels)
+    points: List[Vector]
+    degrees: List[int]
+    radicals: Optional[List[Optional[List[Vector]]]]
+    histogram: Dict[int, int]
 
 
 def enumerate_poles(
     h: TriForm,
     field: Optional[GF] = None,
     budget: Optional[int] = None,
-    workers: int = 1,
     with_radicals: bool = True,
 ) -> PoleReport:
-    """Scan every canonical projective point and record its degree.
+    """Scan every canonical projective point and record its degree and, on
+    request, the radical of each pole (None at the points of degree 0).
 
     Passing a finite field for a rational form reduces the coefficients
-    mod p first.  Partitioning across workers is merge-order stable: the
-    parallel result is identical to the serial one.
+    mod p first.
     """
     if field is None:
         if not isinstance(h.field, GF):
@@ -178,25 +173,9 @@ def enumerate_poles(
     p, n = field.p, h.n
     cube = structure_cube(h, field)
     total = num_projective_points(p, n)
-    if workers <= 1:
-        chunks = [kernels.scan(cube, n, p, 0, total, with_radicals)]
-    else:
-        bounds = [total * w // workers for w in range(workers + 1)]
-        jobs = [
-            (cube, n, p, bounds[w], bounds[w + 1], with_radicals)
-            for w in range(workers)
-            if bounds[w] < bounds[w + 1]
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_chunk, jobs))
-    records: List[PoleRecord] = []
-    histogram: Dict[int, int] = {}
-    for points, degrees, radicals in chunks:
-        for pos, (pt, deg) in enumerate(zip(points, degrees)):
-            rad = tuple(radicals[pos]) if radicals is not None else None
-            records.append(PoleRecord(point=pt, degree=deg, radical=rad))
-            histogram[deg] = histogram.get(deg, 0) + 1
-    return PoleReport(field=field, n=n, records=records, histogram=dict(sorted(histogram.items())))
+    points, degrees, radicals = kernels.scan(cube, n, p, 0, total, with_radicals)
+    histogram = dict(sorted(Counter(degrees).items()))
+    return PoleReport(field, n, points, degrees, radicals, histogram)
 
 
 @dataclass
@@ -293,7 +272,8 @@ def pole_variety(
     all-points result.  Otherwise candidate indices are tried in
     ascending order; the first whose stripped polynomial has the correct
     zero set (checked over the form's field when finite, over a sampled
-    grid plus optional finite reduction when rational) is returned.
+    grid plus optional finite reduction when rational) is returned.  An
+    index i outside 1..n raises ValueError, for even n too.
     """
     return _pole_variety(h, i, verify_field, budget)
 
@@ -310,6 +290,8 @@ def _pole_variety(
     otherwise a scan made here once."""
     if h.is_zero():
         raise ValueError("zero form")
+    if i is not None and not 1 <= i <= h.n:
+        raise ValueError(f"index {i} out of range 1..{h.n}")
     if h.n % 2 == 0:
         return VarietyResult(all_points=True)
     candidates = variety_candidates(h)
@@ -329,7 +311,7 @@ def _pole_variety(
     for idx in order:
         d, alpha, g = candidates[idx]
         ok = report is None or _zero_set_matches(
-            check_field, g, ((r.point, r.degree) for r in report.records)
+            check_field, g, zip(report.points, report.degrees)
         )
         if ok and not finite:
             ok = _grid_matches(h, g)
@@ -446,11 +428,13 @@ def _radical_lines(report: PoleReport) -> List[PluckerLine]:
     p = report.field.p
     inv = _inverse_table(p)
     lines: List[PluckerLine] = []
-    for rec in sorted((r for r in report.records if r.degree >= 1), key=lambda r: r.point):
-        u = rec.point
+    poles = sorted(
+        (u, rad) for u, deg, rad in zip(report.points, report.degrees, report.radicals) if deg
+    )
+    for u, radical in poles:
         n = len(u)
         a = u.index(1)
-        rows = [list(v) for v in rec.radical]
+        rows = [list(v) for v in radical]
         pivots = _rref_mod_p(rows, n, p, inv)
         w = [(c, rows[i]) for i, c in enumerate(pivots) if c > a]
         first = next((k for k, (c, _) in enumerate(w) if not u[c]), None)
@@ -561,7 +545,6 @@ def full_report(
     h: TriForm,
     field: Optional[GF] = None,
     budget: Optional[int] = None,
-    workers: int = 1,
 ) -> dict:
     """The module's JSON report: poles, histogram, upper radical, variety."""
     if field is None:
@@ -569,7 +552,7 @@ def full_report(
             raise ValueError("reports need a finite field")
         field = h.field
     hf = h if h.field == field else h.reduce_mod(field)
-    report = enumerate_poles(hf, field, budget=budget, workers=workers)
+    report = enumerate_poles(hf, field, budget=budget)
     lines = _radical_lines(report)
     from .poly import render_poly
 
@@ -591,9 +574,9 @@ def full_report(
         "field": repr(field),
         "n": hf.n,
         "poles": [
-            {"point": list(r.point), "degree": r.degree}
-            for r in report.records
-            if r.degree >= 1
+            {"point": list(u), "degree": deg}
+            for u, deg in zip(report.points, report.degrees)
+            if deg >= 1
         ],
         "histogram": {str(k): v for k, v in report.histogram.items()},
         "upper_radical": [

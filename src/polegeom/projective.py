@@ -5,7 +5,7 @@ coordinate 1; lines by the reduced-echelon basis of their 2-space plus
 the Pluecker coordinate vector of that basis.  The enumeration order of
 canonical points is fixed (first-nonzero position ascending, then the
 trailing coordinates as a base-p odometer) and supports random access,
-which the parallel scans rely on.
+which a scan that starts mid-space (its ``start`` index) relies on.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ GF(7), where cubing is not onto).
 """
 
 import itertools
-import json
 import random
 
 from conftest import desk_instances
@@ -39,7 +38,6 @@ from polegeom.poles import (
     contraction_matrix,
     enumerate_poles,
     enumerate_upper_radical,
-    full_report,
     pole_variety,
 )
 from polegeom.poly import equal_up_to_scalar, parse_poly
@@ -93,14 +91,14 @@ def test_criterion_3_degree_laws():
         h = catalog_form(tag, field, param=lam)
         n = h.n
         report = enumerate_poles(h, field)
-        for rec in report.records:
-            rank, kernel = contraction_matrix(h, rec.point).rank_and_kernel()
+        for u, deg in zip(report.points, report.degrees):
+            rank, kernel = contraction_matrix(h, u).rank_and_kernel()
             if not (
-                rec.degree == (n - 1) - rank
-                and rec.degree == len(kernel) - 1
-                and rec.degree % 2 == (n - 1) % 2
+                deg == (n - 1) - rank
+                and deg == len(kernel) - 1
+                and deg % 2 == (n - 1) % 2
             ):
-                bad.append((tag, field, rec.point))
+                bad.append((tag, field, u))
                 break
     record(3, "degree laws on every point", not bad, detail=str(bad[:3]))
 
@@ -307,18 +305,18 @@ def test_criterion_6_variety_zero_sets():
         if result.all_points:
             continue
         report = enumerate_poles(h, field)
-        for rec in report.records:
-            if (result.g.evaluate(rec.point) == field.zero) != (rec.degree >= 1):
-                failures.append((tag, field.p, rec.point))
+        for u, deg in zip(report.points, report.degrees):
+            if (result.g.evaluate(u) == field.zero) != (deg >= 1):
+                failures.append((tag, field.p, u))
                 break
     for p in (2, 3):
         field = GF(p)
         h = TriForm.from_terms(5, field, [(1, 2, 3, 1), (3, 4, 5, 1)])
         result = pole_variety(h)
         report = enumerate_poles(h, field)
-        for rec in report.records:
-            if (result.g.evaluate(rec.point) == field.zero) != (rec.degree >= 1):
-                failures.append(("chain", p, rec.point))
+        for u, deg in zip(report.points, report.degrees):
+            if (result.g.evaluate(u) == field.zero) != (deg >= 1):
+                failures.append(("chain", p, u))
                 break
     record(6, "variety equals brute-force pole set", not failures, detail=str(failures[:3]))
 
@@ -334,8 +332,8 @@ def test_criterion_7_reducible_chains():
             ok = False
             continue
         report = enumerate_poles(h, field)
-        for rec in report.records:
-            if (want.evaluate(rec.point) == field.zero) != (rec.degree >= 1):
+        for u, deg in zip(report.points, report.degrees):
+            if (want.evaluate(u) == field.zero) != (deg >= 1):
                 ok = False
                 break
     record(7, "chained hyperplane varieties", ok)
@@ -379,16 +377,6 @@ def test_criterion_9_fingerprint_invariance():
     ):
         failures.append(("T12", 7, "scale"))
     record(9, "fingerprint invariance", not failures, detail=str(failures[:3]))
-
-
-def test_criterion_10_parallel_determinism():
-    serial = json.dumps(
-        full_report(catalog_form("T9", GF(3)), workers=1), indent=2
-    )
-    parallel = json.dumps(
-        full_report(catalog_form("T9", GF(3)), workers=3), indent=2
-    )
-    record(10, "serial/parallel byte-identical", serial == parallel)
 
 
 def test_rank_column_against_catalog():

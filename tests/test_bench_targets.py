@@ -1,0 +1,76 @@
+"""The names that the traced benchmark (`perfbench/run.py --trace 1`) wraps
+still exist in polegeom, with the argument order its hooks read.
+
+`perfbench/spans.py` is loaded by path and only read: its SPANS, COUNTS
+and FIELD_COUNTS tables name (module, attribute path) targets, and a
+refactor that renames or moves one of them breaks a traced run.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from polegeom import kernels, poles
+from polegeom.fields import GF
+from polegeom.forms import catalog_form
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans_under_test", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = _load_spans()
+TARGETS = {
+    name: target
+    for table in (SPANS.SPANS, SPANS.COUNTS, SPANS.FIELD_COUNTS)
+    for name, target in table.items()
+}
+
+
+def test_target_tables_are_read():
+    assert len(TARGETS) == len(SPANS.SPANS) + len(SPANS.COUNTS) + len(SPANS.FIELD_COUNTS)
+    assert len(TARGETS) >= 27
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_target_resolves(name):
+    module_name, path = TARGETS[name]
+    module = importlib.import_module(module_name)
+    owner_name, _, attr = path.rpartition(".")
+    if owner_name:
+        # the tracer patches a method in the class's own __dict__
+        owner = getattr(module, owner_name)
+        assert attr in vars(owner), f"{name}: {path} not defined on {owner_name}"
+    else:
+        assert callable(getattr(module, attr, None)), f"{name}: {module_name}.{path} missing"
+
+
+def _leading_parameters(fn, count):
+    return list(inspect.signature(fn).parameters)[:count]
+
+
+def test_hook_argument_order():
+    # _scan_points reads args[3] and args[4]; _graph_size reads args[0] and args[1]
+    assert _leading_parameters(kernels.scan, 5) == ["cube", "n", "p", "start", "stop"]
+    assert _leading_parameters(kernels.graph_stats, 2) == ["offsets", "neighbors"]
+
+
+def test_traced_scan_counts_its_points():
+    original = poles.enumerate_poles
+    with SPANS.Tracer() as tracer:
+        poles.enumerate_poles(catalog_form("T9", GF(2)))
+    assert poles.enumerate_poles is original
+    assert tracer.counts["kernels.points_scanned"] == 127  # PG(6, 2)
+    assert [span[0] for span in tracer.spans] == [
+        "poles.enumerate_poles",
+        "forms.cube",
+        "kernels.scan",
+    ]

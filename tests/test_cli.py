@@ -189,6 +189,18 @@ def test_degenerate_variety_index_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("tag,n", [("T9", 7), ("T3", 6)], ids=["odd-n", "even-n"])
+@pytest.mark.parametrize("which", ["zero", "n+1"])
+def test_variety_index_out_of_range_exit_2(capsys, tag, n, which):
+    index = 0 if which == "zero" else n + 1
+    code, out, err = run_cli(
+        capsys, "variety", "--catalog", tag, "--field", "gf(2)", "--index", str(index)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: index {index} out of range 1..{n}\n"
+
+
 def test_budget_exceeded_message(capsys):
     code, _, err = run_cli(
         capsys,

@@ -107,11 +107,11 @@ def test_symplectic_expansion_pole_geometry():
     h0 = symplectic_bilinear(field, 7, [(2, 3), (4, 5), (6, 7)])
     h = expansion(h0, 1)
     report = enumerate_poles(h, field)
-    for rec in report.records:
-        if rec.point[0] == 0:
-            assert rec.degree == 4  # n - 3
+    for u, deg in zip(report.points, report.degrees):
+        if u[0] == 0:
+            assert deg == 4  # n - 3
         else:
-            assert rec.degree == 0
+            assert deg == 0
     lines = enumerate_upper_radical(h, field)
     for line in lines:
         x, y = line.basis
@@ -162,8 +162,8 @@ def test_expansion_rank5_pole_geometry():
     field = GF(3)
     h = catalog_form("T2", field)
     report = enumerate_poles(h, field)
-    for rec in report.records:
-        assert rec.degree == (2 if rec.point[0] == 0 else 0)
+    for u, deg in zip(report.points, report.degrees):
+        assert deg == (2 if u[0] == 0 else 0)
     h0 = symplectic_bilinear(field, 5, [(2, 3), (4, 5)])
     for line in enumerate_upper_radical(h, field):
         x, y = line.basis
@@ -193,7 +193,7 @@ def test_block_decompose_all_points_are_poles():
     b = catalog_form("T1", field).reindex({1: 4, 2: 5, 3: 6}, 6)
     h = block_decompose(a, b, alpha=2, beta=1)
     report = enumerate_poles(h, field)
-    assert all(rec.degree >= 1 for rec in report.records)
+    assert all(deg >= 1 for deg in report.degrees)
 
 
 def test_block_lines_meet_both_summands():
@@ -293,8 +293,8 @@ def test_cch_variety_products(n, factors):
     assert equal_up_to_scalar(result.g, want) is not None
     # pointwise double-check
     report = enumerate_poles(h, field)
-    for rec in report.records:
-        assert (want.evaluate(rec.point) == 0) == (rec.degree >= 1)
+    for u, deg in zip(report.points, report.degrees):
+        assert (want.evaluate(u) == 0) == (deg >= 1)
 
 
 def test_coordinate_swap_map():

@@ -414,14 +414,6 @@ def test_verdict_schema():
     assert list(v) == ["check", "form", "field", "pass", "witnesses"]
 
 
-def test_parallel_build_identical():
-    h = catalog_form("T9", GF(3))
-    serial = build_geometry(h, workers=1)
-    parallel = build_geometry(h, workers=3)
-    assert serial.points == parallel.points
-    assert serial.lines == parallel.lines
-    assert serial.degrees == parallel.degrees
-    assert serial.points_by_line == parallel.points_by_line
 
 
 # every desk instance over GF(2) and GF(3), as catalogued and pulled back

@@ -41,7 +41,8 @@ def _alternating_cube(rng, n, p):
 
 def _reference_scan(cube, n, p):
     """The whole scan with radicals by the definition: M_u = sum_i u_i C_i
-    at every point, then kernel_mod_p."""
+    at every point, then kernel_mod_p; None stands for the radical <u> of
+    a point of degree 0."""
     points, degrees, radicals = [], [], []
     for idx in range(num_projective_points(p, n)):
         u = projective_point_at(p, n, idx)
@@ -52,7 +53,7 @@ def _reference_scan(cube, n, p):
         basis = kernels.kernel_mod_p(m, p)
         points.append(u)
         degrees.append(len(basis) - 1)
-        radicals.append(basis)
+        radicals.append(basis if len(basis) > 1 else None)
     return points, degrees, radicals
 
 

@@ -30,6 +30,7 @@ from polegeom.poles import (
 from polegeom.poly import MultiPoly, equal_up_to_scalar, parse_poly, render_poly
 from polegeom.projective import (
     PluckerLine,
+    projective_point_at,
     projective_points,
     subspace_rref,
     wedge2_coordinates,
@@ -110,44 +111,68 @@ def test_point_degree_zero_vector():
 def test_enumerate_t8_gf2():
     report = enumerate_poles(catalog_form("T8", GF(2)))
     assert report.histogram == {0: 64, 4: 63}
-    for rec in report.records:
-        if rec.degree == 4:
-            assert rec.point[0] == 0  # poles fill the hyperplane u1 = 0
+    for u, deg in zip(report.points, report.degrees):
+        if deg == 4:
+            assert u[0] == 0  # poles fill the hyperplane u1 = 0
 
 
 def test_enumerate_t5_gf2():
     report = enumerate_poles(catalog_form("T5", GF(2)))
-    poles = report.poles()
+    poles = [(u, deg) for u, deg in zip(report.points, report.degrees) if deg >= 1]
     assert len(poles) == 95  # two hyperplanes of PG(6,2): 63 + 63 - 31
-    degree4 = [r for r in poles if r.degree == 4]
+    degree4 = [u for u, deg in poles if deg == 4]
     assert len(degree4) == 13  # two planes meeting in a point: 7 + 7 - 1
-    for rec in poles:
-        assert rec.point[0] == 0 or rec.point[3] == 0
+    for u, _ in poles:
+        assert u[0] == 0 or u[3] == 0
 
 
 def test_enumerate_t3_all_points():
     report = enumerate_poles(catalog_form("T3", GF(2)))
-    assert len(report.records) == 63
-    assert all(r.degree >= 1 for r in report.records)
+    assert len(report.points) == len(report.degrees) == 63
+    assert all(deg >= 1 for deg in report.degrees)
+
+
+@pytest.mark.parametrize("tag,p", [("T9", 3), ("T10_1", 5)], ids=["T9-gf3", "T10_1-gf5"])
+def test_report_columns(tag, p):
+    """The report holds the scan's aligned columns: a point's position is
+    its enumeration index, and a scan without radicals has none."""
+    field = GF(p)
+    h = catalog_form(tag, field, param=2 if tag == "T10_1" else None)
+    full = enumerate_poles(h, field)
+    bare = enumerate_poles(h, field, with_radicals=False)
+    assert bare.radicals is None
+    assert (bare.points, bare.degrees, bare.histogram) == (full.points, full.degrees, full.histogram)
+    assert len(full.points) == len(full.degrees) == len(full.radicals)
+    for idx in (0, 1, len(full.points) // 2, len(full.points) - 1):
+        assert full.points[idx] == projective_point_at(p, h.n, idx)
+    assert [deg for deg, rad in zip(full.degrees, full.radicals) if rad is None] == [
+        deg for deg in full.degrees if deg == 0
+    ]
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_degree_laws(p):
-    """degree = (n-1) - rank(M_u) = dim Rad(chi_u) - 1, with parity n-1."""
+    """degree = (n-1) - rank(M_u) = dim Rad(chi_u) - 1, with parity n-1;
+    the report's radical is the Field kernel of M_u at a pole and None at
+    degree 0."""
     field = GF(p)
     for tag, _, lam in desk_instances((field,)):
         h = catalog_form(tag, field, param=lam)
         report = enumerate_poles(h, field)
         n = h.n
-        for rec in report.records:
-            m = contraction_matrix(h, rec.point)
+        assert len(report.points) == len(report.degrees) == len(report.radicals)
+        for u, deg, radical in zip(report.points, report.degrees, report.radicals):
+            m = contraction_matrix(h, u)
             rank, kernel = m.rank_and_kernel()
-            assert rec.degree == (n - 1) - rank
-            assert rec.degree == len(kernel) - 1
-            assert rec.degree % 2 == (n - 1) % 2
-            assert tuple(rec.radical) == tuple(kernel)
+            assert deg == (n - 1) - rank
+            assert deg == len(kernel) - 1
+            assert deg % 2 == (n - 1) % 2
+            if deg:
+                assert tuple(radical) == tuple(kernel)
+            else:
+                assert radical is None
             # the point itself lies in the radical of its contraction
-            assert all(x == field.zero for x in m.mul_vec(rec.point))
+            assert all(x == field.zero for x in m.mul_vec(u))
 
 
 def test_column_dependence_when_coordinate_nonzero():
@@ -203,8 +228,8 @@ def test_variety_t6_zero_set():
         h = catalog_form("T6", field)
         result = pole_variety(h)
         report = enumerate_poles(h, field)
-        for rec in report.records:
-            assert (result.g.evaluate(rec.point) == 0) == (rec.degree >= 1)
+        for u, deg in zip(report.points, report.degrees):
+            assert (result.g.evaluate(u) == 0) == (deg >= 1)
 
 
 def test_variety_rank3_no_poles():
@@ -237,6 +262,25 @@ def test_variety_explicit_bad_index():
     h = catalog_form("T2", GF(3))
     with pytest.raises(VarietyError):
         pole_variety(h, i=1)
+
+
+@pytest.mark.parametrize("tag", ["T9", "T3"], ids=["odd-n", "even-n"])
+def test_variety_index_out_of_range(monkeypatch, tag):
+    """An index outside 1..n is refused before any Pfaffian is expanded,
+    for odd n (where it used to read as an identically zero Pfaffian) and
+    for even n (where it used to be ignored)."""
+    h = catalog_form(tag, GF(2))
+    forbid_everywhere(monkeypatch, "pfaffian")
+    for i in (0, h.n + 1):
+        with pytest.raises(ValueError, match=rf"^index {i} out of range 1\.\.{h.n}$"):
+            pole_variety(h, i=i)
+
+
+def test_variety_index_at_the_ends_of_the_range():
+    h = catalog_form("T9", GF(2))
+    assert pole_variety(h, i=1).index == 1
+    assert pole_variety(h, i=h.n).index == h.n
+    assert pole_variety(catalog_form("T3", GF(2)), i=6).all_points
 
 
 def test_variety_candidates_strip():
@@ -391,7 +435,12 @@ def test_radical_lines_match_lines_through_each_pole(tag, lam, p):
     report = enumerate_poles(h)
     if tag == "T7":
         assert {2, 4} <= set(report.histogram)
-    bases = {b for rec in report.poles() for b in _lines_at(p, rec.point, rec.radical)}
+    bases = {
+        b
+        for u, deg, radical in zip(report.points, report.degrees, report.radicals)
+        if deg
+        for b in _lines_at(p, u, radical)
+    }
     expected = sorted(PluckerLine(basis=b, wedge=wedge2_coordinates(field, *b)) for b in bases)
     assert expected
     assert _radical_lines(report) == expected
@@ -479,20 +528,6 @@ def test_system_membership_matches_lines():
         assert system.contains(line.wedge)
 
 
-def test_serial_parallel_identical():
-    h = catalog_form("T9", GF(3))
-    serial = enumerate_poles(h, workers=1)
-    parallel = enumerate_poles(h, workers=3)
-    assert serial.histogram == parallel.histogram
-    assert [(r.point, r.degree, r.radical) for r in serial.records] == [
-        (r.point, r.degree, r.radical) for r in parallel.records
-    ]
-    serial_geom = build_geometry(h, workers=1)
-    parallel_geom = build_geometry(h, workers=3)
-    for attr in ("points", "lines", "points_by_line", "degrees"):
-        assert getattr(serial_geom, attr) == getattr(parallel_geom, attr)
-
-
 # One top-level call each; every one of them must scan PG(n-1, p) once.
 # T2/GF(3) has a first variety candidate that fails verification, so its
 # cases also try a second candidate against the same scan.
@@ -542,7 +577,7 @@ def test_zero_set_matches_both_verdicts(p, pulled):
         rows[6][0] = 2  # unit upper triangular plus a corner: invertible
         h = h.pullback(Matrix(field, rows))
     report = enumerate_poles(h, field, with_radicals=False)
-    pairs = [(r.point, r.degree) for r in report.records]
+    pairs = list(zip(report.points, report.degrees))
     eq = _pole_variety(h, None, None, None, report).g
     assert _zero_set_matches(field, eq, pairs)
     assert not _zero_set_matches(field, eq + MultiPoly.constant(7, field, 1), pairs)
