@@ -25,7 +25,13 @@ from .poles import (
     enumerate_poles,
     variety_candidates,
 )
-from .projective import PluckerLine, Vector, num_projective_points, wedge2_mod_p
+from .projective import (
+    PluckerLine,
+    Vector,
+    num_projective_points,
+    span_points_mod_p,
+    wedge2_mod_p,
+)
 from .linalg import solve_homogeneous
 
 
@@ -119,10 +125,6 @@ def normal_spread_check(geom: IncidenceStructure) -> bool:
     inv = _inverse_table(q)
     lines = geom.lines
     count = len(lines)
-    point_to_line: Dict[Vector, int] = {}
-    for idx, pts in enumerate(geom.points_by_line):
-        for pt in pts:
-            point_to_line[pt] = idx
     expected = q * q + 1
     span_size = num_projective_points(q, 4)
     masks = [1 << i for i in range(count)]  # pair (i, j) done when bit j of masks[i]
@@ -134,7 +136,8 @@ def normal_spread_check(geom: IncidenceStructure) -> bool:
             basis = [list(row) for row in lines[i].basis + lines[j].basis]
             if len(_rref_mod_p(basis, geom.n, q, inv)) != 4:
                 return False
-            members = {point_to_line[pt] for pt in _rref_span_points(q, basis)}
+            # a spread puts every point on exactly one line
+            members = {geom.lines_by_point[pt][0] for pt in span_points_mod_p(q, basis)}
             # q^2+1 pairwise disjoint lines of q+1 points cover the span
             # exactly; more distinct lines means some line exits the span
             if len(members) != expected or (expected * (q + 1)) != span_size:
@@ -146,28 +149,6 @@ def normal_spread_check(geom: IncidenceStructure) -> bool:
                 masks[m] |= group
             todo = full & ~masks[i]
     return True
-
-
-def _rref_span_points(p: int, rows: Sequence[Sequence[int]]) -> List[Vector]:
-    """Canonical points of the span of reduced-echelon rows mod p, in no
-    particular order: sum c_i r_i over the coefficient vectors c whose first
-    nonzero entry is 1.  No normalisation is needed, since each such sum is
-    already canonical: with i the first index where c_i = 1, every r_k with
-    k >= i is zero before the pivot of r_i, and only r_i is nonzero there.
-    """
-    n = len(rows[0])
-    out: List[Vector] = []
-    tail: List[Vector] = [(0,) * n]  # every combination of the rows after k
-    for k in range(len(rows) - 1, -1, -1):
-        row = rows[k]
-        out.extend(tuple((a + b) % p for a, b in zip(row, vec)) for vec in tail)
-        if k:
-            tail = [
-                tuple((c * a + b) % p for a, b in zip(row, vec))
-                for c in range(p)
-                for vec in tail
-            ]
-    return out
 
 
 def unit_equation(n: int, index: int) -> Tuple[int, ...]:
@@ -304,7 +285,7 @@ def _plane_lines(p: int, plane_basis: Sequence[Vector]) -> Set[PluckerLine]:
 
     Each reduced-echelon coefficient pair (s, t) of a line of PG(2, p)
     gives x = sum s_a b_a and y = sum t_a b_a, and (x, y) is already the
-    reduced basis of its line, by the argument of ``_rref_span_points``:
+    reduced basis of its line, by the argument of ``span_points_mod_p``:
     at the pivot columns of the b_a, x and y read the entries of s and t.
     """
     n = len(plane_basis[0])
@@ -368,7 +349,7 @@ def cone_structure_check(geom: IncidenceStructure, h: TriForm) -> ConeReport:
     for basis in pencils.values():
         if basis in meets_conic:
             continue
-        meets_conic[basis] = not conic_set.isdisjoint(_rref_span_points(p, basis))
+        meets_conic[basis] = not conic_set.isdisjoint(span_points_mod_p(p, basis))
         if meets_conic[basis]:
             plane_lines = _plane_lines(p, basis)
             if plane_lines <= line_set:
@@ -511,7 +492,7 @@ def t11_structure_check(geom: IncidenceStructure, h: TriForm) -> T11Report:
             break
         basis = _pencil_plane(geom, pt)
         if basis not in planes:
-            planes[basis] = set(_rref_span_points(p, basis))
+            planes[basis] = set(span_points_mod_p(p, basis))
     if partition_ok:
         covered: Counter = Counter()
         for basis, pts in planes.items():
@@ -559,7 +540,7 @@ def t4_line_check(geom: IncidenceStructure) -> T4Report:
     if n != 6:
         raise ValueError("T4 check applies to n = 6")
     expected = _plane_lines(p, [unit_equation(n, i) for i in (4, 5, 6)])
-    for a in _rref_span_points(p, [unit_equation(n, i) for i in (1, 2, 3)]):
+    for a in span_points_mod_p(p, [unit_equation(n, i) for i in (1, 2, 3)]):
         omega_a = a[3:] + a[:3]
         for code in range(p**3):
             # a+b for b in V1 is canonical with a's lead, as _line_rref needs

@@ -1,8 +1,9 @@
 """GF(p) kernels: the point scan, kernel bases mod p, and incidence-graph statistics.
 
 scan walks PG(n-1, p) in the canonical order and returns every point's
-degree and, on request, each pole's radical as a reduced-echelon basis.
-kernel_mod_p gives the same basis convention for any matrix mod p.
+degree and, on request, each pole's radical as its reduced row echelon
+basis, the one radical format, which every line builder reads as it is.
+kernel_mod_p gives the same basis for any matrix mod p.
 graph_stats gives girth, diameter and connectivity from int-bitset balls.
 """
 
@@ -54,21 +55,26 @@ def _inverse_table(p: int) -> Tuple[int, ...]:
 
 
 def kernel_mod_p(rows: List[List[int]], p: int) -> List[Tuple[int, ...]]:
-    """Reduced-echelon right-kernel basis, free columns ascending."""
+    """The reduced row echelon basis of the right kernel of ``rows`` mod p.
+
+    Reducing on the reversed columns pivots each row on its last nonzero
+    column, so the kernel vector of a free column f is 1 at f, 0 at the
+    other free columns and nonzero only after f.
+    """
     if not rows:
         return []
     ncols = len(rows[0])
-    work = [[x % p for x in row] for row in rows]
-    pivots = _rref_mod_p(work, ncols, p, _inverse_table(p))
-    pivot_set = set(pivots)
+    last = ncols - 1
+    work = [[x % p for x in reversed(row)] for row in rows]
+    pivots = [last - c for c in _rref_mod_p(work, ncols, p, _inverse_table(p))]
     basis = []
     for f in range(ncols):
-        if f in pivot_set:
+        if f in pivots:
             continue
         vec = [0] * ncols
         vec[f] = 1
         for r, c in enumerate(pivots):
-            vec[c] = (-work[r][f]) % p
+            vec[c] = (-work[r][last - f]) % p
         basis.append(tuple(vec))
     return basis
 
@@ -186,16 +192,17 @@ def scan(
     The cube must be alternating (ValueError otherwise).  The points are
     walked as an odometer in the canonical order, and M_u = sum_i u_i C_i is
     kept as one packed int: the n*n entries are lanes of w bits, row j at
-    lanes j*n .. j*n+n-1 with column k in lane j*n + n-1-k, so the leading
-    column of a row is read off its bit length.  The tables a*C_i mod p are
-    built once, with a prefix sum per odometer digit, so each point costs
-    one addition; all lanes are then reduced mod p at once by multiply-shift
-    (_packed_reducer).  Forward elimination gives the rank, and
-    back-substitution to the reduced echelon form runs only when radicals
-    are wanted and the rank is below n-1.  The radicals are the
-    reduced-echelon kernel bases of kernel_mod_p, which is unique; at a
-    point of degree 0 the radical would be <u>, and None stands in its
-    place.
+    lanes j*n .. j*n+n-1 with column k in lane j*n + n-1-k, so the last
+    nonzero column of a row is its lowest lane, read off r & -r.  The
+    tables a*C_i mod p are built once, with a prefix sum per odometer
+    digit, so each point costs one addition; all lanes are then reduced mod
+    p at once by multiply-shift (_packed_reducer).  Forward elimination,
+    pivoting on each row's last nonzero column, gives the rank, and
+    back-substitution runs only when radicals are wanted and the rank is
+    below n-1.  The kernel vector of a free column f is then 1 at f, 0 at
+    the other free columns and nonzero only after f: the reduced row
+    echelon basis of the radical, as kernel_mod_p returns it.  At a point
+    of degree 0 the radical would be <u>, and None stands in its place.
     """
     from .projective import num_projective_points, projective_point_at
 
@@ -252,21 +259,22 @@ def scan(
                 r = (x >> (j * row_bits)) & row_mask
                 if r:
                     rows.append(r)
-        # forward elimination: the greatest row has the leftmost leading
-        # column, and the rows left all lead at or right of it
+        # forward elimination, pivoting on each row's last nonzero column,
+        # its lowest lane: rows taken in any order leave every pivot row
+        # zero below its own pivot lane and at the pivot lanes before it,
+        # so the pivots are those of the echelon form on reversed columns
         piv_rows: List[int] = []
         piv_lanes: List[int] = []
         while rows:
-            r = max(rows)
-            rows.remove(r)
-            at = (r.bit_length() - 1) // w * w
-            a = r >> at
+            r = rows.pop()
+            at = ((r & -r).bit_length() - 1) // w * w
+            a = (r >> at) & lane
             if a != 1:
                 r *= inv[a]
                 r -= p * (((r * mul) >> shift) & row_low)
             kept = []
             for y in rows:
-                a = y >> at
+                a = (y >> at) & lane
                 if a:
                     y += (p - a) * r
                     y -= p * (((y * mul) >> shift) & row_low)
@@ -283,7 +291,8 @@ def scan(
                 # degree 0: the radical is <u>, which no caller reads
                 kernels.append(None)
             else:
-                # back-substitution to the reduced echelon form
+                # back-substitution: each pivot row is zero at the earlier
+                # pivot lanes; clear the later ones, last first
                 for t in range(rank - 1, 0, -1):
                     r, at = piv_rows[t], piv_lanes[t]
                     for q in range(t):

@@ -102,10 +102,9 @@ class Matrix:
         return len(self.rref()[1])
 
     def rank_and_kernel(self) -> Tuple[int, List[Tuple[Scalar, ...]]]:
-        """Rank and a reduced-echelon basis of the right kernel.
-
-        Kernel vectors are indexed by the free columns in ascending order;
-        rank + len(kernel) == ncols.
+        """Rank and a right-kernel basis: the vector of free column f is 1
+        at f and 0 at the other free columns, free columns ascending, and
+        not in general reduced.  rank + len(kernel) == ncols.
         """
         F = self.field
         red, pivots = self.rref()

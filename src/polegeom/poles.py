@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import kernels
-from .kernels import _inverse_table, _rref_mod_p
 from .fields import GF, Field, Scalar
 from .forms import TriForm
 from .linalg import Matrix, PolyMatrix, pfaffian
@@ -24,11 +23,10 @@ from .poly import MultiPoly, strip_variable_power
 from .projective import (
     PluckerLine,
     Vector,
-    canonical_point,
     num_projective_lines,
     num_projective_points,
     pair_list,
-    projective_point_at,
+    span_points_mod_p,
     wedge2_mod_p,
 )
 
@@ -103,7 +101,7 @@ def contraction_matrix(h: TriForm, u: Sequence[Scalar]) -> Matrix:
 
 
 def point_degree(h: TriForm, u: Sequence[Scalar]) -> Tuple[int, List[Vector]]:
-    """Degree (n-1) - rank(M_u) and a reduced basis of Rad(chi_u)."""
+    """Degree (n-1) - rank(M_u) and Rad(chi_u) from ``Matrix.rank_and_kernel``."""
     F = h.field
     uv = [F.of(x) for x in u]
     if all(x == F.zero for x in uv):
@@ -139,8 +137,9 @@ class PoleReport:
     ``points`` is every point in the canonical order, so a point's position
     is its enumeration index.  ``degrees[i]`` is the degree of
     ``points[i]``.  ``radicals`` is None for a scan without radicals;
-    otherwise ``radicals[i]`` is the reduced-echelon basis of Rad(chi_u)
-    at a pole and None at a point of degree 0.
+    otherwise ``radicals[i]`` is the reduced row echelon basis of
+    Rad(chi_u) at a pole, as the scan produces it, and None at a point of
+    degree 0.
     """
 
     field: GF
@@ -382,29 +381,6 @@ def _line_rref(p: int, u: Vector, y: Sequence[int]) -> Tuple[Vector, Vector]:
     return u, y
 
 
-def _lines_at(p: int, u: Vector, radical: Sequence[Vector]) -> Iterator[Tuple[Vector, Vector]]:
-    """Reduced-echelon bases of the lines [u, y], y in Rad(chi_u), one per line.
-
-    ``radical`` is a kernel basis as the scan kernels and
-    ``Matrix.rank_and_kernel`` return it: the vector of free column f has
-    its last nonzero entry 1 at f and is 0 at every other free column.  So
-    u is the sum of u[f] times the vector of f, and dropping one vector
-    with u[f] != 0 leaves a complement of <u>; the points of that
-    complement are the directions of the lines through [u], one each.
-    """
-    free = [max(i for i, x in enumerate(v) if x) for v in radical]
-    drop = next(j for j, f in enumerate(free) if u[f])
-    complement = [v for j, v in enumerate(radical) if j != drop]
-    n, k = len(u), len(complement)
-    for idx in range(num_projective_points(p, k)):
-        coeffs = projective_point_at(p, k, idx)
-        y = [0] * n
-        for c, v in zip(coeffs, complement):
-            if c:
-                y = [a + c * x for a, x in zip(y, v)]
-        yield _line_rref(p, u, [a % p for a in y])
-
-
 def _radical_lines(report: PoleReport) -> List[PluckerLine]:
     """The upper-radical lines of a scan with radicals, sorted, each once.
 
@@ -414,11 +390,12 @@ def _radical_lines(report: PoleReport) -> List[PluckerLine]:
     with y a canonical point of W = Rad(chi_u) ∩ {y_0 = ... = y_a = 0} and
     u[lead(y)] = 0, and y = r2 is the only such point of its line: (u, y)
     is then reduced, and conversely r2 of a line with r1 = u is zero up to
-    and including a, with u zero at its lead.  W is spanned by the rows of
-    the reduced radical basis whose pivot exceeds a, so its points are the
-    sums of those rows over coefficient vectors with first nonzero entry 1,
-    canonical without normalisation; the block of points led by a row is
-    skipped when u is nonzero at that row's pivot.
+    and including a, with u zero at its lead.  The scan hands Rad(chi_u)
+    over in reduced echelon form, so W is spanned by its rows whose pivot
+    exceeds a, and the lead of a point of W is the pivot of the first row
+    in its combination.  So the span is listed from the first of those
+    rows whose pivot u is zero at: every point led by an earlier row is
+    skipped.
 
     No line is missed: h(u, y, .) = 0 is symmetric in u and y and survives
     a change of basis of the line, so for every radical line r1 is a pole
@@ -426,50 +403,53 @@ def _radical_lines(report: PoleReport) -> List[PluckerLine]:
     order and each pole's r2 are sorted, so the list comes out sorted.
     """
     p = report.field.p
-    inv = _inverse_table(p)
     lines: List[PluckerLine] = []
     poles = sorted(
         (u, rad) for u, deg, rad in zip(report.points, report.degrees, report.radicals) if deg
     )
     for u, radical in poles:
-        n = len(u)
         a = u.index(1)
-        rows = [list(v) for v in radical]
-        pivots = _rref_mod_p(rows, n, p, inv)
-        w = [(c, rows[i]) for i, c in enumerate(pivots) if c > a]
-        first = next((k for k, (c, _) in enumerate(w) if not u[c]), None)
+        pivots = [row.index(1) for row in radical]
+        first = next((k for k, c in enumerate(pivots) if c > a and not u[c]), None)
         if first is None:
             continue
-        ys: List[Vector] = []
-        tail: List[Sequence[int]] = [(0,) * n]  # combinations of the rows after k
-        for k in range(len(w) - 1, first - 1, -1):
-            c, row = w[k]
-            block = [tuple((x + t) % p for x, t in zip(row, vec)) for vec in tail]
-            if not u[c]:
-                ys += block
-            if k > first:
-                tail += block
-                tail += [
-                    tuple((s * x + t) % p for x, t in zip(row, vec))
-                    for s in range(2, p)
-                    for vec in tail[: len(block)]
-                ]
-        ys.sort()
+        ys = sorted(y for y in span_points_mod_p(p, radical[first:]) if not u[y.index(1)])
         lines.extend(PluckerLine(basis=(u, y), wedge=wedge2_mod_p(p, u, y)) for y in ys)
     return lines
 
 
 def lines_through_point(h: TriForm, u: Sequence[Scalar]) -> List[PluckerLine]:
-    """The upper-radical lines through [u]: all [u, y] with y in Rad(chi_u)."""
-    if not isinstance(h.field, GF):
-        raise ValueError("line enumeration needs a finite field")
+    """The upper-radical lines through [u], sorted: all [u, y] with y in
+    Rad(chi_u).
+
+    Works on ints mod p and reads no scan: M_u from ``structure_cube``,
+    then Rad(chi_u) = ker M_u in reduced echelon form from
+    ``kernel_mod_p``.  The canonical u is the sum of u[c] times the row of
+    pivot c, with coefficient 1 on the row at its lead, so the other rows
+    span a complement of <u> in Rad(chi_u).  The points y of that
+    complement are the directions of the lines through [u], one each.
+    """
     F = h.field
-    delta, radical = point_degree(h, u)
-    if delta == 0:
-        return []
-    u_pt = canonical_point(F, u)
+    if not isinstance(F, GF):
+        raise ValueError("line enumeration needs a finite field")
+    p, n = F.p, h.n
+    if len(u) != n:
+        raise ValueError(f"point must have length {n}")
+    uv = [F.of(x) for x in u]
+    a = next((i for i, x in enumerate(uv) if x), None)
+    if a is None:
+        raise ValueError("zero vector has no degree")
+    scale = pow(uv[a], p - 2, p)
+    u_pt = tuple(x * scale % p for x in uv)
+    cube = structure_cube(h, F)
+    m = [
+        [sum(x * c[j][k] for x, c in zip(u_pt, cube)) % p for k in range(n)]
+        for j in range(n)
+    ]
+    complement = [y for y in kernels.kernel_mod_p(m, p) if y.index(1) != a]
     return sorted(
-        PluckerLine(basis=b, wedge=wedge2_mod_p(F.p, *b)) for b in _lines_at(F.p, u_pt, radical)
+        PluckerLine(basis=b, wedge=wedge2_mod_p(p, *b))
+        for b in (_line_rref(p, u_pt, y) for y in span_points_mod_p(p, complement))
     )
 
 

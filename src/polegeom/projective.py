@@ -99,6 +99,29 @@ def span_points(field: GF, basis: Sequence[Vector]) -> List[Vector]:
     return out
 
 
+def span_points_mod_p(p: int, rows: Sequence[Sequence[int]]) -> List[Vector]:
+    """span_points on ints: the canonical points of the span of echelon
+    rows mod p with leading entries 1, in no particular order.  They are
+    the sums sum c_i r_i over the coefficient vectors c whose first
+    nonzero entry is 1, each already canonical: with i the first index
+    where c_i = 1, every r_k with k >= i is zero before the pivot of r_i,
+    and only r_i is nonzero there.
+    """
+    out: List[Vector] = []
+    # every combination of the rows after k
+    tail: List[Vector] = [(0,) * len(rows[0])] if rows else []
+    for k in range(len(rows) - 1, -1, -1):
+        row = rows[k]
+        out.extend(tuple((a + b) % p for a, b in zip(row, vec)) for vec in tail)
+        if k:
+            tail = [
+                tuple((c * a + b) % p for a, b in zip(row, vec))
+                for c in range(p)
+                for vec in tail
+            ]
+    return out
+
+
 def pair_list(n: int) -> List[Tuple[int, int]]:
     """Lexicographic list of index pairs (j, k), 1 <= j < k <= n."""
     return [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]

@@ -201,6 +201,22 @@ def test_variety_index_out_of_range_exit_2(capsys, tag, n, which):
     assert err == f"error: index {index} out of range 1..{n}\n"
 
 
+def test_radical_lines_zero_point_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "radical-lines",
+        "--catalog",
+        "T7",
+        "--field",
+        "gf(3)",
+        "--point",
+        "0,0,0,0,0,0,0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: zero vector has no degree\n"
+
+
 def test_budget_exceeded_message(capsys):
     code, _, err = run_cli(
         capsys,
@@ -332,6 +348,13 @@ GOLDEN_CASES["fingerprint_T10_1-3_gf7"] = (
 for _family in ("T7", "T4"):
     GOLDEN_CASES[f"fingerprint_{_family}_gf5"] = (
         ("fingerprint", "--catalog", _family, "--field", "gf(5)", "--output", "json"),
+        0,
+    )
+# `radical-lines --point` on T7/GF(3): a pole of degree 4 (40 lines), a
+# non-canonical input of a pole of degree 2 (4 lines), a point of degree 0
+for _point in ("0,1,0,0,0,0,0", "0,0,0,2,0,0,0", "0,0,0,1,0,1,0"):
+    GOLDEN_CASES[f"radical-lines-point_T7_gf3_{_point.replace(',', '')}"] = (
+        ("radical-lines", *GOLDEN_INSTANCES["T7_gf3"], "--point", _point, "--output", "json"),
         0,
     )
 

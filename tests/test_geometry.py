@@ -101,7 +101,7 @@ def test_perturbed_spread_rejected():
 def _regulus_switched(geom):
     """The spread with the regulus through three of its lines in the span of
     its first two replaced by the opposite regulus: still a spread, but no
-    longer normal."""
+    longer normal.  Both incidence maps are rebuilt for the new lines."""
     field = geom.field
 
     def rank(rows):
@@ -123,8 +123,13 @@ def _regulus_switched(geom):
     regulus = set(transversals(*opposite[:3]))
     assert regulus <= set(geom.lines)
     lines = tuple(l for l in geom.lines if l not in regulus) + tuple(opposite)
+    points_by_line = tuple(tuple(l.points(field)) for l in lines)
+    lines_by_point = {}
+    for idx, pts in enumerate(points_by_line):
+        for pt in pts:
+            lines_by_point[pt] = lines_by_point.get(pt, ()) + (idx,)
     return dataclasses.replace(
-        geom, lines=lines, points_by_line=tuple(tuple(l.points(field)) for l in lines)
+        geom, lines=lines, points_by_line=points_by_line, lines_by_point=lines_by_point
     )
 
 

@@ -7,7 +7,13 @@ import pytest
 
 from polegeom import kernels
 from polegeom.fields import GF
-from polegeom.projective import num_projective_points, projective_point_at, projective_points
+from polegeom.linalg import Matrix, random_invertible
+from polegeom.projective import (
+    num_projective_points,
+    projective_point_at,
+    projective_points,
+    subspace_rref,
+)
 
 
 def test_backend_reports_name():
@@ -81,6 +87,36 @@ def test_scan_matches_reference(p, n):
         assert pieces[1] == ([], [], [] if want_kernels else None)
         for part in range(2 + want_kernels):
             assert [x for piece in pieces for x in piece[part]] == want[part]
+
+
+def _random_rows(rng, nrows, ncols, p):
+    return [[rng.randrange(-p, 2 * p) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 211])
+def test_kernel_mod_p_matches_field_route(p):
+    """kernel_mod_p is the reduced echelon basis of the kernel, as the Field
+    route computes it: the scan's reference stands on this oracle."""
+    rng = random.Random(p)
+    field = GF(p)
+    shapes = [(4, 4), (5, 5), (3, 6), (2, 7), (6, 3), (7, 2), (1, 5), (5, 1)]
+    cases = [_random_rows(rng, r, c, p) for r, c in shapes for _ in range(15)]
+    # rank deficient: a product through an inner dimension below both sides
+    for r, k, c in ((5, 2, 6), (6, 3, 4), (4, 1, 4), (7, 4, 7)):
+        for _ in range(10):
+            left, right = _random_rows(rng, r, k, p), _random_rows(rng, k, c, p)
+            cases.append(
+                [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+            )
+    cases += [[[0] * c for _ in range(r)] for r, c in ((3, 5), (1, 1), (4, 2))]
+    cases += [[list(row) for row in random_invertible(field, m, rng).rows] for m in (1, 3, 6)]
+    for rows in cases:
+        _, kernel = Matrix(field, rows).rank_and_kernel()
+        want = list(subspace_rref(field, kernel)) if kernel else []
+        basis = kernels.kernel_mod_p(rows, p)
+        assert basis == want, rows
+        for vec in basis:
+            assert all(sum(a * x for a, x in zip(row, vec)) % p == 0 for row in rows)
 
 
 def test_scan_rejects_non_alternating_cube():

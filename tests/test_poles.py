@@ -12,7 +12,6 @@ from polegeom.linalg import Matrix, random_invertible
 from polegeom.poles import (
     BudgetExceededError,
     VarietyError,
-    _lines_at,
     _pole_variety,
     _radical_lines,
     _zero_set_matches,
@@ -153,8 +152,8 @@ def test_report_columns(tag, p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_degree_laws(p):
     """degree = (n-1) - rank(M_u) = dim Rad(chi_u) - 1, with parity n-1;
-    the report's radical is the Field kernel of M_u at a pole and None at
-    degree 0."""
+    the report's radical is the reduced echelon basis of the Field kernel
+    of M_u at a pole and None at degree 0."""
     field = GF(p)
     for tag, _, lam in desk_instances((field,)):
         h = catalog_form(tag, field, param=lam)
@@ -168,7 +167,7 @@ def test_degree_laws(p):
             assert deg == len(kernel) - 1
             assert deg % 2 == (n - 1) % 2
             if deg:
-                assert tuple(radical) == tuple(kernel)
+                assert tuple(radical) == subspace_rref(field, kernel)
             else:
                 assert radical is None
             # the point itself lies in the radical of its contraction
@@ -428,7 +427,8 @@ def test_methods_agree(tag, lam, p):
 )
 def test_radical_lines_match_lines_through_each_pole(tag, lam, p):
     """The lines built at their least pole are exactly the lines through
-    every pole, each once: the same scan, an independent route."""
+    every pole, each once: lines_through_point is an independent route,
+    which reads no scan."""
     field = GF(p)
     h = catalog_form(tag, field, param=lam)
     h = h.pullback(random_invertible(field, h.n, random.Random(f"{tag}/{p}")))
@@ -436,10 +436,10 @@ def test_radical_lines_match_lines_through_each_pole(tag, lam, p):
     if tag == "T7":
         assert {2, 4} <= set(report.histogram)
     bases = {
-        b
-        for u, deg, radical in zip(report.points, report.degrees, report.radicals)
+        line.basis
+        for u, deg in zip(report.points, report.degrees)
         if deg
-        for b in _lines_at(p, u, radical)
+        for line in lines_through_point(h, u)
     }
     expected = sorted(PluckerLine(basis=b, wedge=wedge2_coordinates(field, *b)) for b in bases)
     assert expected
@@ -479,6 +479,48 @@ def test_line_assembly_stays_on_ints(monkeypatch, call):
     forbid_everywhere(monkeypatch, "wedge2_coordinates")
     forbid_everywhere(monkeypatch, "_line_rref")
     call()
+
+
+def test_report_reads_radicals_as_scanned(monkeypatch):
+    """The scan hands each radical over in reduced echelon form, so the
+    report reduces none of them again."""
+    h = catalog_form("T7", GF(3))
+    want = full_report(h)
+    assert {2, 4} <= {int(d) for d in want["histogram"]}
+    forbid_everywhere(monkeypatch, "_rref_mod_p")
+    assert full_report(h) == want
+
+
+def test_lines_through_point_stays_on_ints(monkeypatch):
+    """lines_through_point takes M_u and its kernel on ints mod p, for
+    canonical and scaled points alike."""
+    field = GF(5)
+    h = catalog_form("T7", field)
+    # degrees 4 (on the conic), 2 (scaled), 2 (in the vertex plane, off
+    # the conic) and 0
+    points = [
+        (0, 1, 0, 0, 0, 0, 0),
+        (0, 0, 0, 2, 0, 0, 0),
+        (2, 1, 1, 0, 0, 0, 0),
+        (0, 0, 0, 3, 0, 4, 0),
+    ]
+    want = [lines_through_point(h, u) for u in points]
+    assert [len(lines) for lines in want] == [156, 6, 6, 0]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Field arithmetic in lines_through_point")
+
+    for name in ("add", "sub", "mul", "inv"):
+        monkeypatch.setattr(GF, name, forbidden)
+    assert [lines_through_point(h, u) for u in points] == want
+
+
+def test_lines_through_point_rejects_bad_points():
+    h = catalog_form("T7", GF(3))
+    with pytest.raises(ValueError, match="^zero vector has no degree$"):
+        lines_through_point(h, (0,) * 7)
+    with pytest.raises(ValueError, match="^point must have length 7$"):
+        lines_through_point(h, (1, 0, 0))
 
 
 @pytest.mark.parametrize(
