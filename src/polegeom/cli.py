@@ -27,7 +27,6 @@ from .poles import (
     enumerate_upper_radical,
     full_report,
     lines_through_point,
-    point_degree,
     pole_variety,
     symbolic_matrix,
     upper_radical_system,
@@ -187,7 +186,10 @@ def _cmd_radical_lines(args) -> int:
     if args.point:
         u = _parse_vector(args.point, field, form.n)
         lines = lines_through_point(hf, u)
-        delta, _ = point_degree(hf, u)
+        # degree d <=> (p^d - 1)/(p - 1) lines, strictly increasing in d
+        delta = on = 0
+        while on < len(lines):
+            delta, on = delta + 1, on * field.p + 1
         payload = {
             "form": form.label or "file",
             "point": [field.format(x) for x in u],

@@ -10,13 +10,13 @@ a deterministic fingerprint used as a near-equivalence proxy.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .constructions import BilinearAltForm
 from .fields import GF, Field
 from .forms import TriForm
-from .kernels import _inverse_table, _rref_mod_p
+from .kernels import _inverse_table, _rref_mod_p, kernel_mod_p
 from .poles import (
     _line_bases,
     _line_rref,
@@ -32,12 +32,12 @@ from .projective import (
     span_points_mod_p,
     wedge2_mod_p,
 )
-from .linalg import solve_homogeneous
 
 
 @dataclass
 class IncidenceStructure:
-    """Poles and upper-radical lines with exact incidence."""
+    """Poles and upper-radical lines with exact incidence; both incidence
+    maps are derived from the lines on construction (and on replace)."""
 
     field: GF
     n: int
@@ -45,9 +45,23 @@ class IncidenceStructure:
     # every point of PG(n-1, p), degree 0 included, in canonical order
     degrees: Dict[Vector, int]
     lines: Tuple[PluckerLine, ...]
-    points_by_line: Tuple[Tuple[Vector, ...], ...]
-    lines_by_point: Dict[Vector, Tuple[int, ...]]
+    points_by_line: Tuple[Tuple[Vector, ...], ...] = dc_field(init=False)
+    lines_by_point: Dict[Vector, Tuple[int, ...]] = dc_field(init=False)
     label: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        p = self.field.p
+        # the points of each line from its reduced-echelon basis (r1, r2),
+        # in the order span_points gives: r1 + t*r2 for t = 0..p-1, then r2
+        self.points_by_line = tuple(
+            tuple(tuple((a + t * b) % p for a, b in zip(r1, r2)) for t in range(p)) + (r2,)
+            for r1, r2 in (line.basis for line in self.lines)
+        )
+        lines_by_point: Dict[Vector, List[int]] = {}
+        for idx, pts in enumerate(self.points_by_line):
+            for pt in pts:
+                lines_by_point.setdefault(pt, []).append(idx)
+        self.lines_by_point = {k: tuple(v) for k, v in lines_by_point.items()}
 
     def line_count_histogram(self) -> Dict[int, int]:
         counts = Counter(len(self.lines_by_point.get(pt, ())) for pt in self.points)
@@ -69,25 +83,12 @@ def build_geometry(
     lines = tuple(_radical_lines(report))
     degrees = dict(zip(report.points, report.degrees))
     points = tuple(u for u, deg in zip(report.points, report.degrees) if deg >= 1)
-    p = field.p
-    # the points of each line from its reduced-echelon basis (r1, r2), in
-    # the order span_points gives: r1 + t*r2 for t = 0..p-1, then r2
-    points_by_line = tuple(
-        tuple(tuple((a + t * b) % p for a, b in zip(r1, r2)) for t in range(p)) + (r2,)
-        for r1, r2 in (line.basis for line in lines)
-    )
-    lines_by_point: Dict[Vector, List[int]] = {}
-    for idx, pts in enumerate(points_by_line):
-        for pt in pts:
-            lines_by_point.setdefault(pt, []).append(idx)
     return IncidenceStructure(
         field=field,
         n=hf.n,
         points=points,
         degrees=degrees,
         lines=lines,
-        points_by_line=points_by_line,
-        lines_by_point={k: tuple(v) for k, v in lines_by_point.items()},
         label=h.label,
     )
 
@@ -126,7 +127,6 @@ def normal_spread_check(geom: IncidenceStructure) -> bool:
     lines = geom.lines
     count = len(lines)
     expected = q * q + 1
-    span_size = num_projective_points(q, 4)
     masks = [1 << i for i in range(count)]  # pair (i, j) done when bit j of masks[i]
     full = (1 << count) - 1
     for i in range(count):
@@ -140,7 +140,7 @@ def normal_spread_check(geom: IncidenceStructure) -> bool:
             members = {geom.lines_by_point[pt][0] for pt in span_points_mod_p(q, basis)}
             # q^2+1 pairwise disjoint lines of q+1 points cover the span
             # exactly; more distinct lines means some line exits the span
-            if len(members) != expected or (expected * (q + 1)) != span_size:
+            if len(members) != expected:
                 return False
             group = 0
             for m in members:
@@ -165,16 +165,18 @@ def polar_space_lines(
     """Lines inside the carrier subspace, totally isotropic for beta, and
     meeting the apex subspace non-trivially when one is given.
 
-    The carrier's lines are walked as coefficient pairs (s, t) over a basis
-    b_1..b_m of it, on ints mod p: beta and the apex equations are first
-    restricted to that basis, so both tests are read off s and t, and the
-    line [x, y], x = sum s_a b_a, y = sum t_a b_a, is built only when kept.
+    The carrier's lines are walked as reduced coefficient pairs (s, t) over
+    its reduced-echelon basis b_1..b_m from ``kernel_mod_p``, on ints mod p:
+    beta and the apex equations are first restricted to that basis, so both
+    tests are read off s and t, and the line [x, y], x = sum s_a b_a,
+    y = sum t_a b_a, is built only when kept, already reduced by the
+    argument of ``span_points_mod_p``.
     """
-    basis = solve_homogeneous(field, [list(e) for e in carrier_eqs], n)
+    p = field.p
+    basis = kernel_mod_p([list(e) for e in carrier_eqs] or [[0] * n], p)
     m = len(basis)
     if m < 2:
         return []
-    p = field.p
     # beta(x, y) = sum over a < b of beta(b_a, b_b) * (s_a t_b - s_b t_a)
     gram = [
         (a, b, beta.evaluate(basis[a], basis[b]))
@@ -201,11 +203,9 @@ def polar_space_lines(
                 for j in range(i + 1, len(apex))
             ):
                 continue
-        x = [sum(c * vec[k] for c, vec in zip(s, basis)) % p for k in range(n)]
-        y = [sum(c * vec[k] for c, vec in zip(t, basis)) % p for k in range(n)]
-        lead = pow(next(v for v in x if v), p - 2, p)
-        r1, r2 = _line_rref(p, tuple(v * lead % p for v in x), y)
-        out.append(PluckerLine(basis=(r1, r2), wedge=wedge2_mod_p(p, r1, r2)))
+        x = tuple(sum(c * vec[k] for c, vec in zip(s, basis)) % p for k in range(n))
+        y = tuple(sum(c * vec[k] for c, vec in zip(t, basis)) % p for k in range(n))
+        out.append(PluckerLine(basis=(x, y), wedge=wedge2_mod_p(p, x, y)))
     return sorted(out)
 
 
@@ -280,21 +280,14 @@ class ConeReport:
         )
 
 
-def _plane_lines(p: int, plane_basis: Sequence[Vector]) -> Set[PluckerLine]:
-    """The lines of a plane mod p, from its reduced-echelon basis b_1..b_3.
-
-    Each reduced-echelon coefficient pair (s, t) of a line of PG(2, p)
-    gives x = sum s_a b_a and y = sum t_a b_a, and (x, y) is already the
-    reduced basis of its line, by the argument of ``span_points_mod_p``:
-    at the pivot columns of the b_a, x and y read the entries of s and t.
-    """
-    n = len(plane_basis[0])
-    out: Set[PluckerLine] = set()
-    for s, t in _line_bases(p, 3):
-        x = tuple(sum(c * b[k] for c, b in zip(s, plane_basis)) % p for k in range(n))
-        y = tuple(sum(c * b[k] for c, b in zip(t, plane_basis)) % p for k in range(n))
-        out.add(PluckerLine(basis=(x, y), wedge=wedge2_mod_p(p, x, y)))
-    return out
+def _lines_inside(geom: IncidenceStructure, plane_points: Sequence[Vector]) -> Set[int]:
+    """The ids of the lines of ``geom`` inside a plane, from its points: a
+    line meeting the plane twice lies in it, so each id counts 0, 1 or p+1."""
+    counts: Counter = Counter()
+    for pt in plane_points:
+        counts.update(geom.lines_by_point.get(pt, ()))
+    full = geom.field.p + 1
+    return {idx for idx, c in counts.items() if c == full}
 
 
 def _pencil_plane(geom: IncidenceStructure, u: Vector) -> Tuple[Vector, ...]:
@@ -339,28 +332,28 @@ def cone_structure_check(geom: IncidenceStructure, h: TriForm) -> ConeReport:
     # contains a degree-2 point p must equal the pencil plane [Rad(chi_p)],
     # so the pencil planes (plus any plane of degree-4 points, none here:
     # the degree-4 locus is a conic) exhaust the candidates.
-    line_set = set(geom.lines)
     conic_set = set(conic)
     witness = None
     # the pencil plane of each degree-2 pole, read again in (d)
     pencils = {pt: _pencil_plane(geom, pt) for pt in geom.points if geom.degrees[pt] == 2}
     meets_conic: Dict[Tuple, bool] = {}
-    covered: Set[PluckerLine] = set()
+    covered: Set[int] = set()
     for basis in pencils.values():
         if basis in meets_conic:
             continue
-        meets_conic[basis] = not conic_set.isdisjoint(span_points_mod_p(p, basis))
+        plane = span_points_mod_p(p, basis)
+        meets_conic[basis] = not conic_set.isdisjoint(plane)
         if meets_conic[basis]:
-            plane_lines = _plane_lines(p, basis)
-            if plane_lines <= line_set:
-                covered.update(plane_lines)
-    uncovered = line_set - covered
+            inside = _lines_inside(geom, plane)
+            if len(inside) == p * p + p + 1:
+                covered |= inside
+    uncovered = len(geom.lines) - len(covered)
     line_planes_ok = not uncovered
     if uncovered:
+        least = min(line for idx, line in enumerate(geom.lines) if idx not in covered)
         witness = (
-            f"{len(uncovered)} of {len(line_set)} radical lines lie in no "
-            f"fully-radical plane through a conic point, e.g. "
-            f"{sorted(uncovered)[0].basis}"
+            f"{uncovered} of {len(geom.lines)} radical lines lie in no "
+            f"fully-radical plane through a conic point, e.g. {least.basis}"
         )
     # (d) poles off the vertex plane have degree 2 and their pencil plane
     # meets the conic
@@ -479,7 +472,7 @@ def t11_structure_check(geom: IncidenceStructure, h: TriForm) -> T11Report:
     e7 = (0,) * (n - 1) + (1,)
     degree4 = [pt for pt in geom.points if geom.degrees[pt] == 4]
     unique_degree4_ok = degree4 == [e7]
-    planes: Dict[Tuple, Set] = {}
+    planes: Dict[Tuple, List[Vector]] = {}
     witness = None
     partition_ok = True
     for pt in geom.points:
@@ -492,7 +485,7 @@ def t11_structure_check(geom: IncidenceStructure, h: TriForm) -> T11Report:
             break
         basis = _pencil_plane(geom, pt)
         if basis not in planes:
-            planes[basis] = set(span_points_mod_p(p, basis))
+            planes[basis] = span_points_mod_p(p, basis)
     if partition_ok:
         covered: Counter = Counter()
         for basis, pts in planes.items():
@@ -507,10 +500,10 @@ def t11_structure_check(geom: IncidenceStructure, h: TriForm) -> T11Report:
                 partition_ok = False
                 witness = "pencil planes do not partition the residue"
     if partition_ok:
-        expected_lines: Set[PluckerLine] = set()
-        for basis in planes:
-            expected_lines.update(_plane_lines(p, basis))
-        if set(geom.lines) != expected_lines:
+        # every line of each plane is radical, and every radical line is in one
+        inside = [_lines_inside(geom, pts) for pts in planes.values()]
+        all_radical = all(len(ids) == p * p + p + 1 for ids in inside)
+        if not all_radical or len(set().union(*inside)) != len(geom.lines):
             partition_ok = False
             witness = "upper radical differs from the union of pencil planes"
     return T11Report(
@@ -539,7 +532,12 @@ def t4_line_check(geom: IncidenceStructure) -> T4Report:
     n = geom.n
     if n != 6:
         raise ValueError("T4 check applies to n = 6")
-    expected = _plane_lines(p, [unit_equation(n, i) for i in (4, 5, 6)])
+    # the lines of V1 = <e4, e5, e6>: the lines of PG(2, p) after three zeros
+    zero = (0, 0, 0)
+    expected = {
+        PluckerLine(basis=(zero + s, zero + t), wedge=wedge2_mod_p(p, zero + s, zero + t))
+        for s, t in _line_bases(p, 3)
+    }
     for a in span_points_mod_p(p, [unit_equation(n, i) for i in (1, 2, 3)]):
         omega_a = a[3:] + a[:3]
         for code in range(p**3):

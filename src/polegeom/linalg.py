@@ -355,16 +355,6 @@ def _det_cofactor(m: PolyMatrix) -> MultiPoly:
     return rec(0, tuple(range(n)))
 
 
-def solve_homogeneous(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int):
-    """Reduced-echelon kernel basis of a (possibly empty) system of rows."""
-    if not rows:
-        return [
-            tuple(field.one if i == j else field.zero for j in range(ncols))
-            for i in range(ncols)
-        ]
-    return Matrix(field, rows).rank_and_kernel()[1]
-
-
 def random_matrix(field: Field, n: int, rng) -> Matrix:
     """Uniform random n x n matrix (entries from a bounded box over Q)."""
     if field.is_finite:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import forbid_everywhere
 from polegeom.cli import main
 
 
@@ -365,6 +366,20 @@ def test_golden_outputs(capsys, name):
     code, out, _ = run_cli(capsys, *argv)
     assert code == want_code
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def test_radical_lines_point_reads_degree_off_line_count(capsys, monkeypatch):
+    """`radical-lines --point` gives the three point goldens with the
+    Field-based ``point_degree`` made to raise: the degree is read off the
+    number of lines through the point."""
+    forbid_everywhere(monkeypatch, "point_degree")
+    names = sorted(name for name in GOLDEN_CASES if name.startswith("radical-lines-point_"))
+    assert len(names) == 3
+    for name in names:
+        argv, want_code = GOLDEN_CASES[name]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == want_code
+        assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
 def _record_golden() -> None:

@@ -12,7 +12,8 @@ from polegeom.fields import GF
 from polegeom.forms import catalog_form
 from polegeom.geometry import (
     POLAR_CONFIGS,
-    _plane_lines,
+    _lines_inside,
+    _pencil_plane,
     build_geometry,
     cone_structure_check,
     expected_polar_lines,
@@ -22,6 +23,7 @@ from polegeom.geometry import (
     lines_are_poles,
     normal_spread_check,
     polar_space_check,
+    polar_space_lines,
     spread_check,
     t4_line_check,
     t11_structure_check,
@@ -30,7 +32,13 @@ from polegeom.geometry import (
 )
 from polegeom.linalg import Matrix, random_invertible
 from polegeom.poles import _all_lines
-from polegeom.projective import PluckerLine, projective_points, subspace_rref
+from polegeom.projective import (
+    PluckerLine,
+    projective_points,
+    span_points,
+    span_points_mod_p,
+    subspace_rref,
+)
 
 
 def test_build_geometry_t9_counts():
@@ -88,11 +96,7 @@ def test_perturbed_spread_rejected():
     other = PluckerLine.from_pair(field, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
     assert other not in set(geom.lines)
     lines = (other,) + tuple(geom.lines[1:])
-    perturbed = dataclasses.replace(
-        geom,
-        lines=lines,
-        points_by_line=tuple(tuple(l.points(field)) for l in lines),
-    )
+    perturbed = dataclasses.replace(geom, lines=lines)
     assert not spread_check(perturbed).is_spread
     with pytest.raises(ValueError):
         normal_spread_check(perturbed)
@@ -101,7 +105,7 @@ def test_perturbed_spread_rejected():
 def _regulus_switched(geom):
     """The spread with the regulus through three of its lines in the span of
     its first two replaced by the opposite regulus: still a spread, but no
-    longer normal.  Both incidence maps are rebuilt for the new lines."""
+    longer normal."""
     field = geom.field
 
     def rank(rows):
@@ -123,14 +127,26 @@ def _regulus_switched(geom):
     regulus = set(transversals(*opposite[:3]))
     assert regulus <= set(geom.lines)
     lines = tuple(l for l in geom.lines if l not in regulus) + tuple(opposite)
-    points_by_line = tuple(tuple(l.points(field)) for l in lines)
-    lines_by_point = {}
-    for idx, pts in enumerate(points_by_line):
+    return dataclasses.replace(geom, lines=lines)
+
+
+def test_incidence_maps_follow_the_lines():
+    """The maps are derived from the lines: ``replace`` rebuilds them for new
+    lines and refuses them as arguments."""
+    field = GF(3)
+    geom = build_geometry(catalog_form("T7", field))
+    lines = geom.lines[::-1][:50]
+    moved = dataclasses.replace(geom, lines=lines)
+    points = [line.points(field) for line in lines]
+    assert [sorted(pts) for pts in moved.points_by_line] == [sorted(pts) for pts in points]
+    want = {}
+    for idx, pts in enumerate(points):
         for pt in pts:
-            lines_by_point[pt] = lines_by_point.get(pt, ()) + (idx,)
-    return dataclasses.replace(
-        geom, lines=lines, points_by_line=points_by_line, lines_by_point=lines_by_point
-    )
+            want[pt] = want.get(pt, ()) + (idx,)
+    assert moved.lines_by_point == want
+    for name in ("lines_by_point", "points_by_line"):
+        with pytest.raises(ValueError):
+            dataclasses.replace(geom, **{name: {}})
 
 
 @pytest.mark.parametrize("tag,p,lam", [("T10_2", 2, 1), ("T10_1", 3, 2)])
@@ -265,7 +281,8 @@ def test_t11_check_rejects_wrong_dimension():
 )
 def test_checks_stay_on_ints(monkeypatch, check, tag, lam):
     """Once the geometry is built, the cone, t11 and t4 checks read it on
-    ints mod p: no GF arithmetic, no Field-based radical, span or line."""
+    ints mod p: no GF arithmetic, no Field-based radical, span or line, and
+    the cone and t11 checks construct no line at all."""
     field = GF(3)
     h = catalog_form(tag, field, param=lam)
     geom = build_geometry(h)
@@ -282,6 +299,9 @@ def test_checks_stay_on_ints(monkeypatch, check, tag, lam):
     for name in ("of", "add", "sub", "mul", "neg", "inv"):
         monkeypatch.setattr(GF, name, forbidden)
     monkeypatch.setattr(PluckerLine, "from_pair", forbidden)
+    if check != "t4":
+        # the cone and t11 checks read containment off the line ids
+        monkeypatch.setattr(PluckerLine, "__init__", forbidden)
     forbid_everywhere(monkeypatch, "point_degree")
     forbid_everywhere(monkeypatch, "span_points")
     assert run() == want
@@ -354,6 +374,16 @@ def test_t11_structure(tag, p, lam):
     assert report.unique_degree4_ok
     assert report.partition_ok
     assert report.passed
+
+
+def test_t11_check_refutes_a_missing_line():
+    """With one radical line taken out, its pencil plane is no longer made
+    entirely of radical lines, and the t11 check says so."""
+    h = catalog_form("T11_1", GF(3), param=2)
+    geom = build_geometry(h)
+    report = t11_structure_check(dataclasses.replace(geom, lines=geom.lines[1:]), h)
+    assert not report.partition_ok
+    assert report.witness == "upper radical differs from the union of pencil planes"
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -458,9 +488,9 @@ def test_fingerprint_counts_match_assembled_lines(tag, field, lam, pulled):
 
 
 def _plane_lines_by_field(field, rows):
-    """The Field route that ``_plane_lines`` replaced: each line of PG(2, p)
-    combined over the plane's rows with Field operations, then reduced by
-    ``PluckerLine.from_pair``."""
+    """The lines of the plane spanned by ``rows`` by the Field route: each
+    line of PG(2, p) combined over the rows with Field operations, then
+    reduced by ``PluckerLine.from_pair``."""
     n = len(rows[0])
 
     def combine(coeffs):
@@ -477,18 +507,103 @@ def _plane_lines_by_field(field, rows):
     }
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_plane_lines_match_field_route(p):
-    """60 random planes per prime: the integer lines of the reduced basis
-    equal the Field route's lines of the unreduced spanning rows."""
+def _random_planes(p, count):
+    """``count`` seeded random planes of PG(6, p) as (reduced basis, rows)."""
     rng = random.Random(1000 + p)
     field = GF(p)
-    for _ in range(60):
-        n = rng.randint(3, 8)
-        basis = ()
-        while len(basis) != 3:
-            rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(3)]
-            basis = subspace_rref(field, rows)
-        got = _plane_lines(p, basis)
-        assert len(got) == p * p + p + 1
-        assert got == _plane_lines_by_field(field, rows)
+    out = []
+    while len(out) < count:
+        rows = [tuple(rng.randrange(p) for _ in range(7)) for _ in range(3)]
+        basis = subspace_rref(field, rows)
+        if len(basis) == 3:
+            out.append((basis, rows))
+    return out
+
+
+LINES_INSIDE_CASES = [
+    ("T5", 3, None, "pencils"),
+    ("T7", 3, None, "pencils"),
+    ("T9", 3, None, "pencils"),
+    ("T11_1", 3, 2, "pencils"),
+    ("T7", 2, None, "pencils"),
+    ("T7", 2, None, "random"),
+    ("T7", 3, None, "random"),
+]
+
+
+@pytest.mark.parametrize(
+    "tag, p, lam, planes",
+    LINES_INSIDE_CASES,
+    ids=[f"{planes}-{tag}-gf{p}" for tag, p, lam, planes in LINES_INSIDE_CASES],
+)
+def test_lines_inside_matches_field_route(tag, p, lam, planes):
+    """The lines counted p+1 times over a plane's points are the radical
+    lines among the Field route's lines of the plane: on the pencil plane
+    of every degree-2 pole, and on 60 seeded random planes of PG(6, p)."""
+    field = GF(p)
+    geom = build_geometry(catalog_form(tag, field, param=lam))
+    if planes == "pencils":
+        bases = {_pencil_plane(geom, u) for u in geom.points if geom.degrees[u] == 2}
+        cases = [(basis, basis) for basis in sorted(bases)]
+        assert cases
+    else:
+        cases = _random_planes(p, 60)
+    for basis, rows in cases:
+        want = _plane_lines_by_field(field, rows)
+        got = _lines_inside(geom, span_points_mod_p(p, basis))
+        assert got == {i for i, line in enumerate(geom.lines) if line in want}
+
+
+def _polar_cases():
+    """Seeded random (beta, carrier, apex) inputs over GF(2), GF(3) and
+    GF(5), n from 3 to 6 (to 5 over GF(5)), plus an all-zero carrier row,
+    an empty carrier and cases with no apex."""
+    rng = random.Random(4242)
+    cases = []
+    for p, top in ((2, 6), (3, 6), (5, 5)):
+        for n in range(3, top + 1):
+            for k in range(3):
+                beta = {
+                    (j, l): rng.randrange(p)
+                    for j in range(1, n + 1)
+                    for l in range(j + 1, n + 1)
+                }
+                carrier = [
+                    [rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(0, 2))
+                ]
+                if k == 1:
+                    carrier.append([0] * n)
+                apex = (
+                    None
+                    if k == 2
+                    else [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+                )
+                cases.append((p, n, beta, carrier, apex))
+    return cases
+
+
+POLAR_CASES = _polar_cases()
+
+
+@pytest.mark.parametrize(
+    "p, n, beta, carrier, apex",
+    POLAR_CASES,
+    ids=[f"gf{c[0]}-n{c[1]}-{i}" for i, c in enumerate(POLAR_CASES)],
+)
+def test_polar_space_lines_by_definition(p, n, beta, carrier, apex):
+    """Every line of PG(n-1, p) inside the carrier, isotropic for beta and
+    with a point on the apex, and no other, in sorted order."""
+    field = GF(p)
+    form = BilinearAltForm(n, field, beta)
+
+    def zero_on(eqs, vec):
+        return all(sum(e * x for e, x in zip(eq, vec)) % p == 0 for eq in eqs)
+
+    want = sorted(
+        line
+        for line in _all_lines(field, n)
+        if all(zero_on(carrier, row) for row in line.basis)
+        and form.evaluate(*line.basis) == field.zero
+        and (apex is None or any(zero_on(apex, pt) for pt in span_points(field, list(line.basis))))
+    )
+    assert polar_space_lines(field, n, form, carrier, apex) == want
