@@ -561,8 +561,9 @@ def t4_line_check(geom: IncidenceStructure) -> T4Report:
 class GeometryFingerprint:
     """Deterministic near-equivalence proxy for a form over a finite field.
 
-    Every field is read off one scan of the point degrees: the pole count
-    and degree histogram directly, the line counts by the closed form in
+    Every field is read off one scan of the point degrees: the rank from
+    the number of points of degree n-1, the pole count and degree
+    histogram directly, the line counts by the closed form in
     ``fingerprint``, and the variety degree by checking each principal-
     Pfaffian candidate against the scanned degrees."""
 
@@ -616,10 +617,25 @@ def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> Geometry
     has p+1 points, all poles, so the line count is the sum of these over
     the poles divided by p+1.  ``build_geometry`` assembles the same lines
     one by one, and the tests hold the two counts equal.
+
+    The rank is n - r with r = dim Rad(h): u lies in Rad(h) exactly when
+    M_u = 0, that is when [u] has degree n-1, so the scan finds the
+    (p^r - 1)/(p - 1) points of PG(Rad(h)) at that degree.
     """
     hf = h if h.field == field else h.reduce_mod(field)
     report = enumerate_poles(hf, field, budget=budget, with_radicals=False)
-    p = field.p
+    p, n = field.p, hf.n
+    radical_points = report.histogram.get(n - 1, 0)
+    r = count = 0
+    while count < radical_points:
+        r, count = r + 1, count * p + 1
+    if count != radical_points:
+        raise RuntimeError(
+            f"{radical_points} points of degree {n - 1} for {h.label or h!r} over "
+            f"{field!r} are not a projective space: the scan's degrees are inconsistent"
+        )
+    if r == n:
+        raise ValueError("zero form has no rank")
     deg_hist = {d: c for d, c in report.histogram.items() if d >= 1}
     lines_per_point: Counter = Counter()
     for d, c in deg_hist.items():
@@ -631,8 +647,8 @@ def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> Geometry
             f"a multiple of {p + 1}: the scan's degrees are inconsistent"
         )
     return GeometryFingerprint(
-        rank=hf.rank(),
-        n=hf.n,
+        rank=n - r,
+        n=n,
         pole_count=sum(deg_hist.values()),
         degree_histogram=tuple(sorted(deg_hist.items())),
         line_count=line_count,

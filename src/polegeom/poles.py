@@ -5,7 +5,11 @@ For a form h on K^n and a point u, the contraction M_u has entries
 M_u[j,k] = sum_i u_i * h(e_i, e_j, e_k); the degree of [u] is
 (n-1) - rank(M_u) and [u] is a pole when the degree is positive.  For
 odd n the pole set is cut out by stripping powers of u_i from the
-Pfaffian of the i-th principal submatrix of the symbolic M_u.
+Pfaffian of the i-th principal submatrix of the symbolic M_u.  These n
+Pfaffians are one polynomial: the signed sub-Pfaffian vector of an odd
+alternating matrix lies in its kernel (Buchsbaum-Eisenbud) and M_u u = 0,
+so Pf(M_u^(i)) = (-1)^(i+1) u_i G(u) over every field, and only
+Pf(M_u^(1)) is expanded.
 """
 
 from __future__ import annotations
@@ -65,20 +69,17 @@ def symbolic_matrix(h: TriForm) -> PolyMatrix:
     if h.is_zero():
         raise ValueError("zero form has no contraction matrix")
     n, F = h.n, h.field
-    entries = [[MultiPoly.zero(n, F) for _ in range(n)] for _ in range(n)]
+    units = [tuple(int(v == w) for w in range(n)) for v in range(n)]
+    terms: List[List[Dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for (i, j, k), c in h.coeffs.items():
-        # contributions of coefficient c on the sorted triple (i, j, k):
-        # M[j,k] += c*u_i, M[i,k] -= c*u_j, M[i,j] += c*u_k, antisymmetric
-        for (a, b, v, s) in (
-            (j, k, i, 1),
-            (i, k, j, -1),
-            (i, j, k, 1),
-        ):
-            coeff = c if s > 0 else F.neg(c)
-            mono = MultiPoly.variable(n, F, v).scale(coeff)
-            entries[a - 1][b - 1] = entries[a - 1][b - 1] + mono
-            entries[b - 1][a - 1] = entries[b - 1][a - 1] - mono
-    return PolyMatrix(F, n, entries)
+        # coefficient c on the sorted triple (i, j, k) gives M[j,k] = c*u_i,
+        # M[i,k] = -c*u_j, M[i,j] = c*u_k, antisymmetric; each (entry,
+        # variable) pair comes from exactly one triple, so it is set once
+        neg = F.neg(c)
+        for (a, b, v, x, y) in ((j, k, i, c, neg), (i, k, j, neg, c), (i, j, k, c, neg)):
+            terms[a - 1][b - 1][units[v - 1]] = x
+            terms[b - 1][a - 1][units[v - 1]] = y
+    return PolyMatrix(F, n, [[MultiPoly(n, F, t) for t in row] for row in terms])
 
 
 def contraction_matrix(h: TriForm, u: Sequence[Scalar]) -> Matrix:
@@ -190,13 +191,31 @@ class VarietyResult:
 
 
 def variety_candidates(h: TriForm) -> Dict[int, Tuple[MultiPoly, int, MultiPoly]]:
-    """All nonzero principal-Pfaffian candidates i -> (d_i, alpha_i, g_i)."""
-    sym = symbolic_matrix(h)
+    """All nonzero principal-Pfaffian candidates i -> (d_i, alpha_i, g_i),
+    from one Pfaffian.
+
+    For odd n the signed sub-Pfaffian vector of M_u spans its kernel where
+    rank M_u = n-1 and vanishes elsewhere (Buchsbaum-Eisenbud), and
+    M_u u = 0, so Pf(M_u^(i)) = (-1)^(i+1) u_i G(u) for one polynomial G,
+    over every field.  G is read off Pf(M_u^(1)) = u_1 G, and every d_i is
+    rebuilt from it: alpha_i = 1 + v_i(G) and g_i = +-G / u_i^(v_i(G)).
+    The candidates are therefore all of 1..n or none (G = 0, every point a
+    pole; also every even n).
+    """
+    n, F = h.n, h.field
+    first = pfaffian(symbolic_matrix(h).principal_delete(1))
+    if first.is_zero():
+        return {}
+    if any(e[0] == 0 for e in first.terms):
+        raise RuntimeError(
+            f"Pf(M_u^(1)) of {h.label or h!r} is not divisible by u_1: "
+            "the sub-Pfaffian identity is broken"
+        )
+    g_terms = [((e[0] - 1,) + e[1:], c) for e, c in first.terms.items()]
     out: Dict[int, Tuple[MultiPoly, int, MultiPoly]] = {}
-    for i in range(1, h.n + 1):
-        d = pfaffian(sym.principal_delete(i))
-        if d.is_zero():
-            continue
+    for i in range(1, n + 1):
+        lift = {e[: i - 1] + (e[i - 1] + 1,) + e[i:]: c for e, c in g_terms}
+        d = MultiPoly(n, F, lift if i % 2 else {e: F.neg(c) for e, c in lift.items()})
         alpha, g = strip_variable_power(d, i)
         out[i] = (d, alpha, g)
     return out
@@ -299,8 +318,6 @@ def _pole_variety(
         # with u_i != 0, then rank M_u = rank M_u^(i) <= n-3, a pole
         return VarietyResult(all_points=True)
     order = [i] if i is not None else sorted(candidates)
-    if i is not None and i not in candidates:
-        raise VarietyError(f"index {i} has identically zero Pfaffian")
     finite = isinstance(h.field, GF)
     check_field: Optional[GF] = h.field if finite else verify_field
     if check_field is not None and report is None:

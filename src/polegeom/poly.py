@@ -42,14 +42,6 @@ class MultiPoly:
         c = field.of(c)
         return cls(nvars, field, {(0,) * nvars: c} if c != field.zero else {})
 
-    @classmethod
-    def variable(cls, nvars: int, field: Field, index: int) -> "MultiPoly":
-        """The variable u_index (1-based)."""
-        if not 1 <= index <= nvars:
-            raise IndexError(f"variable index {index} out of range 1..{nvars}")
-        exps = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return cls(nvars, field, {exps: field.one})
-
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -128,11 +120,6 @@ class MultiPoly:
                 else:
                     out[e] = s
         return MultiPoly(self.nvars, F, out)
-
-    def scale(self, c) -> "MultiPoly":
-        F = self.field
-        c = F.of(c)
-        return MultiPoly(self.nvars, F, {e: F.mul(k, c) for e, k in self.terms.items()})
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         """Exact evaluation at a point of length nvars."""

@@ -1,9 +1,10 @@
 """Shared test helpers."""
 
+import itertools
 import sys
 
 from polegeom.fields import GF, QQ
-from polegeom.forms import catalog_tags
+from polegeom.forms import TriForm, catalog_tags
 
 # parameter choices satisfying each parametric row's condition per field
 CATALOG_PARAMS = {
@@ -27,6 +28,17 @@ def desk_instances(fields=(GF(2), GF(3))):
             for field in fields:
                 out.append((tag, field, None))
     return out
+
+
+def random_form(n, field, rng, density=0.5):
+    """A seeded random form: each triple gets a coefficient in -2..2 with
+    probability ``density`` (zero coefficients drop out)."""
+    coeffs = {
+        t: rng.randint(-2, 2)
+        for t in itertools.combinations(range(1, n + 1), 3)
+        if rng.random() < density
+    }
+    return TriForm(n, field, coeffs)
 
 
 def forbid_everywhere(monkeypatch, name):

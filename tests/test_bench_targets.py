@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from polegeom import kernels, poles
+import polegeom.cli  # noqa: F401  the tracer wraps cli._emit, so cli must be loaded
+from polegeom import geometry, kernels, poles
 from polegeom.fields import GF
 from polegeom.forms import catalog_form
 
@@ -74,3 +75,11 @@ def test_traced_scan_counts_its_points():
         "forms.cube",
         "kernels.scan",
     ]
+
+
+def test_traced_fingerprint_expands_one_pfaffian():
+    """An odd-n fingerprint expands the one Pfaffian Pf(M_u^(1)), from
+    which every pole-variety candidate follows."""
+    with SPANS.Tracer() as tracer:
+        geometry.fingerprint(catalog_form("T9", GF(2)), GF(2))
+    assert [span[0] for span in tracer.spans].count("linalg.pfaffian") == 1

@@ -358,6 +358,20 @@ for _point in ("0,1,0,0,0,0,0", "0,0,0,2,0,0,0", "0,0,0,1,0,1,0"):
         ("radical-lines", *GOLDEN_INSTANCES["T7_gf3"], "--point", _point, "--output", "json"),
         0,
     )
+# pole-variety equations: T9 over Q (grid-verified), T9 at the even index 2,
+# whose d carries the sign (-1)^(i+1), and T11_1(2) over GF(3)
+GOLDEN_CASES["variety_T9_q"] = (
+    ("variety", "--catalog", "T9", "--field", "q", "--output", "json"),
+    0,
+)
+GOLDEN_CASES["variety_T9_q_i2"] = (
+    ("variety", "--catalog", "T9", "--field", "q", "--index", "2", "--output", "json"),
+    0,
+)
+GOLDEN_CASES["variety_T11_1-2_gf3"] = (
+    ("variety", "--catalog", "T11_1", "--param", "2", "--field", "gf(3)", "--output", "json"),
+    0,
+)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

@@ -6,10 +6,11 @@ from collections import Counter
 
 import pytest
 
-from conftest import desk_instances, forbid_everywhere
+from conftest import desk_instances, forbid_everywhere, random_form
+from polegeom import geometry
 from polegeom.constructions import BilinearAltForm
 from polegeom.fields import GF
-from polegeom.forms import catalog_form
+from polegeom.forms import TriForm, catalog_form
 from polegeom.geometry import (
     POLAR_CONFIGS,
     _lines_inside,
@@ -31,7 +32,7 @@ from polegeom.geometry import (
     verdict,
 )
 from polegeom.linalg import Matrix, random_invertible
-from polegeom.poles import _all_lines
+from polegeom.poles import PoleReport, _all_lines
 from polegeom.projective import (
     PluckerLine,
     projective_points,
@@ -485,6 +486,61 @@ def test_fingerprint_counts_match_assembled_lines(tag, field, lam, pulled):
     degrees = Counter(d for d in geom.degrees.values() if d >= 1)
     assert fp.degree_histogram == tuple(sorted(degrees.items()))
     assert fp.pole_count == len(geom.points)
+
+
+def _fingerprint_rank_cases():
+    """Forms of full and of lower rank: the desk instances over GF(2) and
+    GF(3) and their seeded pullbacks, embedded forms with a radical, and
+    seeded sparse random forms over GF(2), GF(3), GF(5) and GF(7)."""
+    cases = []
+    for tag, field, lam in desk_instances():
+        h = catalog_form(tag, field, param=lam)
+        cases.append(h)
+        cases.append(h.pullback(random_invertible(field, h.n, random.Random(f"rank/{tag}-{field.p}"))))
+    cases += [
+        catalog_form("T2", GF(3), n=7),
+        catalog_form("T1", GF(2), n=6),
+        catalog_form("T1", GF(5), n=5),
+        catalog_form("T3", GF(3), n=7),
+    ]
+    for p, sizes in ((2, (4, 5, 6, 7)), (3, (4, 5, 6)), (5, (4, 5)), (7, (4, 5))):
+        rng = random.Random(f"rank/{p}")
+        for n in sizes:
+            for density in (0.2, 0.35, 0.5):
+                h = random_form(n, GF(p), rng, density)
+                if not h.is_zero():
+                    cases.append(h)
+    return cases
+
+
+def test_fingerprint_reads_rank_off_the_scan(monkeypatch):
+    """The rank n - dim Rad(h) comes from the points of degree n-1, with
+    ``TriForm.rank`` made to raise, and equals ``TriForm.rank``."""
+    cases = _fingerprint_rank_cases()
+    expected = [h.rank() for h in cases]
+    assert {h.n - r for h, r in zip(cases, expected)} >= {0, 1, 2, 3}
+
+    def forbidden(self):
+        raise AssertionError("TriForm.rank called by fingerprint")
+
+    monkeypatch.setattr(TriForm, "rank", forbidden)
+    for h, rank in zip(cases, expected):
+        assert fingerprint(h, h.field).rank == rank, h
+
+
+def test_fingerprint_zero_form_has_no_rank():
+    with pytest.raises(ValueError, match="^zero form has no rank$"):
+        fingerprint(TriForm(4, GF(3), {}), GF(3))
+
+
+def test_fingerprint_refuses_a_radical_count_of_no_projective_space(monkeypatch):
+    """Two points of degree n-1 over GF(3) are no PG(r-1, 3) (1, 4, 13, ...
+    points), so the scan's degrees are inconsistent."""
+    field = GF(3)
+    report = PoleReport(field, 7, [], [], None, {0: 1089, 6: 2})
+    monkeypatch.setattr(geometry, "enumerate_poles", lambda *args, **kwargs: report)
+    with pytest.raises(RuntimeError, match="not a projective space"):
+        fingerprint(catalog_form("T9", field), field)
 
 
 def _plane_lines_by_field(field, rows):

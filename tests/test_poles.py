@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from polegeom import geometry, kernels
+from polegeom import geometry, kernels, poles
 from polegeom.fields import GF, QQ
 from polegeom.forms import TriForm, catalog_form
 from polegeom.geometry import build_geometry, fingerprint
-from polegeom.linalg import Matrix, random_invertible
+from polegeom.linalg import Matrix, pfaffian, random_invertible
 from polegeom.poles import (
     BudgetExceededError,
     VarietyError,
@@ -26,7 +26,13 @@ from polegeom.poles import (
     upper_radical_system,
     variety_candidates,
 )
-from polegeom.poly import MultiPoly, equal_up_to_scalar, parse_poly, render_poly
+from polegeom.poly import (
+    MultiPoly,
+    equal_up_to_scalar,
+    parse_poly,
+    render_poly,
+    strip_variable_power,
+)
 from polegeom.projective import (
     PluckerLine,
     projective_point_at,
@@ -35,7 +41,7 @@ from polegeom.projective import (
     wedge2_coordinates,
     wedge2_mod_p,
 )
-from conftest import desk_instances, forbid_everywhere
+from conftest import desk_instances, forbid_everywhere, random_form
 
 
 def test_symbolic_matrix_t1():
@@ -280,6 +286,66 @@ def test_variety_index_at_the_ends_of_the_range():
     assert pole_variety(h, i=1).index == 1
     assert pole_variety(h, i=h.n).index == h.n
     assert pole_variety(catalog_form("T3", GF(2)), i=6).all_points
+
+
+def _candidates_from_every_pfaffian(h):
+    """The reference route: expand all n principal Pfaffians of the
+    symbolic M_u, skip the identically zero ones and strip u_i from each."""
+    sym = symbolic_matrix(h)
+    out = {}
+    for i in range(1, h.n + 1):
+        d = pfaffian(sym.principal_delete(i))
+        if not d.is_zero():
+            out[i] = (d, *strip_variable_power(d, i))
+    return out
+
+
+VARIETY_REFERENCE_CASES = (
+    [
+        pytest.param(tag, field, lam, pulled, id=f"{tag}-{field!r}{'-pullback' if pulled else ''}")
+        for tag, field, lam in desk_instances((GF(2), GF(3), GF(5), GF(7)))
+        if catalog_form(tag, field, param=lam).n % 2
+        for pulled in (False, True)
+    ]
+    + [
+        pytest.param(tag, QQ, lam, False, id=f"{tag}-q")
+        for tag, _, lam in desk_instances((QQ,))
+        if catalog_form(tag, QQ, param=lam).n % 2
+    ]
+)
+
+
+@pytest.mark.parametrize("tag, field, lam, pulled", VARIETY_REFERENCE_CASES)
+def test_variety_candidates_match_every_pfaffian(tag, field, lam, pulled):
+    """The candidates derived from the one Pfaffian Pf(M_u^(1)) = u_1*G
+    equal those of the all-Pfaffians route, on every odd-n desk instance
+    over GF(2), GF(3), GF(5) and GF(7), as catalogued and pulled back by a
+    seeded map, and on the odd-n catalog forms over Q."""
+    h = catalog_form(tag, field, param=lam)
+    if pulled:
+        h = h.pullback(random_invertible(field, h.n, random.Random(f"{tag}/{field!r}")))
+    assert variety_candidates(h) == _candidates_from_every_pfaffian(h)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(7), QQ], ids=repr)
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_variety_candidates_match_every_pfaffian_random(n, field):
+    rng = random.Random(f"{n}/{field!r}")
+    for _ in range(4 if n == 7 else 8):
+        h = random_form(n, field, rng)
+        if not h.is_zero():
+            assert variety_candidates(h) == _candidates_from_every_pfaffian(h)
+
+
+def test_variety_candidates_guard_the_identity(monkeypatch):
+    """A first Pfaffian with a term free of u_1 breaks Pf(M_u^(1)) = u_1*G
+    and is refused rather than turned into candidates."""
+    h = catalog_form("T9", GF(3))
+    monkeypatch.setattr(
+        poles, "pfaffian", lambda m: parse_poly("u1^2*u4 + u2*u5*u7", 7, GF(3))
+    )
+    with pytest.raises(RuntimeError, match="not divisible by u_1"):
+        variety_candidates(h)
 
 
 def test_variety_candidates_strip():

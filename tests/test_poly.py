@@ -136,7 +136,7 @@ def test_divide_multiply_roundtrip(field):
 
 def test_strip_roundtrip():
     rng = random.Random(7)
-    u3 = MultiPoly.variable(4, QQ, 3)
+    u3 = P("u3", 4)
     for _ in range(40):
         a = random_poly(rng, 4, QQ)
         if a.is_zero():
