@@ -40,9 +40,85 @@ class UsageError(Exception):
 
 def _emit(payload: dict, output: str) -> None:
     if output == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         _emit_text(payload)
+
+
+# The record lists of the `poles` and `radical-lines` reports, written
+# without the pure-Python `indent=2` encoder: every record of a list has
+# the shape of its first one (n ints per point or basis row, n(n-1)/2 per
+# Pluecker vector), so the list's text is one template filled by a single
+# `%` over the flattened ints.
+RECORD_LISTS = ("poles", "upper_radical", "lines")
+
+
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte."""
+    if not any(payload.get(key) for key in RECORD_LISTS):
+        return json.dumps(payload, indent=2)
+    items = []
+    for key, value in payload.items():
+        text = _record_list_text(value) if key in RECORD_LISTS and value else None
+        if text is None:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+def _template(value, pad: str) -> Optional[str]:
+    """The ``indent=2`` text of ``value`` at indent ``pad`` with every int
+    replaced by ``%d``, or None unless it is made of ints and nonempty lists
+    and dicts.  Dict keys are written unescaped: they are the records' own
+    plain names."""
+    inner = pad + "  "
+    if type(value) is int:
+        return "%d"
+    if isinstance(value, list) and value:
+        heads, values, brackets = [inner] * len(value), value, "[]"
+    elif isinstance(value, dict) and value:
+        heads = [f'{inner}"{key}": ' for key in value]
+        values, brackets = list(value.values()), "{}"
+    else:
+        return None
+    texts = [_template(v, inner) for v in values]
+    if None in texts:
+        return None
+    body = ",\n".join(head + text for head, text in zip(heads, texts))
+    return f"{brackets[0]}\n{body}\n{pad}{brackets[1]}"
+
+
+def _record_list_text(records: list) -> Optional[str]:
+    """The indented text of a top-level list of pole or line records, or
+    None for a list of any other shape.  Only the first record is
+    inspected; the rest are assumed to share its shape."""
+    first = records[0]
+    if isinstance(first, dict):
+        shape = list(first)
+    elif isinstance(first, list) and first and isinstance(first[0], list):
+        shape = "rows"
+    else:
+        return None
+    if shape not in ("rows", ["point", "degree"], ["basis", "plucker"]):
+        return None
+    record = _template(first, "    ")
+    if record is None:
+        return None
+    flat: List[int] = []
+    if shape == "rows":  # the basis of each line through a point
+        for basis in records:
+            for row in basis:
+                flat += row
+    elif shape == ["point", "degree"]:
+        for r in records:
+            flat += r["point"]
+            flat.append(r["degree"])
+    else:
+        for r in records:
+            for row in r["basis"]:
+                flat += row
+            flat += r["plucker"]
+    return ("[\n" + ",\n".join(["    " + record] * len(records)) + "\n  ]") % tuple(flat)
 
 
 def _emit_text(payload: dict, indent: int = 0) -> None:
@@ -96,12 +172,14 @@ def _parse_vector(text: str, field, n: int):
 
 
 def _finite_field_of(h: TriForm, args) -> GF:
+    """The form's own GF(p), or the --field a rational form is reduced to."""
+    field = parse_field(args.field) if args.field else None
     if isinstance(h.field, GF):
+        if field is not None and field != h.field:
+            raise UsageError(f"--field {field!r} contradicts the form's field {h.field!r}")
         return h.field
-    if args.field:
-        field = parse_field(args.field)
-        if isinstance(field, GF):
-            return field
+    if isinstance(field, GF):
+        return field
     raise UsageError("this command needs a finite field (gf(p))")
 
 
@@ -146,7 +224,7 @@ def _cmd_matrix(args) -> int:
             "n": form.n,
             "entries": [[render_poly(p) for p in row] for row in sym.entries],
         }
-        print(json.dumps(payload, indent=2))
+        _emit(payload, "json")
     else:
         print(sym.render())
     return 0
@@ -358,7 +436,7 @@ def _cmd_tables(args) -> int:
         report = tables.tables_fixture(w)
         ok = ok and report["ok"]
         if args.output == "json":
-            print(json.dumps(report, indent=2))
+            _emit(report, "json")
         else:
             for row in report["rows"]:
                 status = "ok" if row["ok"] else "DIFF"

@@ -1,12 +1,18 @@
 """CLI subcommands, exit codes and output determinism."""
 
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from conftest import forbid_everywhere
+from conftest import desk_instances, forbid_everywhere
+from polegeom import cli
 from polegeom.cli import main
+from polegeom.fields import GF
+from polegeom.forms import catalog_form
+from polegeom.linalg import random_invertible
 
 
 def run_cli(capsys, *argv):
@@ -297,6 +303,46 @@ def test_check_with_file_source(tmp_path, capsys):
     assert code == 0
 
 
+def test_contradictory_field_exit_2(tmp_path, capsys):
+    form_file = tmp_path / "t9.form"
+    _, out, _ = run_cli(capsys, "catalog", "--catalog", "T9", "--field", "gf(3)")
+    form_file.write_text(out)
+    for command in ("poles", "radical-lines", "fingerprint", "check"):
+        argv = [command, "--file", str(form_file), "--field", "gf(5)"]
+        if command == "check":
+            argv.insert(1, "hexagon")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, command
+        assert out == ""
+        assert err == "error: --field gf(5) contradicts the form's field gf(3)\n"
+    # naming the form's own field is no contradiction
+    code, out, _ = run_cli(
+        capsys, "fingerprint", "--file", str(form_file), "--field", "gf(3)", "--output", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["field"] == "gf(3)"
+
+
+def test_rational_form_file_reduces_to_field(tmp_path, capsys):
+    form_file = tmp_path / "t9.form"
+    _, out, _ = run_cli(capsys, "catalog", "--catalog", "T9", "--field", "q")
+    form_file.write_text(out)
+    code, out, _ = run_cli(
+        capsys, "fingerprint", "--file", str(form_file), "--field", "gf(3)", "--output", "json"
+    )
+    assert code == 0
+    got = json.loads(out)
+    _, out, _ = run_cli(
+        capsys, "fingerprint", "--catalog", "T9", "--field", "gf(3)", "--output", "json"
+    )
+    want = json.loads(out)
+    assert got.pop("form") == "file" and want.pop("form") == "T9"
+    assert got == want
+    code, _, err = run_cli(capsys, "fingerprint", "--file", str(form_file))
+    assert code == 2
+    assert err == "error: this command needs a finite field (gf(p))\n"
+
+
 # Byte-for-byte locks on the JSON output of the pipeline commands.  The
 # files under tests/golden/ are the stdout of `polegeom <argv>` as
 # recorded before the one-scan pipeline landed; regenerate one only for a
@@ -373,13 +419,42 @@ GOLDEN_CASES["variety_T11_1-2_gf3"] = (
     0,
 )
 
+# the JSON writer's edge cases: T1 has no poles and no lines, so `poles`,
+# `upper_radical` and `lines` are all []; a form file has no label, so
+# `form` is the form's repr; and the text report of T7/GF(3)
+FORMS_DIR = Path(__file__).resolve().parent / "forms"
+for _command in ("poles", "radical-lines"):
+    GOLDEN_CASES[f"{_command}_T1_gf2"] = (
+        (_command, "--catalog", "T1", "--field", "gf(2)", "--output", "json"),
+        0,
+    )
+GOLDEN_CASES["poles_file-n5_gf3"] = (
+    ("poles", "--file", str(FORMS_DIR / "n5_gf3.form"), "--output", "json"),
+    0,
+)
+GOLDEN_CASES["poles-text_T7_gf3"] = (
+    ("poles", *GOLDEN_INSTANCES["T7_gf3"], "--output", "text"),
+    0,
+)
+# the JSON of `matrix` and `tables`
+GOLDEN_CASES["matrix_T9_q"] = (
+    ("matrix", "--catalog", "T9", "--field", "q", "--output", "json"),
+    0,
+)
+GOLDEN_CASES["tables-2"] = (("tables", "--which", "2", "--output", "json"), 0)
+
+
+def golden_path(name: str) -> Path:
+    argv, _ = GOLDEN_CASES[name]
+    return GOLDEN_DIR / (f"{name}.txt" if argv[-1] == "text" else f"{name}.json")
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_outputs(capsys, name):
     argv, want_code = GOLDEN_CASES[name]
     code, out, _ = run_cli(capsys, *argv)
     assert code == want_code
-    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+    assert out == golden_path(name).read_text()
 
 
 def test_radical_lines_point_reads_degree_off_line_count(capsys, monkeypatch):
@@ -393,7 +468,96 @@ def test_radical_lines_point_reads_degree_off_line_count(capsys, monkeypatch):
         argv, want_code = GOLDEN_CASES[name]
         code, out, _ = run_cli(capsys, *argv)
         assert code == want_code
-        assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+        assert out == golden_path(name).read_text()
+
+
+# The JSON writer against its reference: `_emit` prints
+# `json.dumps(payload, indent=2)` byte for byte, with the record lists of
+# `poles` and `radical-lines` written from their templates.  Every
+# GF(2)/GF(3) desk instance, seeded pullbacks of T7/GF(3) and T9/GF(3),
+# and T9/GF(5): n = 3..7, odd and even, and empty lists.
+EMIT_CASES = [(tag, field, lam, False) for tag, field, lam in desk_instances()] + [
+    ("T7", GF(3), None, True),
+    ("T9", GF(3), None, True),
+    ("T9", GF(5), None, False),
+]
+
+
+@pytest.mark.parametrize(
+    "tag,field,lam,pulled",
+    EMIT_CASES,
+    ids=[
+        f"{tag}{'' if lam is None else f'({lam})'}-{field!r}{'-pullback' if pulled else ''}"
+        for tag, field, lam, pulled in EMIT_CASES
+    ],
+)
+def test_emit_json_matches_json_dumps(tmp_path, capsys, monkeypatch, tag, field, lam, pulled):
+    if pulled:
+        h = catalog_form(tag, field, param=lam)
+        h = h.pullback(random_invertible(field, h.n, random.Random(f"emit/{tag}/{field!r}")))
+        form_file = tmp_path / "h.form"
+        form_file.write_text(h.to_text())
+        source = ("--file", str(form_file))
+    else:
+        source = ("--catalog", tag, "--field", repr(field))
+        if lam is not None:
+            source += ("--param", str(lam))
+    payloads = []
+    real_emit = cli._emit
+
+    def recording_emit(payload, output):
+        payloads.append(payload)
+        real_emit(payload, output)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+
+    def emitted(*argv):
+        code, out, _ = run_cli(capsys, *argv, *source, "--output", "json")
+        assert code == 0
+        payload = payloads[-1]
+        assert out == json.dumps(payload, indent=2) + "\n"
+        for key in cli.RECORD_LISTS:
+            if payload.get(key):  # written from a template, not by json.dumps
+                assert cli._record_list_text(payload[key]) is not None, key
+        return payload
+
+    report = emitted("poles")
+    emitted("radical-lines")
+    poles = [pole["point"] for pole in report["poles"]]
+    points = [max(report["poles"], key=lambda pole: pole["degree"])["point"]] if poles else []
+    if "0" in report["histogram"]:  # a point of degree 0: no line through it
+        n, p = report["n"], field.p
+        points.append(next(
+            [0] * k + [1, *rest]
+            for k in range(n)
+            for rest in itertools.product(range(p), repeat=n - k - 1)
+            if [0] * k + [1, *rest] not in poles
+        ))
+    for point in points:
+        lines = emitted("radical-lines", "--point", ",".join(map(str, point)))["lines"]
+        assert bool(lines) == (point in poles)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"poles": [1, 2]},
+        {"lines": [[]]},
+        {"lines": [[1, 2]]},
+        {"lines": [["0", "1"]]},
+        {"lines": [[[True, 0]]]},
+        {"poles": [{"point": [1, 0], "degree": 2.0}]},
+        {"lines": [{"point": [1, 0]}]},
+        {"upper_radical": [{"basis": [[1, 0, 0], [0, 1, 0]], "plucker": [1, 0, 0]}],
+         "form": 'a "%d" form\n', "histogram": {"0": 1}},
+        {"poles": [], "variety": None},
+        {},
+    ],
+)
+def test_json_text_of_other_shapes(payload):
+    """A record list of any other shape falls back to ``json.dumps``, and
+    the values around a templated list keep their escapes."""
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
 
 
 def _record_golden() -> None:
@@ -406,7 +570,7 @@ def _record_golden() -> None:
         with contextlib.redirect_stdout(buf):
             code = main(list(argv))
         assert code == want_code, (name, code)
-        (GOLDEN_DIR / f"{name}.json").write_text(buf.getvalue())
+        golden_path(name).write_text(buf.getvalue())
 
 
 if __name__ == "__main__":
