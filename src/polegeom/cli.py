@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import constructions, geometry, tables
-from .fields import GF, FieldError, parse_field
+from .fields import Field, FieldError, parse_field
 from .forms import (
     CATALOG_RANKS,
     CatalogConditionError,
@@ -27,6 +27,7 @@ from .poles import (
     enumerate_upper_radical,
     full_report,
     lines_through_point,
+    over_field,
     pole_variety,
     symbolic_matrix,
     upper_radical_system,
@@ -38,13 +39,6 @@ class UsageError(Exception):
     pass
 
 
-def _emit(payload: dict, output: str) -> None:
-    if output == "json":
-        print(_json_text(payload))
-    else:
-        _emit_text(payload)
-
-
 # The record lists of the `poles` and `radical-lines` reports, written
 # without the pure-Python `indent=2` encoder: every record of a list has
 # the shape of its first one (n ints per point or basis row, n(n-1)/2 per
@@ -53,17 +47,26 @@ def _emit(payload: dict, output: str) -> None:
 RECORD_LISTS = ("poles", "upper_radical", "lines")
 
 
-def _json_text(payload: dict) -> str:
-    """``json.dumps(payload, indent=2)``, byte for byte."""
+def _emit(payload: dict, output: str) -> None:
+    """Print the payload as text, or as ``json.dumps(payload, indent=2)``
+    byte for byte, written one top-level item at a time so that the whole
+    document is never held at once."""
+    if output != "json":
+        _emit_text(payload)
+        return
+    write = sys.stdout.write
     if not any(payload.get(key) for key in RECORD_LISTS):
-        return json.dumps(payload, indent=2)
-    items = []
+        write(json.dumps(payload, indent=2) + "\n")
+        return
+    sep = "{\n"
     for key, value in payload.items():
         text = _record_list_text(value) if key in RECORD_LISTS and value else None
         if text is None:
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
+        write(f"{sep}  {json.dumps(key)}: ")
+        write(text)
+        sep = ",\n"
+    write("\n}\n")
 
 
 def _template(value, pad: str) -> Optional[str]:
@@ -118,7 +121,11 @@ def _record_list_text(records: list) -> Optional[str]:
             for row in r["basis"]:
                 flat += row
             flat += r["plucker"]
-    return ("[\n" + ",\n".join(["    " + record] * len(records)) + "\n  ]") % tuple(flat)
+    # one join builds the whole template, brackets included
+    template = [",\n    " + record] * len(records)
+    template[0] = "[\n    " + record
+    template.append("\n  ]")
+    return "".join(template) % tuple(flat)
 
 
 def _emit_text(payload: dict, indent: int = 0) -> None:
@@ -149,19 +156,37 @@ def _add_form_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_form(args) -> TriForm:
+def _read_form(path: str) -> TriForm:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return TriForm.from_text(fh.read())
+    except OSError as exc:
+        raise UsageError(f"cannot read form file: {exc}") from exc
+
+
+def _load_form(args) -> Tuple[TriForm, Field]:
+    """The form as read and the field every command takes it over:
+    --field, else a form file's own field.  A finite form file fixes its
+    field, so a different --field contradicts it."""
     if bool(args.catalog) == bool(args.file):
         raise UsageError("exactly one form source (--catalog or --file) is required")
-    if args.file:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                return TriForm.from_text(fh.read())
-        except OSError as exc:
-            raise UsageError(f"cannot read form file: {exc}") from exc
-    if not args.field:
-        raise UsageError("--catalog needs --field")
-    field = parse_field(args.field)
-    return catalog_form(args.catalog, field, n=args.dim, param=args.param)
+    field = parse_field(args.field) if args.field else None
+    if args.catalog:
+        if field is None:
+            raise UsageError("--catalog needs --field")
+        return catalog_form(args.catalog, field, n=args.dim, param=args.param), field
+    form = _read_form(args.file)
+    if field is None:
+        return form, form.field
+    if form.field.is_finite and field != form.field:
+        raise UsageError(f"--field {field!r} contradicts the form's field {form.field!r}")
+    return form, field
+
+
+def _form_over(form: TriForm, field: Field) -> TriForm:
+    """A form of ``_load_form`` over its field: as read over q, else
+    reduced to gf(p) by ``over_field``."""
+    return over_field(form, field) if field.is_finite else form
 
 
 def _parse_vector(text: str, field, n: int):
@@ -171,30 +196,18 @@ def _parse_vector(text: str, field, n: int):
     return [field.of(p) for p in parts]
 
 
-def _finite_field_of(h: TriForm, args) -> GF:
-    """The form's own GF(p), or the --field a rational form is reduced to."""
-    field = parse_field(args.field) if args.field else None
-    if isinstance(h.field, GF):
-        if field is not None and field != h.field:
-            raise UsageError(f"--field {field!r} contradicts the form's field {h.field!r}")
-        return h.field
-    if isinstance(field, GF):
-        return field
-    raise UsageError("this command needs a finite field (gf(p))")
-
-
 def _cmd_catalog(args) -> int:
     if args.list:
         for tag, rank in CATALOG_RANKS.items():
             print(f"{tag}\trank {rank}")
         return 0
-    form = _load_form(args)
+    form = _form_over(*_load_form(args))
     sys.stdout.write(form.to_text())
     return 0
 
 
 def _cmd_eval(args) -> int:
-    form = _load_form(args)
+    form = _form_over(*_load_form(args))
     x = _parse_vector(args.x, form.field, form.n)
     y = _parse_vector(args.y, form.field, form.n)
     z = _parse_vector(args.z, form.field, form.n)
@@ -203,7 +216,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_radical(args) -> int:
-    form = _load_form(args)
+    form = _form_over(*_load_form(args))
     radical, rank = form.radical_and_rank()
     payload = {
         "form": form.label or "file",
@@ -216,7 +229,7 @@ def _cmd_radical(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    form = _load_form(args)
+    form = _form_over(*_load_form(args))
     sym = symbolic_matrix(form)
     if args.output == "json":
         payload = {
@@ -231,15 +244,14 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_poles(args) -> int:
-    form = _load_form(args)
-    field = _finite_field_of(form, args)
+    form, field = _load_form(args)
     payload = full_report(form, field, budget=args.budget)
     _emit(payload, args.output)
     return 0
 
 
 def _cmd_variety(args) -> int:
-    form = _load_form(args)
+    form = _form_over(*_load_form(args))
     result = pole_variety(form, i=args.index, budget=args.budget)
     names = [f"x{i + 1}" for i in range(form.n)]
     if result.all_points:
@@ -258,12 +270,10 @@ def _cmd_variety(args) -> int:
 
 
 def _cmd_radical_lines(args) -> int:
-    form = _load_form(args)
-    field = _finite_field_of(form, args)
-    hf = form if form.field == field else form.reduce_mod(field)
+    form, field = _load_form(args)
     if args.point:
         u = _parse_vector(args.point, field, form.n)
-        lines = lines_through_point(hf, u)
+        lines = lines_through_point(form, u, field)
         # degree d <=> (p^d - 1)/(p - 1) lines, strictly increasing in d
         delta = on = 0
         while on < len(lines):
@@ -276,8 +286,8 @@ def _cmd_radical_lines(args) -> int:
             "lines": [[list(b) for b in line.basis] for line in lines],
         }
     else:
-        lines = enumerate_upper_radical(hf, field, budget=args.budget)
-        system = upper_radical_system(hf)
+        lines = enumerate_upper_radical(form, field, budget=args.budget)
+        system = upper_radical_system(over_field(form, field))
         payload = {
             "form": form.label or "file",
             "count": len(lines),
@@ -297,7 +307,7 @@ def _cmd_construct(args) -> int:
             raise UsageError("construct cch needs --field and --dim")
         form = constructions.cch_hyperplane(args.dim, parse_field(args.field))
     elif args.what == "extend":
-        base = _load_form(args)
+        base = _form_over(*_load_form(args))
         if not args.extra:
             raise UsageError("construct extend needs --extra")
         form = constructions.trivial_extension(base, args.extra)
@@ -317,11 +327,10 @@ def _cmd_construct(args) -> int:
         bilinear = constructions.BilinearAltForm(args.dim, field, coeffs)
         form = constructions.expansion(bilinear, args.direction)
     elif args.what in ("block", "join"):
-        first = _load_form(args)
+        first, field = _load_form(args)
         if not args.file2:
             raise UsageError(f"construct {args.what} needs --file2")
-        with open(args.file2, "r", encoding="utf-8") as fh:
-            second = TriForm.from_text(fh.read())
+        first, second = _form_over(first, field), _form_over(_read_form(args.file2), field)
         if args.what == "block":
             form = constructions.block_decompose(
                 first,
@@ -341,8 +350,7 @@ CHECKS = ("spread", "normal-spread", "polar", "cone", "hexagon", "t11", "t4")
 
 
 def _cmd_check(args) -> int:
-    form = _load_form(args)
-    field = _finite_field_of(form, args)
+    form, field = _load_form(args)
     geom = geometry.build_geometry(form, field, budget=args.budget)
     name = args.what
     tag_root = (form.label or "").split("(")[0]
@@ -411,8 +419,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
-    form = _load_form(args)
-    field = _finite_field_of(form, args)
+    form, field = _load_form(args)
     fp = geometry.fingerprint(form, field, budget=args.budget)
     payload = {
         "form": form.label or "file",

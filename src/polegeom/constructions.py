@@ -5,7 +5,6 @@ recursive chain whose pole set is a union of coordinate hyperplanes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .fields import Field, Scalar, same_field
@@ -13,19 +12,6 @@ from .forms import TriForm
 from .projective import pair_list
 
 Pair = Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """A partition of the basis indices 1..n into direct-summand parts."""
-
-    n: int
-    parts: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        flat = [i for part in self.parts for i in part]
-        if sorted(flat) != list(range(1, self.n + 1)):
-            raise ValueError("parts must partition 1..n")
 
 
 class BilinearAltForm:
@@ -69,18 +55,6 @@ class BilinearAltForm:
         for pair in self.coeffs:
             used.update(pair)
         return tuple(sorted(used))
-
-    def is_nondegenerate_on(self, indices: Sequence[int]) -> bool:
-        """Whether the restriction to the given indices has trivial radical."""
-        from .linalg import Matrix
-
-        idx = list(indices)
-        rows = [
-            [self.coefficient(a, b) for b in idx]
-            for a in idx
-        ]
-        return Matrix(self.field, rows).rank() == len(idx)
-
 
 def trivial_extension(h0: TriForm, extra: int) -> TriForm:
     """Zero-pad a form by `extra` fresh trailing dimensions."""
@@ -164,16 +138,6 @@ def symplectic_bilinear(field: Field, n: int, pairs: Sequence[Pair]) -> Bilinear
     return BilinearAltForm(n, field, {tuple(p): field.one for p in pairs})
 
 
-def wedge_span_basis(field: Field, n: int, lines) -> List[Tuple[Scalar, ...]]:
-    """Reduced basis of the span of the Pluecker images of a line set."""
-    from .projective import subspace_rref
-
-    vectors = [line.wedge for line in lines]
-    if not vectors:
-        return []
-    return list(subspace_rref(field, vectors))
-
-
 def decomposable_pairs_span(
     field: Field, n: int, part0: Sequence[int], part1: Sequence[int]
 ) -> List[Tuple[Scalar, ...]]:
@@ -190,13 +154,3 @@ def decomposable_pairs_span(
             vec[index[key]] = field.one if sign > 0 else field.neg(field.one)
             basis.append(tuple(vec))
     return basis
-
-
-def coordinate_swap_map(n: int) -> Dict[int, int]:
-    """The involution swapping the first and second halves of 1..n."""
-    half = n // 2
-    out = {}
-    for i in range(1, half + 1):
-        out[i] = i + half
-        out[i + half] = i
-    return out

@@ -207,20 +207,6 @@ def same_field(a: Field, b: Field) -> None:
         raise FieldError(f"field mismatch: {a!r} vs {b!r}")
 
 
-def arith(field: Field, a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch add/sub/mul/div on canonicalized elements of one field."""
-    a, b = field.of(a), field.of(b)
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "div":
-        return field.div(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def quadratic_irreducible(field: Field, kind: str, lam: Scalar) -> bool:
     """Whether t^2 - lam (kind "t^2-l") or t^2 + lam*t + 1 (kind "t^2+lt+1")
     has no root in the field."""

@@ -202,11 +202,22 @@ class TriForm:
         return TriForm.from_terms(self.n, self.field, terms)
 
     def reduce_mod(self, target: GF) -> "TriForm":
-        """Reduce a rational form modulo p (denominators must be units)."""
-        return TriForm(
-            self.n, target, {t: target.of(c) for t, c in self.coeffs.items()},
-            label=self.label,
-        )
+        """This form over GF(p) = target: itself when it is over target
+        already, a rational form with every coefficient reduced mod p.
+
+        ValueError for a coefficient whose denominator p divides, and for a
+        form over another finite field, whose residues have no meaning mod p.
+        """
+        if self.field == target:
+            return self
+        if self.field.is_finite:
+            raise ValueError(f"a form over {self.field!r} is not a form over {target!r}")
+        for (i, j, k), c in self.coeffs.items():
+            if c.denominator % target.p == 0:
+                raise ValueError(
+                    f"coefficient {c} of {i} {j} {k} has a denominator divisible by {target.p}"
+                )
+        return TriForm(self.n, target, self.coeffs, label=self.label)
 
     def __eq__(self, other) -> bool:
         return (

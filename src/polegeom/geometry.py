@@ -23,6 +23,7 @@ from .poles import (
     _radical_lines,
     _zero_set_matches,
     enumerate_poles,
+    over_field,
     variety_candidates,
 )
 from .projective import (
@@ -73,18 +74,15 @@ def build_geometry(
     field: Optional[GF] = None,
     budget: Optional[int] = None,
 ) -> IncidenceStructure:
-    """Enumerate poles and radical lines and compute exact incidence."""
-    if field is None:
-        if not isinstance(h.field, GF):
-            raise ValueError("geometry needs a finite field")
-        field = h.field
-    hf = h if h.field == field else h.reduce_mod(field)
-    report = enumerate_poles(hf, field, budget=budget)
+    """Enumerate the poles and radical lines of h over ``over_field(h,
+    field)`` and compute exact incidence."""
+    hf = over_field(h, field)
+    report = enumerate_poles(hf, budget=budget)
     lines = tuple(_radical_lines(report))
     degrees = dict(zip(report.points, report.degrees))
     points = tuple(u for u, deg in zip(report.points, report.degrees) if deg >= 1)
     return IncidenceStructure(
-        field=field,
+        field=hf.field,
         n=hf.n,
         points=points,
         degrees=degrees,
@@ -622,8 +620,8 @@ def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> Geometry
     M_u = 0, that is when [u] has degree n-1, so the scan finds the
     (p^r - 1)/(p - 1) points of PG(Rad(h)) at that degree.
     """
-    hf = h if h.field == field else h.reduce_mod(field)
-    report = enumerate_poles(hf, field, budget=budget, with_radicals=False)
+    hf = over_field(h, field)
+    report = enumerate_poles(hf, budget=budget, with_radicals=False)
     p, n = field.p, hf.n
     radical_points = report.histogram.get(n - 1, 0)
     r = count = 0

@@ -53,15 +53,23 @@ def enumeration_budget(budget: Optional[int] = None) -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
-def _require_enumerable(field: Field, n: int, budget: Optional[int]) -> GF:
-    if not field.is_finite:
-        raise ValueError("enumeration needs a finite field")
+def _require_enumerable(field: GF, n: int, budget: Optional[int]) -> None:
     limit = enumeration_budget(budget)
     if field.order**n > limit:
         raise BudgetExceededError(
             f"{field!r}^{n} = {field.order ** n} exceeds budget {limit}"
         )
-    return field
+
+
+def over_field(h: TriForm, field: Optional[Field] = None) -> TriForm:
+    """h over the GF(p) it is scanned over: ``field``, or h's own field
+    when None.  A rational form is reduced mod p (``TriForm.reduce_mod``);
+    a form over another finite field, or a field that is not finite,
+    raises ValueError."""
+    field = h.field if field is None else field
+    if not field.is_finite:
+        raise ValueError(f"the pole scan needs a finite field gf(p), not {field!r}")
+    return h.reduce_mod(field)
 
 
 def symbolic_matrix(h: TriForm) -> PolyMatrix:
@@ -157,18 +165,12 @@ def enumerate_poles(
     budget: Optional[int] = None,
     with_radicals: bool = True,
 ) -> PoleReport:
-    """Scan every canonical projective point and record its degree and, on
-    request, the radical of each pole (None at the points of degree 0).
-
-    Passing a finite field for a rational form reduces the coefficients
-    mod p first.
+    """Scan every canonical projective point of h over ``over_field(h,
+    field)`` and record its degree and, on request, the radical of each
+    pole (None at the points of degree 0).
     """
-    if field is None:
-        if not isinstance(h.field, GF):
-            raise ValueError("enumeration needs a finite field")
-        field = h.field
-    elif h.field != field:
-        h = h.reduce_mod(field)
+    h = over_field(h, field)
+    field = h.field
     _require_enumerable(field, h.n, budget)
     p, n = field.p, h.n
     cube = structure_cube(h, field)
@@ -283,33 +285,25 @@ def pole_variety(
     i: Optional[int] = None,
     verify_field: Optional[GF] = None,
     budget: Optional[int] = None,
+    report: Optional[PoleReport] = None,
 ) -> VarietyResult:
     """Equation of the pole set per the principal-Pfaffian pipeline.
 
     Even n (or identically vanishing candidates) yields the designated
     all-points result.  Otherwise candidate indices are tried in
     ascending order; the first whose stripped polynomial has the correct
-    zero set (checked over the form's field when finite, over a sampled
-    grid plus optional finite reduction when rational) is returned.  An
+    zero set is returned.  The zero set is checked against one scan of
+    ``over_field(h, verify_field)``, or against ``report`` when the caller
+    already holds that scan; a rational form without ``verify_field`` has
+    no scan, and every rational form is checked on a sampled grid too.  An
     index i outside 1..n raises ValueError, for even n too.
     """
-    return _pole_variety(h, i, verify_field, budget)
-
-
-def _pole_variety(
-    h: TriForm,
-    i: Optional[int],
-    verify_field: Optional[GF],
-    budget: Optional[int],
-    report: Optional[PoleReport] = None,
-) -> VarietyResult:
-    """pole_variety, checking every candidate against one scan: ``report``
-    when the caller already holds a scan of h over its finite field,
-    otherwise a scan made here once."""
     if h.is_zero():
         raise ValueError("zero form")
     if i is not None and not 1 <= i <= h.n:
         raise ValueError(f"index {i} out of range 1..{h.n}")
+    finite = h.field.is_finite
+    scanned = over_field(h, verify_field) if finite or verify_field is not None else None
     if h.n % 2 == 0:
         return VarietyResult(all_points=True)
     candidates = variety_candidates(h)
@@ -318,16 +312,13 @@ def _pole_variety(
         # with u_i != 0, then rank M_u = rank M_u^(i) <= n-3, a pole
         return VarietyResult(all_points=True)
     order = [i] if i is not None else sorted(candidates)
-    finite = isinstance(h.field, GF)
-    check_field: Optional[GF] = h.field if finite else verify_field
-    if check_field is not None and report is None:
-        hp = h if h.field == check_field else h.reduce_mod(check_field)
-        report = enumerate_poles(hp, check_field, budget=budget, with_radicals=False)
+    if scanned is not None and report is None:
+        report = enumerate_poles(scanned, budget=budget, with_radicals=False)
     failed: List[int] = []
     for idx in order:
         d, alpha, g = candidates[idx]
         ok = report is None or _zero_set_matches(
-            check_field, g, zip(report.points, report.degrees)
+            report.field, g, zip(report.points, report.degrees)
         )
         if ok and not finite:
             ok = _grid_matches(h, g)
@@ -435,9 +426,11 @@ def _radical_lines(report: PoleReport) -> List[PluckerLine]:
     return lines
 
 
-def lines_through_point(h: TriForm, u: Sequence[Scalar]) -> List[PluckerLine]:
-    """The upper-radical lines through [u], sorted: all [u, y] with y in
-    Rad(chi_u).
+def lines_through_point(
+    h: TriForm, u: Sequence[Scalar], field: Optional[GF] = None
+) -> List[PluckerLine]:
+    """The upper-radical lines through [u] of h over ``over_field(h,
+    field)``, sorted: all [u, y] with y in Rad(chi_u).
 
     Works on ints mod p and reads no scan: M_u from ``structure_cube``,
     then Rad(chi_u) = ker M_u in reduced echelon form from
@@ -446,9 +439,8 @@ def lines_through_point(h: TriForm, u: Sequence[Scalar]) -> List[PluckerLine]:
     span a complement of <u> in Rad(chi_u).  The points y of that
     complement are the directions of the lines through [u], one each.
     """
+    h = over_field(h, field)
     F = h.field
-    if not isinstance(F, GF):
-        raise ValueError("line enumeration needs a finite field")
     p, n = F.p, h.n
     if len(u) != n:
         raise ValueError(f"point must have length {n}")
@@ -512,14 +504,11 @@ def enumerate_upper_radical(
 
     method "points" scans once and assembles each line from its least pole;
     method "wedge" filters every line of PG(n-1, q) through the linear
-    system (the independent cross-check route).
+    system (the independent cross-check route).  Both read h over
+    ``over_field(h, field)``.
     """
-    if field is None:
-        if not isinstance(h.field, GF):
-            raise ValueError("enumeration needs a finite field")
-        field = h.field
-    elif h.field != field:
-        h = h.reduce_mod(field)
+    h = over_field(h, field)
+    field = h.field
     _require_enumerable(field, h.n, budget)
     if method == "wedge":
         # the walk below visits every line of PG(n-1, p), not p^n points
@@ -535,7 +524,7 @@ def enumerate_upper_radical(
         )
     if method != "points":
         raise ValueError(f"unknown method {method!r}")
-    return _radical_lines(enumerate_poles(h, field, budget=budget, with_radicals=True))
+    return _radical_lines(enumerate_poles(h, budget=budget, with_radicals=True))
 
 
 def full_report(
@@ -543,20 +532,18 @@ def full_report(
     field: Optional[GF] = None,
     budget: Optional[int] = None,
 ) -> dict:
-    """The module's JSON report: poles, histogram, upper radical, variety."""
-    if field is None:
-        if not isinstance(h.field, GF):
-            raise ValueError("reports need a finite field")
-        field = h.field
-    hf = h if h.field == field else h.reduce_mod(field)
-    report = enumerate_poles(hf, field, budget=budget)
+    """The module's JSON report of h over ``over_field(h, field)``: poles,
+    histogram, upper radical, variety.  ``form`` names h as given."""
+    hf = over_field(h, field)
+    field = hf.field
+    report = enumerate_poles(hf, budget=budget)
     lines = _radical_lines(report)
     from .poly import render_poly
 
     if hf.n % 2 == 0:
         variety = {"i": None, "g": "all-points", "verified": "parity"}
     else:
-        v = _pole_variety(hf, None, None, budget, report)
+        v = pole_variety(hf, budget=budget, report=report)
         if v.all_points:
             variety = {"i": None, "g": "all-points", "verified": "symbolic"}
         else:

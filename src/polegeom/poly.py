@@ -166,17 +166,6 @@ class MultiPoly:
         )
 
 
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Ring arithmetic dispatch: op is one of add, sub, mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def exact_divide(a: MultiPoly, b: MultiPoly) -> Optional[MultiPoly]:
     """Return q with a = q*b, or None when b does not divide a exactly.
 

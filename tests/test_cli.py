@@ -307,10 +307,15 @@ def test_contradictory_field_exit_2(tmp_path, capsys):
     form_file = tmp_path / "t9.form"
     _, out, _ = run_cli(capsys, "catalog", "--catalog", "T9", "--field", "gf(3)")
     form_file.write_text(out)
-    for command in ("poles", "radical-lines", "fingerprint", "check"):
+    unit = "1,0,0,0,0,0,0"
+    for command in (
+        "poles", "radical-lines", "fingerprint", "check", "variety", "radical", "matrix", "eval"
+    ):
         argv = [command, "--file", str(form_file), "--field", "gf(5)"]
         if command == "check":
             argv.insert(1, "hexagon")
+        if command == "eval":
+            argv += ["--x", unit, "--y", unit, "--z", unit]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, command
         assert out == ""
@@ -340,7 +345,52 @@ def test_rational_form_file_reduces_to_field(tmp_path, capsys):
     assert got == want
     code, _, err = run_cli(capsys, "fingerprint", "--file", str(form_file))
     assert code == 2
-    assert err == "error: this command needs a finite field (gf(p))\n"
+    assert err == "error: the pole scan needs a finite field gf(p), not q\n"
+
+
+# tests/forms/n5_q.form reduced mod 3: 1/2 = 2, -1 = 2 and 2/5 = 1
+N5_Q_MOD_3 = "n = 5\nfield = gf(3)\n1 2 3 1\n1 4 5 2\n2 4 5 2\n3 4 5 1\n"
+# each command with its own arguments; eval reads h(e2, e4, e5) = -1
+FILE_COMMANDS = {
+    "catalog": (),
+    "eval": ("--x", "0,1,0,0,0", "--y", "0,0,0,1,0", "--z", "0,0,0,0,1"),
+    "radical": (),
+    "matrix": (),
+    "poles": (),
+    "variety": (),
+    "radical-lines": (),
+    "check": ("spread",),
+    "fingerprint": (),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_rational_file_is_reduced_for_every_command(tmp_path, capsys, command):
+    """A rational form file with --field gf(3) answers as its reduction
+    mod 3 does, for every command that reads a form."""
+    reduced = tmp_path / "n5_gf3.form"
+    reduced.write_text(N5_Q_MOD_3)
+    argv = (command, *FILE_COMMANDS[command], "--file")
+    code, got, _ = run_cli(capsys, *argv, str(FORMS_DIR / "n5_q.form"), "--field", "gf(3)")
+    want_code, want, _ = run_cli(capsys, *argv, str(reduced))
+    assert code == want_code
+    if command == "poles":  # the report names the form as read
+        assert got.startswith("form: TriForm(123+145+245+345, n=5, q)\n")
+        got, want = got.split("\n", 1)[1], want.split("\n", 1)[1]
+    assert got == want
+
+
+def test_denominator_divisible_by_p_exit_2(tmp_path, capsys):
+    form_file = tmp_path / "fifth.form"
+    form_file.write_text("n = 5\nfield = q\n1 2 3 1/5\n3 4 5 1\n")
+    for command in ("poles", "radical-lines", "fingerprint", "check", "variety", "matrix"):
+        argv = [command, "--file", str(form_file), "--field", "gf(5)"]
+        if command == "check":
+            argv.insert(1, "spread")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, command
+        assert out == ""
+        assert err == "error: coefficient 1/5 of 1 2 3 has a denominator divisible by 5\n"
 
 
 # Byte-for-byte locks on the JSON output of the pipeline commands.  The
@@ -434,6 +484,30 @@ GOLDEN_CASES["poles_file-n5_gf3"] = (
 )
 GOLDEN_CASES["poles-text_T7_gf3"] = (
     ("poles", *GOLDEN_INSTANCES["T7_gf3"], "--output", "text"),
+    0,
+)
+# form files through the commands that take the form's own field, and a
+# rational file reduced to --field gf(3): its `form` names the form as read
+for _command in ("variety", "radical"):
+    GOLDEN_CASES[f"{_command}_file-n5_gf3"] = (
+        (_command, "--file", str(FORMS_DIR / "n5_gf3.form"), "--output", "json"),
+        0,
+    )
+GOLDEN_CASES["poles_file-n5_q_gf3"] = (
+    ("poles", "--file", str(FORMS_DIR / "n5_q.form"), "--field", "gf(3)", "--output", "json"),
+    0,
+)
+# the remaining checks on their catalog rows
+GOLDEN_CASES["check-t4_T4_gf3"] = (
+    ("check", "t4", *GOLDEN_INSTANCES["T4_gf3"], "--output", "json"),
+    0,
+)
+GOLDEN_CASES["check-t11_T11_1-2_gf3"] = (
+    ("check", "t11", "--catalog", "T11_1", "--param", "2", "--field", "gf(3)", "--output", "json"),
+    0,
+)
+GOLDEN_CASES["check-spread_T10_1-2_gf3"] = (
+    ("check", "spread", *GOLDEN_INSTANCES["T10_1-2_gf3"], "--output", "json"),
     0,
 )
 # the JSON of `matrix` and `tables`
@@ -554,10 +628,11 @@ def test_emit_json_matches_json_dumps(tmp_path, capsys, monkeypatch, tag, field,
         {},
     ],
 )
-def test_json_text_of_other_shapes(payload):
+def test_json_text_of_other_shapes(capsys, payload):
     """A record list of any other shape falls back to ``json.dumps``, and
     the values around a templated list keep their escapes."""
-    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+    cli._emit(payload, "json")
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 def _record_golden() -> None:

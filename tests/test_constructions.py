@@ -4,16 +4,13 @@ import pytest
 
 from polegeom.constructions import (
     BilinearAltForm,
-    Decomposition,
     block_decompose,
     cch_hyperplane,
-    coordinate_swap_map,
     decomposable_pairs_span,
     expansion,
     reducible_join,
     symplectic_bilinear,
     trivial_extension,
-    wedge_span_basis,
 )
 from polegeom.fields import GF, QQ
 from polegeom.forms import TriForm, catalog_form
@@ -25,14 +22,6 @@ from polegeom.poles import (
 )
 from polegeom.poly import equal_up_to_scalar, parse_poly
 from polegeom.projective import projective_points, subspace_rref
-
-
-def test_decomposition_validation():
-    Decomposition(6, ((1, 2, 3), (4, 5, 6)))
-    with pytest.raises(ValueError):
-        Decomposition(6, ((1, 2, 3), (4, 5)))
-    with pytest.raises(ValueError):
-        Decomposition(6, ((1, 2, 3), (3, 4, 5, 6)))
 
 
 def test_trivial_extension_matches_catalog():
@@ -229,7 +218,6 @@ def test_block_wedge_span_identity():
     # the two summands have empty upper radicals on their own parts
     rhs = subspace_rref(field, mixed)
     assert lhs == rhs
-    assert wedge_span_basis(field, 6, lines) == list(lhs)
 
 
 def test_reducible_join_chain():
@@ -297,11 +285,6 @@ def test_cch_variety_products(n, factors):
         assert (want.evaluate(u) == 0) == (deg >= 1)
 
 
-def test_coordinate_swap_map():
-    m = coordinate_swap_map(6)
-    assert m == {1: 4, 4: 1, 2: 5, 5: 2, 3: 6, 6: 3}
-
-
 def test_bilinear_form_evaluate():
     field = GF(5)
     beta = BilinearAltForm(4, field, {(1, 2): 1, (3, 4): 2})
@@ -309,5 +292,3 @@ def test_bilinear_form_evaluate():
     assert beta.evaluate((0, 1, 0, 0), (1, 0, 0, 0)) == 4
     assert beta.evaluate((0, 0, 1, 0), (0, 0, 0, 1)) == 2
     assert beta.coefficient(2, 1) == 4
-    assert beta.is_nondegenerate_on((1, 2, 3, 4))
-    assert not beta.is_nondegenerate_on((1, 2, 3))

@@ -22,18 +22,6 @@ def test_division_gf7():
     assert F.mul(3, 5) == 1
 
 
-def test_arith_dispatch():
-    from polegeom.fields import arith
-
-    assert arith(GF(7), 1, 3, "div") == 5
-    assert arith(QQ, "1/2", "1/3", "add") == Fraction(5, 6)
-    assert arith(GF(2), 1, 1, "mul") == 1
-    with pytest.raises(ZeroDivisionError):
-        arith(GF(5), 1, 0, "div")
-    with pytest.raises(ValueError):
-        arith(GF(5), 1, 2, "pow")
-
-
 def test_rational_add():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
 

@@ -1,18 +1,18 @@
 """Pole enumeration, degrees, the variety pipeline and the upper radical."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from polegeom import geometry, kernels, poles
 from polegeom.fields import GF, QQ
-from polegeom.forms import TriForm, catalog_form
+from polegeom.forms import CatalogConditionError, TriForm, catalog_form
 from polegeom.geometry import build_geometry, fingerprint
 from polegeom.linalg import Matrix, pfaffian, random_invertible
 from polegeom.poles import (
     BudgetExceededError,
     VarietyError,
-    _pole_variety,
     _radical_lines,
     _zero_set_matches,
     contraction_matrix,
@@ -20,6 +20,7 @@ from polegeom.poles import (
     enumerate_upper_radical,
     full_report,
     lines_through_point,
+    over_field,
     point_degree,
     pole_variety,
     symbolic_matrix,
@@ -686,7 +687,7 @@ def test_zero_set_matches_both_verdicts(p, pulled):
         h = h.pullback(Matrix(field, rows))
     report = enumerate_poles(h, field, with_radicals=False)
     pairs = list(zip(report.points, report.degrees))
-    eq = _pole_variety(h, None, None, None, report).g
+    eq = pole_variety(h, report=report).g
     assert _zero_set_matches(field, eq, pairs)
     assert not _zero_set_matches(field, eq + MultiPoly.constant(7, field, 1), pairs)
     first_pole = next(pos for pos, (_, deg) in enumerate(pairs) if deg >= 1)
@@ -705,6 +706,40 @@ def test_budget_environment_default(monkeypatch):
 def test_infinite_field_rejected():
     with pytest.raises(ValueError):
         enumerate_poles(catalog_form("T9", QQ))
+
+
+# every entry point that scans, asked for the form over GF(7)
+OVER_GF7 = {
+    "enumerate_poles": lambda h: enumerate_poles(h, GF(7)),
+    "enumerate_upper_radical": lambda h: enumerate_upper_radical(h, GF(7)),
+    "full_report": lambda h: full_report(h, GF(7)),
+    "lines_through_point": lambda h: lines_through_point(h, (1, 0, 0, 0, 0, 0), GF(7)),
+    "pole_variety": lambda h: pole_variety(h, verify_field=GF(7)),
+    "build_geometry": lambda h: build_geometry(h, GF(7)),
+    "fingerprint": lambda h: fingerprint(h, GF(7)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OVER_GF7))
+def test_finite_form_over_another_field_rejected(entry):
+    """The residues of T10_1(2) over GF(3) are no form over GF(7), where
+    that catalog row does not even exist."""
+    with pytest.raises(CatalogConditionError):
+        catalog_form("T10_1", GF(7), param=2)
+    h = catalog_form("T10_1", GF(3), param=2)
+    with pytest.raises(ValueError, match=r"a form over gf\(3\) is not a form over gf\(7\)"):
+        OVER_GF7[entry](h)
+
+
+def test_over_field_reduces_a_rational_form():
+    h = TriForm(5, QQ, {(1, 2, 3): Fraction(1, 5), (1, 4, 5): Fraction(-2, 3)})
+    assert over_field(h, GF(7)) == TriForm(5, GF(7), {(1, 2, 3): 3, (1, 4, 5): 4})
+    with pytest.raises(ValueError, match="coefficient 1/5 of 1 2 3 has a denominator divisible by 5"):
+        over_field(h, GF(5))
+    with pytest.raises(ValueError, match="needs a finite field gf\\(p\\), not q"):
+        over_field(h)
+    g = catalog_form("T9", GF(3))
+    assert over_field(g) is g and over_field(g, GF(3)) is g
 
 
 def test_full_report_schema():

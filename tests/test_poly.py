@@ -39,17 +39,6 @@ def test_product_difference_of_squares():
     assert a == P("u1^2-u2^2")
 
 
-def test_arith_dispatch():
-    from polegeom.poly import poly_arith
-
-    a, b = P("u1+u2"), P("u1-u2")
-    assert poly_arith(a, b, "add") == P("2*u1")
-    assert poly_arith(a, b, "sub") == P("2*u2")
-    assert poly_arith(a, b, "mul") == P("u1^2-u2^2")
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "div")
-
-
 def test_additive_identity():
     a = P("u1*u3+2*u2")
     assert a + MultiPoly.zero(3, QQ) == a
