@@ -265,7 +265,13 @@ class TriForm:
             if n is None or fld is None:
                 raise ValueError("term line before n/field headers")
             i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-            terms.append((i, j, k, fld.of(parts[3])))
+            try:
+                terms.append((i, j, k, fld.of(parts[3])))
+            except ZeroDivisionError:
+                why = f"divisible by {fld.p}" if fld.is_finite else "of 0"
+                raise ValueError(
+                    f"coefficient {parts[3]} of {i} {j} {k} has a denominator {why}"
+                ) from None
         if n is None or fld is None:
             raise ValueError("missing n or field header")
         return cls.from_terms(n, fld, terms)

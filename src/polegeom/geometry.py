@@ -18,6 +18,7 @@ from .fields import GF, Field
 from .forms import TriForm
 from .kernels import _inverse_table, _rref_mod_p, kernel_mod_p
 from .poles import (
+    _least_point_lines,
     _line_bases,
     _line_rref,
     _radical_lines,
@@ -63,10 +64,6 @@ class IncidenceStructure:
             for pt in pts:
                 lines_by_point.setdefault(pt, []).append(idx)
         self.lines_by_point = {k: tuple(v) for k, v in lines_by_point.items()}
-
-    def line_count_histogram(self) -> Dict[int, int]:
-        counts = Counter(len(self.lines_by_point.get(pt, ())) for pt in self.points)
-        return dict(sorted(counts.items()))
 
 
 def build_geometry(
@@ -114,9 +111,14 @@ def spread_check(geom: IncidenceStructure) -> SpreadResult:
 def normal_spread_check(geom: IncidenceStructure) -> bool:
     """Whether the spread induces a spread on the span of every line pair.
 
-    Pairs spanning an already-verified 3-space are skipped via bitmask
-    bookkeeping; each span is verified by looking up the spread line of
-    each of its points and requiring exactly q^2 + 1 distinct lines.
+    For spread lines L_i, L_j with span S, a 3-space since spread lines
+    are disjoint, the plane pi = <L_i, r1(L_j)> meets every line of S.  So
+    S is partitioned by spread lines iff the spread line M through each
+    point z of pi off L_i lies in S, which is tested by putting the basis
+    row of M other than z into the n - 4 equations of S.  No two such z
+    lie on one spread line, which would then lie in pi and meet L_i, so
+    the M and L_i are q^2 + 1 distinct lines and cover S.  Pairs spanning
+    an already-verified 3-space are skipped via bitmask bookkeeping.
     """
     if not spread_check(geom).is_spread:
         raise ValueError("normality is only defined for spreads")
@@ -124,24 +126,25 @@ def normal_spread_check(geom: IncidenceStructure) -> bool:
     inv = _inverse_table(q)
     lines = geom.lines
     count = len(lines)
-    expected = q * q + 1
     masks = [1 << i for i in range(count)]  # pair (i, j) done when bit j of masks[i]
     full = (1 << count) - 1
     for i in range(count):
         todo = full & ~masks[i]
         while todo:
             j = (todo & -todo).bit_length() - 1
-            basis = [list(row) for row in lines[i].basis + lines[j].basis]
-            if len(_rref_mod_p(basis, geom.n, q, inv)) != 4:
-                return False
-            # a spread puts every point on exactly one line
-            members = {geom.lines_by_point[pt][0] for pt in span_points_mod_p(q, basis)}
-            # q^2+1 pairwise disjoint lines of q+1 points cover the span
-            # exactly; more distinct lines means some line exits the span
-            if len(members) != expected:
-                return False
-            group = 0
-            for m in members:
+            eqs = kernel_mod_p([list(row) for row in lines[i].basis + lines[j].basis], q)
+            plane = [list(row) for row in lines[i].basis + lines[j].basis[:1]]
+            _rref_mod_p(plane, geom.n, q, inv)
+            members, group = [i], 1 << i
+            for z in span_points_mod_p(q, plane):
+                m = geom.lines_by_point[z][0]
+                if m == i:
+                    continue
+                r1, r2 = lines[m].basis
+                w = r2 if z == r1 else r1
+                if any(sum(e * x for e, x in zip(eq, w)) % q for eq in eqs):
+                    return False
+                members.append(m)
                 group |= 1 << m
             for m in members:
                 masks[m] |= group
@@ -161,50 +164,34 @@ def polar_space_lines(
     apex_eqs: Optional[Sequence[Sequence[int]]] = None,
 ) -> List[PluckerLine]:
     """Lines inside the carrier subspace, totally isotropic for beta, and
-    meeting the apex subspace non-trivially when one is given.
+    meeting the apex subspace A non-trivially when one is given; sorted.
 
-    The carrier's lines are walked as reduced coefficient pairs (s, t) over
-    its reduced-echelon basis b_1..b_m from ``kernel_mod_p``, on ints mod p:
-    beta and the apex equations are first restricted to that basis, so both
-    tests are read off s and t, and the line [x, y], x = sum s_a b_a,
-    y = sum t_a b_a, is built only when kept, already reduced by the
-    argument of ``span_points_mod_p``.
+    Built on ints mod p from each canonical point x of the carrier in
+    sorted order.  Lying in the carrier, beta(x, y) = 0 and, for x off A,
+    y in <x> + A (the apex rows combined to vanish at x) are linear in y
+    and unchanged by y -> y + c*x.  So the kept lines through x are the
+    [x, y] with y in the subspace W_x they cut out (``kernel_mod_p``),
+    each emitted once, at its least point, by ``_least_point_lines``.
     """
     p = field.p
-    basis = kernel_mod_p([list(e) for e in carrier_eqs] or [[0] * n], p)
-    m = len(basis)
-    if m < 2:
-        return []
-    # beta(x, y) = sum over a < b of beta(b_a, b_b) * (s_a t_b - s_b t_a)
-    gram = [
-        (a, b, beta.evaluate(basis[a], basis[b]))
-        for a in range(m)
-        for b in range(a + 1, m)
-    ]
-    # the apex equations on the carrier basis; [x, y] meets the apex iff
-    # the two rows of their values have rank <= 1
-    apex = (
-        [[sum(e * x for e, x in zip(eq, vec)) % p for vec in basis] for eq in apex_eqs]
-        if apex_eqs
-        else None
-    )
-    out = []
-    for s, t in _line_bases(p, m):
-        if sum(c * (s[a] * t[b] - s[b] * t[a]) for a, b, c in gram) % p:
-            continue
-        if apex is not None:
-            vs = [sum(e * c for e, c in zip(row, s)) % p for row in apex]
-            vt = [sum(e * c for e, c in zip(row, t)) % p for row in apex]
-            if any(
-                (vs[i] * vt[j] - vs[j] * vt[i]) % p
-                for i in range(len(apex))
-                for j in range(i + 1, len(apex))
-            ):
-                continue
-        x = tuple(sum(c * vec[k] for c, vec in zip(s, basis)) % p for k in range(n))
-        y = tuple(sum(c * vec[k] for c, vec in zip(t, basis)) % p for k in range(n))
-        out.append(PluckerLine(basis=(x, y), wedge=wedge2_mod_p(p, x, y)))
-    return sorted(out)
+    carrier = [list(e) for e in carrier_eqs] or [[0] * n]
+    apex = apex_eqs or []
+
+    def spaces():
+        for x in sorted(span_points_mod_p(p, kernel_mod_p(carrier, p))):
+            isotropic = [0] * n  # the row of beta(x, .)
+            for (j, k), c in beta.coeffs.items():
+                isotropic[k - 1] += c * x[j - 1]
+                isotropic[j - 1] -= c * x[k - 1]
+            rows = carrier + [isotropic]
+            values = [sum(e * v for e, v in zip(eq, x)) % p for eq in apex]
+            lead = next((i for i, v in enumerate(values) if v), None)
+            if lead is not None:  # x off A; the lead's own row comes out zero
+                c0, e0 = values[lead], apex[lead]
+                rows += [[c0 * e - c * f for e, f in zip(eq, e0)] for c, eq in zip(values, apex)]
+            yield x, kernel_mod_p(rows, p)
+
+    return _least_point_lines(p, spaces())
 
 
 POLAR_CONFIGS: Dict[str, List[dict]] = {

@@ -389,41 +389,47 @@ def _line_rref(p: int, u: Vector, y: Sequence[int]) -> Tuple[Vector, Vector]:
     return u, y
 
 
-def _radical_lines(report: PoleReport) -> List[PluckerLine]:
-    """The upper-radical lines of a scan with radicals, sorted, each once.
+def _least_point_lines(
+    p: int, spaces: Iterable[Tuple[Vector, Sequence[Vector]]]
+) -> List[PluckerLine]:
+    """For each pair (u, space), in the order given, the lines [u, y] with
+    y in the span of ``space`` whose least point (in the canonical order)
+    is u, sorted by y.
 
-    Each line is built only at its least point r1 (in the canonical
-    enumeration order), whose reduced-echelon basis (r1, r2) it has.  For
-    a pole u with lead index a, the lines with r1 = u are the lines [u, y]
-    with y a canonical point of W = Rad(chi_u) ∩ {y_0 = ... = y_a = 0} and
+    ``space`` is the reduced-echelon basis of a subspace containing the
+    canonical point u, with lead index a.  Those lines are the [u, y] with
+    y a canonical point of W = span ∩ {y_0 = ... = y_a = 0} and
     u[lead(y)] = 0, and y = r2 is the only such point of its line: (u, y)
     is then reduced, and conversely r2 of a line with r1 = u is zero up to
-    and including a, with u zero at its lead.  The scan hands Rad(chi_u)
-    over in reduced echelon form, so W is spanned by its rows whose pivot
-    exceeds a, and the lead of a point of W is the pivot of the first row
-    in its combination.  So the span is listed from the first of those
-    rows whose pivot u is zero at: every point led by an earlier row is
-    skipped.
+    and including a, with u zero at its lead.  W is spanned by the rows
+    whose pivot exceeds a, and a point of W is led by the pivot of the
+    first row in its combination, so the span is listed from the first of
+    those rows whose pivot u is zero at.
+    """
+    lines: List[PluckerLine] = []
+    for u, space in spaces:
+        a = u.index(1)
+        pivots = [row.index(1) for row in space]
+        first = next((k for k, c in enumerate(pivots) if c > a and not u[c]), None)
+        if first is None:
+            continue
+        ys = sorted(y for y in span_points_mod_p(p, space[first:]) if not u[y.index(1)])
+        lines.extend(PluckerLine(basis=(u, y), wedge=wedge2_mod_p(p, u, y)) for y in ys)
+    return lines
+
+
+def _radical_lines(report: PoleReport) -> List[PluckerLine]:
+    """The upper-radical lines of a scan with radicals, sorted, each once:
+    ``_least_point_lines`` over each pole u and its radical Rad(chi_u),
+    which the scan hands over in reduced echelon form.
 
     No line is missed: h(u, y, .) = 0 is symmetric in u and y and survives
     a change of basis of the line, so for every radical line r1 is a pole
     and the whole line lies in Rad(chi_r1).  Poles are visited in tuple
-    order and each pole's r2 are sorted, so the list comes out sorted.
+    order and each pole's lines come sorted, so the list comes out sorted.
     """
-    p = report.field.p
-    lines: List[PluckerLine] = []
-    poles = sorted(
-        (u, rad) for u, deg, rad in zip(report.points, report.degrees, report.radicals) if deg
-    )
-    for u, radical in poles:
-        a = u.index(1)
-        pivots = [row.index(1) for row in radical]
-        first = next((k for k, c in enumerate(pivots) if c > a and not u[c]), None)
-        if first is None:
-            continue
-        ys = sorted(y for y in span_points_mod_p(p, radical[first:]) if not u[y.index(1)])
-        lines.extend(PluckerLine(basis=(u, y), wedge=wedge2_mod_p(p, u, y)) for y in ys)
-    return lines
+    columns = zip(report.points, report.degrees, report.radicals)
+    return _least_point_lines(report.field.p, sorted((u, r) for u, d, r in columns if d))
 
 
 def lines_through_point(

@@ -393,6 +393,17 @@ def test_denominator_divisible_by_p_exit_2(tmp_path, capsys):
         assert err == "error: coefficient 1/5 of 1 2 3 has a denominator divisible by 5\n"
 
 
+def test_finite_file_denominator_divisible_by_p_exit_2(tmp_path, capsys):
+    """A finite form file is parsed over its own field, before any field
+    rule applies: a coefficient 1/5 over gf(5) is a usage error there."""
+    form_file = tmp_path / "fifth_gf5.form"
+    form_file.write_text("n = 5\nfield = gf(5)\n1 2 3 1/5\n")
+    code, out, err = run_cli(capsys, "poles", "--file", str(form_file))
+    assert code == 2
+    assert out == ""
+    assert err == "error: coefficient 1/5 of 1 2 3 has a denominator divisible by 5\n"
+
+
 # Byte-for-byte locks on the JSON output of the pipeline commands.  The
 # files under tests/golden/ are the stdout of `polegeom <argv>` as
 # recorded before the one-scan pipeline landed; regenerate one only for a
@@ -415,18 +426,24 @@ GOLDEN_CASES["check-cone_T7_gf3"] = (
     1,
 )
 # the checks whose inner loops run on ints: the H(3) incidence graph, the
-# polar-space lines of T5 and T8, and the normal spread of T10_1(2)
+# polar-space lines of T5, T6 and T8, and the normal spread of T10_1(2)
+# over GF(3) and GF(5)
 GOLDEN_CASES["check-hexagon_T9_gf3"] = (
     ("check", "hexagon", "--catalog", "T9", "--field", "gf(3)", "--output", "json"),
     0,
 )
-for _family in ("T5", "T8"):
+for _family in ("T5", "T6", "T8"):
     GOLDEN_CASES[f"check-polar_{_family}_gf3"] = (
         ("check", "polar", "--catalog", _family, "--field", "gf(3)", "--output", "json"),
         0,
     )
 GOLDEN_CASES["check-normal-spread_T10_1-2_gf3"] = (
     ("check", "normal-spread", *GOLDEN_INSTANCES["T10_1-2_gf3"], "--output", "json"),
+    0,
+)
+GOLDEN_CASES["check-normal-spread_T10_1-2_gf5"] = (
+    ("check", "normal-spread", "--catalog", "T10_1", "--param", "2", "--field", "gf(5)",
+     "--output", "json"),
     0,
 )
 # fingerprints over primes above 3, where the scan's lane widths and

@@ -204,6 +204,13 @@ def test_form_file_errors():
         TriForm.from_text("n = 4\nfield = gf(2)\n1 2\n")
 
 
+def test_form_file_denominator_divisible_by_p():
+    with pytest.raises(ValueError, match="coefficient 1/5 of 1 2 3 has a denominator divisible by 5"):
+        TriForm.from_text("n = 5\nfield = gf(5)\n1 2 3 1/5\n")
+    with pytest.raises(ValueError, match="coefficient 2/0 of 1 2 3 has a denominator of 0"):
+        TriForm.from_text("n = 5\nfield = q\n1 2 3 2/0\n")
+
+
 def test_from_terms_merges_signs():
     F = GF(7)
     h = TriForm.from_terms(3, F, [(1, 6, 2, 1)][:0] + [(2, 1, 3, 1), (1, 2, 3, 1)])

@@ -1,6 +1,7 @@
 """Incidence-structure analytics: spreads, polar spaces, cone, hexagon."""
 
 import dataclasses
+import functools
 import random
 from collections import Counter
 
@@ -31,6 +32,7 @@ from polegeom.geometry import (
     unit_equation,
     verdict,
 )
+from polegeom.kernels import _inverse_table, _rref_mod_p
 from polegeom.linalg import Matrix, random_invertible
 from polegeom.poles import PoleReport, _all_lines
 from polegeom.projective import (
@@ -85,10 +87,22 @@ def test_spread_check_empty_lines():
     assert not result.is_spread
 
 
+@functools.lru_cache(maxsize=None)
+def _spread_geometry(tag, p, lam, pulled=False):
+    """The spread of the catalog row over GF(p), or its pullback by a
+    seeded element of GL(6, p), built once per session."""
+    field = GF(p)
+    h = catalog_form(tag, field, param=lam)
+    if pulled:
+        h = h.pullback(random_invertible(field, h.n, random.Random(f"spread/{tag}-{p}")))
+    return build_geometry(h)
+
+
 def test_normal_spread_gf3_and_gf7():
-    geom3 = build_geometry(catalog_form("T10_1", GF(3), param=2))
-    assert spread_check(geom3).is_spread
-    assert normal_spread_check(geom3)
+    for tag, p, lam in (("T10_1", 3, 2), ("T10_1", 5, 2), ("T10_1", 7, 3)):
+        geom = _spread_geometry(tag, p, lam)
+        assert spread_check(geom).is_spread
+        assert normal_spread_check(geom)
 
 
 def test_perturbed_spread_rejected():
@@ -150,11 +164,69 @@ def test_incidence_maps_follow_the_lines():
             dataclasses.replace(geom, **{name: {}})
 
 
-@pytest.mark.parametrize("tag,p,lam", [("T10_2", 2, 1), ("T10_1", 3, 2)])
+@pytest.mark.parametrize("tag,p,lam", [("T10_2", 2, 1), ("T10_1", 3, 2), ("T10_1", 5, 2)])
 def test_regulus_switched_spread_not_normal(tag, p, lam):
-    switched = _regulus_switched(build_geometry(catalog_form(tag, GF(p), param=lam)))
+    switched = _regulus_switched(_spread_geometry(tag, p, lam))
     assert spread_check(switched).is_spread
     assert not normal_spread_check(switched)
+
+
+def _normal_by_points(geom):
+    """Normality by the point route: the span of each line pair listed
+    point by point, and the spread lines through its points counted.
+    q^2+1 pairwise disjoint lines of q+1 points cover the span exactly, so
+    more distinct lines means some line leaves it.  Pairs inside a span
+    already verified are skipped by the same bitmask bookkeeping as
+    ``normal_spread_check``."""
+    q = geom.field.p
+    inv = _inverse_table(q)
+    lines = geom.lines
+    count = len(lines)
+    masks = [1 << i for i in range(count)]  # pair (i, j) done when bit j of masks[i]
+    full = (1 << count) - 1
+    for i in range(count):
+        todo = full & ~masks[i]
+        while todo:
+            j = (todo & -todo).bit_length() - 1
+            basis = [list(row) for row in lines[i].basis + lines[j].basis]
+            if len(_rref_mod_p(basis, geom.n, q, inv)) != 4:
+                return False
+            members = {geom.lines_by_point[pt][0] for pt in span_points_mod_p(q, basis)}
+            if len(members) != q * q + 1:
+                return False
+            group = 0
+            for m in members:
+                group |= 1 << m
+            for m in members:
+                masks[m] |= group
+            todo = full & ~masks[i]
+    return True
+
+
+SPREAD_ROWS = [("T10_2", 2, 1), ("T10_1", 3, 2), ("T10_1", 5, 2), ("T10_1", 7, 3)]
+SPREAD_ROUTE_CASES = (
+    [("normal", *row) for row in SPREAD_ROWS]
+    + [("pullback", *row) for row in SPREAD_ROWS]
+    + [("switched", *row) for row in SPREAD_ROWS[:3]]
+)
+
+
+@pytest.mark.parametrize(
+    "kind, tag, p, lam",
+    SPREAD_ROUTE_CASES,
+    ids=[f"{kind}-{tag}({lam})-gf{p}" for kind, tag, p, lam in SPREAD_ROUTE_CASES],
+)
+def test_normal_spread_matches_point_route(kind, tag, p, lam):
+    """``normal_spread_check`` gives the point route's verdict on the
+    normal spreads, on their seeded GL(6, p) pullbacks and on the spreads
+    with one regulus switched."""
+    geom = _spread_geometry(tag, p, lam, pulled=kind == "pullback")
+    if kind == "switched":
+        geom = _regulus_switched(geom)
+    assert spread_check(geom).is_spread
+    want = _normal_by_points(geom)
+    assert want == (kind != "switched")
+    assert normal_spread_check(geom) == want
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -344,7 +416,7 @@ def test_hexagon_t12_matches_t9():
     assert g9.lines == g12.lines
     assert g9.degrees == g12.degrees
     assert {len(p) for p in g9.points_by_line} == {8}
-    assert g9.line_count_histogram() == {8: 19608}
+    assert Counter(len(g9.lines_by_point.get(pt, ())) for pt in g9.points) == {8: 19608}
 
 
 def test_hexagon_rejects_wrong_type():
@@ -482,7 +554,8 @@ def test_fingerprint_counts_match_assembled_lines(tag, field, lam, pulled):
     fp = fingerprint(h, field)
     geom = build_geometry(h, field)
     assert fp.line_count == len(geom.lines)
-    assert dict(fp.lines_per_point_histogram) == geom.line_count_histogram()
+    lines_per_point = Counter(len(geom.lines_by_point.get(pt, ())) for pt in geom.points)
+    assert dict(fp.lines_per_point_histogram) == lines_per_point
     degrees = Counter(d for d in geom.degrees.values() if d >= 1)
     assert fp.degree_histogram == tuple(sorted(degrees.items()))
     assert fp.pole_count == len(geom.points)
@@ -638,7 +711,51 @@ def _polar_cases():
     return cases
 
 
-POLAR_CASES = _polar_cases()
+def _polar_apex_cases():
+    """Seeded cases whose apex meets the carrier in some of its points and
+    misses others: the apex equations are made to vanish at one random
+    carrier point, and a case is kept only when some carrier point lies
+    off the apex.  GF(2) and GF(3) with n from 4 to 6, GF(5) with n = 4, 5."""
+    rng = random.Random(4343)
+    cases = []
+    for p, top in ((2, 6), (3, 6), (5, 5)):
+        field = GF(p)
+        for n in range(4, top + 1):
+            kept = 0
+            while kept < 2:
+                carrier = [
+                    [rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, 2))
+                ]
+                inside = [
+                    pt
+                    for pt in projective_points(field, n)
+                    if all(sum(e * x for e, x in zip(eq, pt)) % p == 0 for eq in carrier)
+                ]
+                v = rng.choice(inside)
+                lead = v.index(1)
+                apex = []
+                for _ in range(rng.randint(1, n - 2)):
+                    row = [rng.randrange(p) for _ in range(n)]
+                    row[lead] = (row[lead] - sum(e * x for e, x in zip(row, v))) % p
+                    apex.append(row)
+                off = [
+                    pt
+                    for pt in inside
+                    if any(sum(e * x for e, x in zip(eq, pt)) % p for eq in apex)
+                ]
+                if not off:
+                    continue
+                beta = {
+                    (j, l): rng.randrange(p)
+                    for j in range(1, n + 1)
+                    for l in range(j + 1, n + 1)
+                }
+                cases.append((p, n, beta, carrier, apex))
+                kept += 1
+    return cases
+
+
+POLAR_CASES = _polar_cases() + _polar_apex_cases()
 
 
 @pytest.mark.parametrize(
