@@ -33,6 +33,7 @@ from .poles import (
     upper_radical_system,
 )
 from .poly import render_poly
+from .projective import canonical_point
 
 
 class UsageError(Exception):
@@ -150,7 +151,9 @@ def _add_form_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--param", help="parameter for the parametric types")
     parser.add_argument("--field", help="field spec: gf(p) or q")
     parser.add_argument("--dim", type=int, help="ambient dimension")
-    parser.add_argument("--budget", type=int, help="enumeration budget (p^n cap)")
+    parser.add_argument(
+        "--budget", type=int, help="enumeration budget (p^n cap, default 10^7)"
+    )
     parser.add_argument(
         "--output", choices=("text", "json"), default="text", help="report format"
     )
@@ -280,7 +283,7 @@ def _cmd_radical_lines(args) -> int:
             delta, on = delta + 1, on * field.p + 1
         payload = {
             "form": form.label or "file",
-            "point": [field.format(x) for x in u],
+            "point": list(canonical_point(field, u)),
             "degree": delta,
             "count": len(lines),
             "lines": [[list(b) for b in line.basis] for line in lines],
@@ -370,6 +373,8 @@ def _cmd_check(args) -> int:
     elif name == "polar":
         if tag_root not in geometry.POLAR_CONFIGS:
             raise UsageError("polar check applies to T5, T6 or T8")
+        if geom.n != 7:
+            raise UsageError("polar check applies to n = 7")
         passed = list(geom.lines) == geometry.expected_polar_lines(tag_root, field)
         if not passed:
             witnesses = [{"error": "line set differs from the polar-space lines"}]
@@ -413,7 +418,13 @@ def _cmd_check(args) -> int:
         witnesses = [{"witness": report.witness}] if report.witness else []
     else:
         raise UsageError(f"unknown check {name!r} (choose from {CHECKS})")
-    payload = geometry.verdict(name, form.label or "file", field, passed, witnesses)
+    payload = {
+        "check": name,
+        "form": form.label or "file",
+        "field": repr(field),
+        "pass": passed,
+        "witnesses": witnesses,
+    }
     _emit(payload, args.output)
     return 0 if passed else 1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .constructions import BilinearAltForm
-from .fields import GF, Field
+from .fields import GF
 from .forms import TriForm
 from .kernels import _inverse_table, _rref_mod_p, kernel_mod_p
 from .poles import (
@@ -222,8 +222,10 @@ POLAR_CONFIGS: Dict[str, List[dict]] = {
 }
 
 
-def expected_polar_lines(tag: str, field: GF, n: int = 7) -> List[PluckerLine]:
-    """The polar-space line set (union over components for T5)."""
+def expected_polar_lines(tag: str, field: GF) -> List[PluckerLine]:
+    """The polar-space line set of PG(6, p) (union over components for
+    T5): ``POLAR_CONFIGS`` are coordinates of n = 7."""
+    n = 7
     configs = POLAR_CONFIGS[tag]
     out: Set[PluckerLine] = set()
     for cfg in configs:
@@ -234,16 +236,6 @@ def expected_polar_lines(tag: str, field: GF, n: int = 7) -> List[PluckerLine]:
         apex = [unit_equation(n, i) for i in cfg["apex"]] if cfg["apex"] else None
         out.update(polar_space_lines(field, n, beta, carrier, apex))
     return sorted(out)
-
-
-def polar_space_check(
-    geom: IncidenceStructure,
-    beta: BilinearAltForm,
-    carrier_eqs: Sequence[Sequence[int]],
-    apex_eqs: Optional[Sequence[Sequence[int]]] = None,
-) -> bool:
-    expected = polar_space_lines(geom.field, geom.n, beta, carrier_eqs, apex_eqs)
-    return list(geom.lines) == expected
 
 
 @dataclass
@@ -642,29 +634,12 @@ def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> Geometry
     )
 
 
-def lines_are_poles(geom: IncidenceStructure) -> bool:
-    """Every point of every upper-radical line is a pole."""
-    pole_set = set(geom.points)
-    return all(set(pts) <= pole_set for pts in geom.points_by_line)
-
-
-def verdict(check: str, form: str, field: Field, passed: bool, witnesses: List) -> dict:
-    return {
-        "check": check,
-        "form": form,
-        "field": repr(field),
-        "pass": passed,
-        "witnesses": witnesses,
-    }
-
-
 __all__ = [
     "IncidenceStructure",
     "build_geometry",
     "spread_check",
     "normal_spread_check",
     "polar_space_lines",
-    "polar_space_check",
     "expected_polar_lines",
     "cone_structure_check",
     "hexagon_check",
@@ -673,8 +648,6 @@ __all__ = [
     "t4_line_check",
     "fingerprint",
     "GeometryFingerprint",
-    "lines_are_poles",
-    "verdict",
     "POLAR_CONFIGS",
     "unit_equation",
 ]

@@ -14,7 +14,6 @@ Pf(M_u^(1)) is expanded.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -46,15 +45,8 @@ class VarietyError(RuntimeError):
     """No principal Pfaffian index produced a verified pole equation."""
 
 
-def enumeration_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("POLEGEOM_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
-
-
 def _require_enumerable(field: GF, n: int, budget: Optional[int]) -> None:
-    limit = enumeration_budget(budget)
+    limit = DEFAULT_BUDGET if budget is None else budget
     if field.order**n > limit:
         raise BudgetExceededError(
             f"{field!r}^{n} = {field.order ** n} exceeds budget {limit}"
@@ -223,8 +215,8 @@ def variety_candidates(h: TriForm) -> Dict[int, Tuple[MultiPoly, int, MultiPoly]
     return out
 
 
-def _rational_sample_points(n: int, count: int = 240) -> Iterable[Tuple[int, ...]]:
-    """A deterministic spread of small integer points (first nonzero = 1)."""
+def _rational_sample_points(n: int) -> Iterable[Tuple[int, ...]]:
+    """A deterministic spread of 240 small integer points."""
     import random
 
     rng = random.Random(0xC0FFEE + n)
@@ -234,7 +226,7 @@ def _rational_sample_points(n: int, count: int = 240) -> Iterable[Tuple[int, ...
         vec = tuple(1 if j == i else 0 for j in range(n))
         seen.add(vec)
         yield vec
-    while len(seen) < count:
+    while len(seen) < 240:
         vec = tuple(rng.randint(-3, 3) for _ in range(n))
         if all(x == 0 for x in vec) or vec in seen:
             continue
@@ -283,7 +275,6 @@ def _grid_matches(h: TriForm, g: MultiPoly) -> bool:
 def pole_variety(
     h: TriForm,
     i: Optional[int] = None,
-    verify_field: Optional[GF] = None,
     budget: Optional[int] = None,
     report: Optional[PoleReport] = None,
 ) -> VarietyResult:
@@ -292,18 +283,16 @@ def pole_variety(
     Even n (or identically vanishing candidates) yields the designated
     all-points result.  Otherwise candidate indices are tried in
     ascending order; the first whose stripped polynomial has the correct
-    zero set is returned.  The zero set is checked against one scan of
-    ``over_field(h, verify_field)``, or against ``report`` when the caller
-    already holds that scan; a rational form without ``verify_field`` has
-    no scan, and every rational form is checked on a sampled grid too.  An
-    index i outside 1..n raises ValueError, for even n too.
+    zero set is returned.  A finite form is checked against one scan of
+    itself, or against ``report`` when the caller already holds that scan
+    (``verified_over`` is its field); a rational form is checked on a
+    sampled grid (``verified_over`` is "grid").  An index i outside 1..n
+    raises ValueError, for even n too.
     """
     if h.is_zero():
         raise ValueError("zero form")
     if i is not None and not 1 <= i <= h.n:
         raise ValueError(f"index {i} out of range 1..{h.n}")
-    finite = h.field.is_finite
-    scanned = over_field(h, verify_field) if finite or verify_field is not None else None
     if h.n % 2 == 0:
         return VarietyResult(all_points=True)
     candidates = variety_candidates(h)
@@ -312,30 +301,24 @@ def pole_variety(
         # with u_i != 0, then rank M_u = rank M_u^(i) <= n-3, a pole
         return VarietyResult(all_points=True)
     order = [i] if i is not None else sorted(candidates)
-    if scanned is not None and report is None:
-        report = enumerate_poles(scanned, budget=budget, with_radicals=False)
+    finite = h.field.is_finite
+    if finite and report is None:
+        report = enumerate_poles(h, budget=budget, with_radicals=False)
     failed: List[int] = []
     for idx in order:
         d, alpha, g = candidates[idx]
-        ok = report is None or _zero_set_matches(
-            report.field, g, zip(report.points, report.degrees)
-        )
-        if ok and not finite:
+        if finite:
+            ok = _zero_set_matches(report.field, g, zip(report.points, report.degrees))
+        else:
             ok = _grid_matches(h, g)
         if ok:
-            if finite:
-                verified = repr(h.field)
-            elif verify_field is not None:
-                verified = f"grid+{verify_field!r}"
-            else:
-                verified = "grid"
             return VarietyResult(
                 all_points=False,
                 index=idx,
                 d=d,
                 alpha=alpha,
                 g=g,
-                verified_over=verified,
+                verified_over=repr(h.field) if finite else "grid",
             )
         failed.append(idx)
     raise VarietyError(
@@ -504,33 +487,32 @@ def enumerate_upper_radical(
     h: TriForm,
     field: Optional[GF] = None,
     budget: Optional[int] = None,
-    method: str = "points",
 ) -> List[PluckerLine]:
-    """All lines of the upper radical, canonical and sorted.
+    """All lines of the upper radical of h over ``over_field(h, field)``,
+    canonical and sorted: one scan, each line assembled at its least pole."""
+    return _radical_lines(enumerate_poles(h, field, budget=budget, with_radicals=True))
 
-    method "points" scans once and assembles each line from its least pole;
-    method "wedge" filters every line of PG(n-1, q) through the linear
-    system (the independent cross-check route).  Both read h over
-    ``over_field(h, field)``.
-    """
+
+def _upper_radical_by_wedge(
+    h: TriForm,
+    field: Optional[GF] = None,
+    budget: Optional[int] = None,
+) -> List[PluckerLine]:
+    """The upper radical by the reference route: every line of PG(n-1, p)
+    filtered through the linear system ``upper_radical_system``.  The
+    tests cross-check ``enumerate_upper_radical`` against it.  The lines it
+    walks are charged to the budget, as well as p^n."""
     h = over_field(h, field)
     field = h.field
     _require_enumerable(field, h.n, budget)
-    if method == "wedge":
-        # the walk below visits every line of PG(n-1, p), not p^n points
-        limit = enumeration_budget(budget)
-        count = num_projective_lines(field.p, h.n)
-        if count > limit:
-            raise BudgetExceededError(
-                f"{count} lines of PG({h.n - 1}, {field.p}) exceed budget {limit}"
-            )
-        system = upper_radical_system(h)
-        return sorted(
-            line for line in _all_lines(field, h.n) if system.contains(line.wedge)
+    limit = DEFAULT_BUDGET if budget is None else budget
+    count = num_projective_lines(field.p, h.n)
+    if count > limit:
+        raise BudgetExceededError(
+            f"{count} lines of PG({h.n - 1}, {field.p}) exceed budget {limit}"
         )
-    if method != "points":
-        raise ValueError(f"unknown method {method!r}")
-    return _radical_lines(enumerate_poles(h, budget=budget, with_radicals=True))
+    system = upper_radical_system(h)
+    return sorted(line for line in _all_lines(field, h.n) if system.contains(line.wedge))
 
 
 def full_report(

@@ -35,6 +35,7 @@ from polegeom.linalg import (
     random_invertible,
 )
 from polegeom.poles import (
+    _upper_radical_by_wedge,
     contraction_matrix,
     enumerate_poles,
     enumerate_upper_radical,
@@ -109,7 +110,7 @@ def _t1_expected_lines(field):
     for line in lines:
         if not any(all(x == field.zero for x in pt[:3]) for pt in line.points(field)):
             return False
-    by_wedge = enumerate_upper_radical(h, field, method="wedge")
+    by_wedge = _upper_radical_by_wedge(h, field)
     return lines == by_wedge and len(lines) > 0
 
 

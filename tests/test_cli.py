@@ -97,6 +97,7 @@ def test_radical_lines_point(capsys):
     )
     assert code == 0
     payload = json.loads(out)
+    assert payload["point"] == [1, 0, 0, 0, 0, 0, 0]
     assert payload["degree"] == 2
     assert payload["count"] == 3
 
@@ -115,6 +116,17 @@ def test_check_spread_failure_exit_code(capsys):
     )
     assert code == 1
     assert "pass: False" in out
+
+
+def test_check_polar_needs_n_7(capsys):
+    """The polar descriptions are of PG(6, p): a form of another n is
+    refused, as the cone and t4 checks refuse theirs."""
+    code, out, err = run_cli(
+        capsys, "check", "polar", "--catalog", "T8", "--field", "gf(2)", "--dim", "8"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: polar check applies to n = 7\n"
 
 
 def test_check_cone_reports_witness(capsys):

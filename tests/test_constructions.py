@@ -15,6 +15,7 @@ from polegeom.constructions import (
 from polegeom.fields import GF, QQ
 from polegeom.forms import TriForm, catalog_form
 from polegeom.poles import (
+    _upper_radical_by_wedge,
     enumerate_poles,
     enumerate_upper_radical,
     pole_variety,
@@ -108,7 +109,7 @@ def test_symplectic_expansion_pole_geometry():
         assert h0.evaluate(x, y) == field.zero
     # every totally isotropic line of the carrier occurs
     count = 0
-    for line in enumerate_upper_radical(h, field, method="wedge"):
+    for line in _upper_radical_by_wedge(h, field):
         count += 1
     assert len(lines) == count == 315
 

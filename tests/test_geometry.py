@@ -22,15 +22,12 @@ from polegeom.geometry import (
     fingerprint,
     hexagon_check,
     incidence_graph_stats,
-    lines_are_poles,
     normal_spread_check,
-    polar_space_check,
     polar_space_lines,
     spread_check,
     t4_line_check,
     t11_structure_check,
     unit_equation,
-    verdict,
 )
 from polegeom.kernels import _inverse_table, _rref_mod_p
 from polegeom.linalg import Matrix, random_invertible
@@ -63,7 +60,7 @@ def test_build_geometry_t8_polar():
     geom = build_geometry(catalog_form("T8", field))
     assert len(geom.points) == 63
     beta = BilinearAltForm(7, field, {(2, 3): 1, (4, 5): 1, (6, 7): 1})
-    assert polar_space_check(geom, beta, [unit_equation(7, 1)])
+    assert list(geom.lines) == polar_space_lines(field, 7, beta, [unit_equation(7, 1)])
 
 
 def test_spread_check_t10_2():
@@ -236,9 +233,9 @@ def test_polar_t6(p):
     beta = BilinearAltForm(7, field, {(2, 5): 1, (3, 6): 1, (4, 7): 1})
     carrier = [unit_equation(7, 1)]
     apex = [unit_equation(7, i) for i in (1, 2, 3, 4)]
-    assert polar_space_check(geom, beta, carrier, apex)
+    assert list(geom.lines) == polar_space_lines(field, 7, beta, carrier, apex)
     # dropping the apex admits more isotropic lines, so the check fails
-    assert not polar_space_check(geom, beta, carrier)
+    assert list(geom.lines) != polar_space_lines(field, 7, beta, carrier)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -471,7 +468,8 @@ def test_t4_line_description(p):
 def test_lines_consist_of_poles_everywhere():
     for tag, field, lam in desk_instances((GF(2), GF(3))):
         geom = build_geometry(catalog_form(tag, field, param=lam))
-        assert lines_are_poles(geom), (tag, field)
+        pole_set = set(geom.points)
+        assert all(set(pts) <= pole_set for pts in geom.points_by_line), (tag, field)
 
 
 def test_pole_iff_on_radical_line():
@@ -515,13 +513,6 @@ def test_fingerprints_separate_types_gf2():
         key = fp.as_tuple()
         assert key not in seen, (tag, seen[key])
         seen[key] = tag
-
-
-def test_verdict_schema():
-    v = verdict("spread", "T10_2(1)", GF(2), True, [])
-    assert list(v) == ["check", "form", "field", "pass", "witnesses"]
-
-
 
 
 # every desk instance over GF(2) and GF(3), as catalogued and pulled back

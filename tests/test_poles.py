@@ -14,6 +14,7 @@ from polegeom.poles import (
     BudgetExceededError,
     VarietyError,
     _radical_lines,
+    _upper_radical_by_wedge,
     _zero_set_matches,
     contraction_matrix,
     enumerate_poles,
@@ -432,7 +433,7 @@ def test_enumerate_upper_radical_t1():
     del span
     expected = sum(
         1
-        for line in enumerate_upper_radical(h, method="wedge")
+        for line in _upper_radical_by_wedge(h)
     )
     assert len(lines) == expected
 
@@ -476,8 +477,8 @@ def test_methods_agree(tag, lam, p):
     field = GF(p)
     n = 6 if tag in ("T1", "T4") else None
     h = catalog_form(tag, field, param=lam, n=n)
-    by_points = enumerate_upper_radical(h, method="points")
-    by_wedge = enumerate_upper_radical(h, method="wedge")
+    by_points = enumerate_upper_radical(h)
+    by_wedge = _upper_radical_by_wedge(h)
     assert by_points == by_wedge
 
 
@@ -647,7 +648,6 @@ ONE_SCAN_CALLS = {
     "fingerprint": lambda: fingerprint(catalog_form("T9", GF(3)), GF(3)),
     "enumerate_upper_radical": lambda: enumerate_upper_radical(catalog_form("T5", GF(3))),
     "pole_variety-gf": lambda: pole_variety(catalog_form("T2", GF(3))),
-    "pole_variety-rational": lambda: pole_variety(catalog_form("T9", QQ), verify_field=GF(3)),
 }
 
 
@@ -665,6 +665,13 @@ def test_one_scan_per_call(monkeypatch, name):
     assert len(calls) == 1
 
 
+def test_rational_pole_variety_makes_no_scan(monkeypatch):
+    """A rational form's equation is verified on the grid alone."""
+    forbid_everywhere(monkeypatch, "scan")
+    result = pole_variety(catalog_form("T9", QQ))
+    assert result.verified_over == "grid"
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         enumerate_poles(catalog_form("T9", GF(7)), budget=1000)
@@ -673,7 +680,7 @@ def test_budget_exceeded():
 def test_wedge_route_charges_its_lines_to_the_budget():
     # p^7 = 2,187 is under the budget, the 99,463 lines of PG(6, 3) are not
     with pytest.raises(BudgetExceededError, match="99463 lines"):
-        enumerate_upper_radical(catalog_form("T9", GF(3)), method="wedge", budget=10_000)
+        _upper_radical_by_wedge(catalog_form("T9", GF(3)), budget=10_000)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -695,14 +702,6 @@ def test_zero_set_matches_both_verdicts(p, pulled):
     assert not _zero_set_matches(field, eq, pairs)
 
 
-def test_budget_environment_default(monkeypatch):
-    monkeypatch.setenv("POLEGEOM_BUDGET", "1000")
-    with pytest.raises(BudgetExceededError):
-        enumerate_poles(catalog_form("T9", GF(3)))
-    monkeypatch.setenv("POLEGEOM_BUDGET", "100000")
-    assert enumerate_poles(catalog_form("T9", GF(3))).histogram[2] == 364
-
-
 def test_infinite_field_rejected():
     with pytest.raises(ValueError):
         enumerate_poles(catalog_form("T9", QQ))
@@ -714,7 +713,6 @@ OVER_GF7 = {
     "enumerate_upper_radical": lambda h: enumerate_upper_radical(h, GF(7)),
     "full_report": lambda h: full_report(h, GF(7)),
     "lines_through_point": lambda h: lines_through_point(h, (1, 0, 0, 0, 0, 0), GF(7)),
-    "pole_variety": lambda h: pole_variety(h, verify_field=GF(7)),
     "build_geometry": lambda h: build_geometry(h, GF(7)),
     "fingerprint": lambda h: fingerprint(h, GF(7)),
 }
