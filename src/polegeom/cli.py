@@ -352,11 +352,24 @@ def _cmd_construct(args) -> int:
 CHECKS = ("spread", "normal-spread", "polar", "cone", "hexagon", "t11", "t4")
 
 
+# the catalog rows each labelled check describes, and how its error names them
+CHECK_ROWS = {
+    "polar": (tuple(geometry.POLAR_CONFIGS), "T5, T6 or T8"),
+    "cone": (("T7",), "T7"),
+    "t11": (("T11_1", "T11_2"), "T11_1/T11_2"),
+    "t4": (("T4",), "T4"),
+}
+
+
 def _cmd_check(args) -> int:
     form, field = _load_form(args)
-    geom = geometry.build_geometry(form, field, budget=args.budget)
     name = args.what
     tag_root = (form.label or "").split("(")[0]
+    # refuse what the label and n alone rule out before the scan
+    if name in CHECK_ROWS and tag_root not in CHECK_ROWS[name][0]:
+        raise UsageError(f"{name} check applies to {CHECK_ROWS[name][1]}")
+    geometry.check_scope(name, form.label, form.n)
+    geom = geometry.build_geometry(form, field, budget=args.budget)
     passed = False
     witnesses: List = []
     if name == "spread":
@@ -371,16 +384,10 @@ def _cmd_check(args) -> int:
             if not passed:
                 witnesses = [{"error": "a line-pair span is not partitioned"}]
     elif name == "polar":
-        if tag_root not in geometry.POLAR_CONFIGS:
-            raise UsageError("polar check applies to T5, T6 or T8")
-        if geom.n != 7:
-            raise UsageError("polar check applies to n = 7")
         passed = list(geom.lines) == geometry.expected_polar_lines(tag_root, field)
         if not passed:
             witnesses = [{"error": "line set differs from the polar-space lines"}]
     elif name == "cone":
-        if tag_root != "T7":
-            raise UsageError("cone check applies to T7")
         report = geometry.cone_structure_check(geom, form)
         passed = report.passed
         witnesses = [
@@ -405,14 +412,10 @@ def _cmd_check(args) -> int:
         )
         witnesses = [{"stats": list(stats.as_tuple())}]
     elif name == "t11":
-        if tag_root not in ("T11_1", "T11_2"):
-            raise UsageError("t11 check applies to T11_1/T11_2")
         report = geometry.t11_structure_check(geom, form)
         passed = report.passed
         witnesses = [{"witness": report.witness}] if report.witness else []
     elif name == "t4":
-        if tag_root != "T4":
-            raise UsageError("t4 check applies to T4")
         report = geometry.t4_line_check(geom)
         passed = report.passed
         witnesses = [{"witness": report.witness}] if report.witness else []

@@ -22,6 +22,7 @@ from .poles import (
     _line_bases,
     _line_rref,
     _radical_lines,
+    _scan_report,
     _zero_set_matches,
     enumerate_poles,
     over_field,
@@ -72,9 +73,10 @@ def build_geometry(
     budget: Optional[int] = None,
 ) -> IncidenceStructure:
     """Enumerate the poles and radical lines of h over ``over_field(h,
-    field)`` and compute exact incidence."""
+    field)`` and compute exact incidence.  The scan is guarded by G at odd
+    n: only the zeros of G are eliminated."""
     hf = over_field(h, field)
-    report = enumerate_poles(hf, budget=budget)
+    report = _scan_report(hf, budget, True, guarded=True)
     lines = tuple(_radical_lines(report))
     degrees = dict(zip(report.points, report.degrees))
     points = tuple(u for u, deg in zip(report.points, report.degrees) if deg >= 1)
@@ -86,6 +88,26 @@ def build_geometry(
         lines=lines,
         label=h.label,
     )
+
+
+# the checks written for one n: (n, the check's name in the error)
+_CHECK_N = {
+    "polar": (7, "polar"),
+    "cone": (7, "cone structure"),
+    "t11": (7, "t11"),
+    "t4": (6, "T4"),
+}
+
+
+def check_scope(name: str, label: Optional[str], n: int) -> None:
+    """Raise ValueError when the check ``name`` cannot apply to a form of
+    this label and n.  The checks below call it first, and ``polegeom
+    check`` calls it before the scan: it reads no geometry."""
+    if name == "hexagon" and label is not None and not label.startswith(("T9", "T12")):
+        raise ValueError(f"hexagon check applies to T9/T12, not {label}")
+    if name in _CHECK_N and n != _CHECK_N[name][0]:
+        want, title = _CHECK_N[name]
+        raise ValueError(f"{title} check applies to n = {want}")
 
 
 @dataclass
@@ -290,8 +312,7 @@ def cone_structure_check(geom: IncidenceStructure, h: TriForm) -> ConeReport:
     """
     p = geom.field.p
     n = geom.n
-    if n != 7:
-        raise ValueError("cone structure check applies to n = 7")
+    check_scope("cone", geom.label, n)
     # (a) pole set is the quadric u5*u7 + u4*u6 = 0
     pole_set_ok = all(
         ((u[4] * u[6] + u[3] * u[5]) % p == 0) == (d >= 1) for u, d in geom.degrees.items()
@@ -414,10 +435,7 @@ def incidence_graph_stats(geom: IncidenceStructure) -> HexagonStats:
 def hexagon_check(geom: IncidenceStructure) -> HexagonStats:
     """Statistics for the hexagonal types; the generalized-hexagon profile is
     (girth 12, diameter 6) with regular parameters."""
-    if geom.label is not None and not (
-        geom.label.startswith("T9") or geom.label.startswith("T12")
-    ):
-        raise ValueError(f"hexagon check applies to T9/T12, not {geom.label}")
+    check_scope("hexagon", geom.label, geom.n)
     return incidence_graph_stats(geom)
 
 
@@ -442,8 +460,7 @@ def t11_structure_check(geom: IncidenceStructure, h: TriForm) -> T11Report:
     """
     p = geom.field.p
     n = geom.n
-    if n != 7:
-        raise ValueError("t11 check applies to n = 7")
+    check_scope("t11", geom.label, n)
     expected_points = {u for u in geom.degrees if u[0] == 0 and u[3] == 0}
     pole_set_ok = set(geom.points) == expected_points
     e7 = (0,) * (n - 1) + (1,)
@@ -507,8 +524,7 @@ def t4_line_check(geom: IncidenceStructure) -> T4Report:
     half-coordinate swap, and degrees 3 on [V1], 1 elsewhere."""
     p = geom.field.p
     n = geom.n
-    if n != 6:
-        raise ValueError("T4 check applies to n = 6")
+    check_scope("t4", geom.label, n)
     # the lines of V1 = <e4, e5, e6>: the lines of PG(2, p) after three zeros
     zero = (0, 0, 0)
     expected = {
@@ -637,6 +653,7 @@ def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> Geometry
 __all__ = [
     "IncidenceStructure",
     "build_geometry",
+    "check_scope",
     "spread_check",
     "normal_spread_check",
     "polar_space_lines",

@@ -2,15 +2,17 @@
 
 scan walks PG(n-1, p) in the canonical order and returns every point's
 degree and, on request, each pole's radical as its reduced row echelon
-basis, the one radical format, which every line builder reads as it is.
-kernel_mod_p gives the same basis for any matrix mod p.
+basis, the one radical format, which every line builder reads as it is;
+at odd n a guard, the pole polynomial G, lets it skip the elimination
+wherever G(u) != 0.  kernel_mod_p gives the same basis for any matrix mod p.
 graph_stats gives girth, diameter and connectivity from int-bitset balls.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 BACKEND = "python"
 
@@ -178,6 +180,34 @@ def _require_alternating(cube: List[List[List[int]]], n: int, p: int) -> None:
                     raise ValueError("scan needs an alternating cube")
 
 
+def _guard_levels(guard: Dict[Tuple[int, ...], int], n: int, p: int):
+    """The tables that evaluate G along the odometer, one digit at a time.
+
+    keys[i] lists the distinct exponent tuples of the variables u_i ..
+    u_{n-1} among G's terms, so keys[0] is G's terms themselves.  Putting
+    u_i = a into a coefficient vector over keys[i] adds c * a^e at position
+    k of one over keys[i+1], for each (j, e, k) of steps[i]: j is a
+    position in keys[i], e its exponent of u_i, k the position of its rest.
+    Returns G's coefficients mod p over keys[0], steps, the sizes of the
+    keys, a^e mod p as powers[a][e], and last_powers[t] listing t^e for
+    the exponents e of u_{n-1} over keys[n-1].
+    """
+    if any(len(e) != n for e in guard):
+        raise ValueError(f"the guard needs exponent tuples of length {n}")
+    keys = [sorted(guard)]
+    steps = []
+    for i in range(n - 1):
+        rest = sorted({e[1:] for e in keys[i]})
+        at = {e: k for k, e in enumerate(rest)}
+        steps.append([(j, e[0], at[e[1:]]) for j, e in enumerate(keys[i])])
+        keys.append(rest)
+    degree = max((sum(e) for e in guard), default=0)
+    powers = [[pow(a, e, p) for e in range(degree + 1)] for a in range(p)]
+    coeffs = [guard[e] % p for e in keys[0]]
+    last_powers = [[row[e[0]] for e in keys[-1]] for row in powers]
+    return coeffs, steps, [len(k) for k in keys], powers, last_powers
+
+
 def scan(
     cube: List[List[List[int]]],
     n: int,
@@ -185,6 +215,7 @@ def scan(
     start: int,
     stop: int,
     want_kernels: bool,
+    guard: Optional[Dict[Tuple[int, ...], int]] = None,
 ) -> Tuple[List[Tuple[int, ...]], List[int], Optional[List[Optional[List[Tuple[int, ...]]]]]]:
     """Degrees (and optionally the radical bases of the poles) of canonical
     projective points with enumeration indices in [start, stop).
@@ -203,6 +234,19 @@ def scan(
     the other free columns and nonzero only after f: the reduced row
     echelon basis of the radical, as kernel_mod_p returns it.  At a point
     of degree 0 the radical would be <u>, and None stands in its place.
+
+    ``guard``, for odd n, is the pole polynomial G of the cube mod p as
+    {exponents: coefficient}, with Pf(M_u^(1)) = u_1 G.  The signed
+    sub-Pfaffian vector of M_u is +-G(u) u, so rank M_u = n-1 exactly
+    where G(u) != 0: such a point gets degree 0 (radical None) with no
+    elimination.  G is evaluated digit by digit as acc is: the state
+    after the digits before the last is refreshed only when one of them
+    turns, and then tabulates G != 0 over the p values of the last digit
+    (_guard_levels).  Where G(u) = 0 the point is eliminated as without a
+    guard, and a full rank there raises RuntimeError: the guard is not G.
+    Only callers whose output verifies nothing pass a guard
+    (``build_geometry``, ``enumerate_upper_radical``); a scan that
+    witnesses a pole equation must not lean on it.
     """
     from .projective import num_projective_points, projective_point_at
 
@@ -246,73 +290,104 @@ def scan(
     for i in range(lead + 1, n):
         acc[i] = acc[i - 1] + tables[i][u[i]]
     last = n - 1
+    if guard is not None:
+        coeffs, steps, sizes, powers, last_powers = _guard_levels(guard, n, p)
+        # state[i]: the coefficients of G with u_0 .. u_{i-1} put in, over
+        # keys[i] of _guard_levels; refresh(0) fills all but state[0]
+        state = [coeffs] * n
+        live = [False] * p
+
+        def refresh(level: int) -> None:
+            # put in u_level .. u_{last-1}, then tabulate G(u) != 0 over
+            # the values of the last digit
+            for i in range(level, last):
+                prev, row = state[i], powers[u[i]]
+                nxt = [0] * sizes[i + 1]
+                for j, e, k in steps[i]:
+                    nxt[k] += prev[j] * row[e]
+                state[i + 1] = nxt
+            rest = state[last]
+            live[:] = [sum(map(operator.mul, rest, row)) % p != 0 for row in last_powers]
+
+        refresh(0)
     for _ in range(stop - start):
-        pt = tuple(u)
-        x = acc[last]
-        x -= p * (((x * mul) >> shift) & all_low)
-        # u^T M_u = h(u, u, .) = 0 for an alternating cube, so row `lead`
-        # (u_lead = 1) is minus the sum of u_j times the other rows: it
-        # changes neither the row space nor its reduced echelon form
-        rows = []
-        for j in range(n):
-            if j != lead:
-                r = (x >> (j * row_bits)) & row_mask
-                if r:
-                    rows.append(r)
-        # forward elimination, pivoting on each row's last nonzero column,
-        # its lowest lane: rows taken in any order leave every pivot row
-        # zero below its own pivot lane and at the pivot lanes before it,
-        # so the pivots are those of the echelon form on reversed columns
-        piv_rows: List[int] = []
-        piv_lanes: List[int] = []
-        while rows:
-            r = rows.pop()
-            at = ((r & -r).bit_length() - 1) // w * w
-            a = (r >> at) & lane
-            if a != 1:
-                r *= inv[a]
-                r -= p * (((r * mul) >> shift) & row_low)
-            kept = []
-            for y in rows:
-                a = (y >> at) & lane
-                if a:
-                    y += (p - a) * r
-                    y -= p * (((y * mul) >> shift) & row_low)
-                if y:
-                    kept.append(y)
-            rows = kept
-            piv_rows.append(r)
-            piv_lanes.append(at)
-        rank = len(piv_rows)
-        degrees.append(last - rank)
-        points.append(pt)
-        if want_kernels:
-            if rank == last:
-                # degree 0: the radical is <u>, which no caller reads
+        points.append(tuple(u))
+        if guard is not None and live[u[last]]:
+            # G(u) != 0: rank M_u = n-1, degree 0
+            degrees.append(0)
+            if want_kernels:
                 kernels.append(None)
-            else:
-                # back-substitution: each pivot row is zero at the earlier
-                # pivot lanes; clear the later ones, last first
-                for t in range(rank - 1, 0, -1):
-                    r, at = piv_rows[t], piv_lanes[t]
-                    for q in range(t):
-                        y = piv_rows[q]
-                        a = (y >> at) & lane
-                        if a:
-                            y += (p - a) * r
-                            piv_rows[q] = y - p * (((y * mul) >> shift) & row_low)
-                pivot_cols = [last - at // w for at in piv_lanes]
-                basis = []
-                for f in range(n):
-                    if f in pivot_cols:
-                        continue
-                    vec = [0] * n
-                    vec[f] = 1
-                    at = (last - f) * w
-                    for r, c in zip(piv_rows, pivot_cols):
-                        vec[c] = -((r >> at) & lane) % p
-                    basis.append(tuple(vec))
-                kernels.append(basis)
+        else:
+            x = acc[last]
+            x -= p * (((x * mul) >> shift) & all_low)
+            # u^T M_u = h(u, u, .) = 0 for an alternating cube, so row `lead`
+            # (u_lead = 1) is minus the sum of u_j times the other rows: it
+            # changes neither the row space nor its reduced echelon form
+            rows = []
+            for j in range(n):
+                if j != lead:
+                    r = (x >> (j * row_bits)) & row_mask
+                    if r:
+                        rows.append(r)
+            # forward elimination, pivoting on each row's last nonzero
+            # column, its lowest lane: rows taken in any order leave every
+            # pivot row zero below its own pivot lane and at the pivot lanes
+            # before it, so the pivots are those of the echelon form on
+            # reversed columns
+            piv_rows: List[int] = []
+            piv_lanes: List[int] = []
+            while rows:
+                r = rows.pop()
+                at = ((r & -r).bit_length() - 1) // w * w
+                a = (r >> at) & lane
+                if a != 1:
+                    r *= inv[a]
+                    r -= p * (((r * mul) >> shift) & row_low)
+                kept = []
+                for y in rows:
+                    a = (y >> at) & lane
+                    if a:
+                        y += (p - a) * r
+                        y -= p * (((y * mul) >> shift) & row_low)
+                    if y:
+                        kept.append(y)
+                rows = kept
+                piv_rows.append(r)
+                piv_lanes.append(at)
+            rank = len(piv_rows)
+            if guard is not None and rank == last:
+                raise RuntimeError(
+                    f"the guard vanishes at {tuple(u)}, where M_u has full rank "
+                    f"{rank}: it is not the pole equation G of this cube mod {p}"
+                )
+            degrees.append(last - rank)
+            if want_kernels:
+                if rank == last:
+                    # degree 0: the radical is <u>, which no caller reads
+                    kernels.append(None)
+                else:
+                    # back-substitution: each pivot row is zero at the
+                    # earlier pivot lanes; clear the later ones, last first
+                    for t in range(rank - 1, 0, -1):
+                        r, at = piv_rows[t], piv_lanes[t]
+                        for q in range(t):
+                            y = piv_rows[q]
+                            a = (y >> at) & lane
+                            if a:
+                                y += (p - a) * r
+                                piv_rows[q] = y - p * (((y * mul) >> shift) & row_low)
+                    pivot_cols = [last - at // w for at in piv_lanes]
+                    basis = []
+                    for f in range(n):
+                        if f in pivot_cols:
+                            continue
+                        vec = [0] * n
+                        vec[f] = 1
+                        at = (last - f) * w
+                        for r, c in zip(piv_rows, pivot_cols):
+                            vec[c] = -((r >> at) & lane) % p
+                        basis.append(tuple(vec))
+                    kernels.append(basis)
         # advance the odometer: the last coordinate turns fastest
         i = last
         while i > lead and u[i] == p - 1:
@@ -331,4 +406,10 @@ def scan(
             break
         for j in range(i, n):
             acc[j] = x
+        if guard is not None:
+            if i == lead:
+                # the lead moved: the digit before it went from 1 to 0
+                refresh(i - 1)
+            elif i < last:
+                refresh(i)
     return points, degrees, kernels

@@ -14,6 +14,7 @@ Pf(M_u^(1)) is expanded.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -161,13 +162,24 @@ def enumerate_poles(
     field)`` and record its degree and, on request, the radical of each
     pole (None at the points of degree 0).
     """
-    h = over_field(h, field)
-    field = h.field
-    _require_enumerable(field, h.n, budget)
-    p, n = field.p, h.n
-    cube = structure_cube(h, field)
+    return _scan_report(over_field(h, field), budget, with_radicals, guarded=False)
+
+
+def _scan_report(
+    hf: TriForm, budget: Optional[int], with_radicals: bool, guarded: bool
+) -> PoleReport:
+    """One ``kernels.scan`` of hf over its finite field.  ``guarded`` is
+    for the paths that verify nothing (``build_geometry`` and
+    ``enumerate_upper_radical``): at odd n the scan then gets the terms of
+    G and eliminates only where G(u) = 0."""
+    field = hf.field
+    p, n = field.p, hf.n
+    _require_enumerable(field, n, budget)
+    # G = 0, every point a pole, leaves nothing to guard
+    guard = (_pfaffian_quotient(hf) or None) if guarded and n % 2 else None
+    cube = structure_cube(hf, field)
     total = num_projective_points(p, n)
-    points, degrees, radicals = kernels.scan(cube, n, p, 0, total, with_radicals)
+    points, degrees, radicals = kernels.scan(cube, n, p, 0, total, with_radicals, guard)
     histogram = dict(sorted(Counter(degrees).items()))
     return PoleReport(field, n, points, degrees, radicals, histogram)
 
@@ -184,6 +196,20 @@ class VarietyResult:
     verified_over: Optional[str] = None
 
 
+def _pfaffian_quotient(h: TriForm) -> Dict[Tuple[int, ...], Scalar]:
+    """The terms of G, read off Pf(M_u^(1)) = u_1 G: the one Pfaffian that
+    is expanded for the pole equation, and the only place it is.  Empty
+    when that Pfaffian vanishes identically (every point a pole, or even n).
+    """
+    first = pfaffian(symbolic_matrix(h).principal_delete(1))
+    if any(e[0] == 0 for e in first.terms):
+        raise RuntimeError(
+            f"Pf(M_u^(1)) of {h.label or h!r} is not divisible by u_1: "
+            "the sub-Pfaffian identity is broken"
+        )
+    return {(e[0] - 1,) + e[1:]: c for e, c in first.terms.items()}
+
+
 def variety_candidates(h: TriForm) -> Dict[int, Tuple[MultiPoly, int, MultiPoly]]:
     """All nonzero principal-Pfaffian candidates i -> (d_i, alpha_i, g_i),
     from one Pfaffian.
@@ -197,18 +223,12 @@ def variety_candidates(h: TriForm) -> Dict[int, Tuple[MultiPoly, int, MultiPoly]
     pole; also every even n).
     """
     n, F = h.n, h.field
-    first = pfaffian(symbolic_matrix(h).principal_delete(1))
-    if first.is_zero():
-        return {}
-    if any(e[0] == 0 for e in first.terms):
-        raise RuntimeError(
-            f"Pf(M_u^(1)) of {h.label or h!r} is not divisible by u_1: "
-            "the sub-Pfaffian identity is broken"
-        )
-    g_terms = [((e[0] - 1,) + e[1:], c) for e, c in first.terms.items()]
+    g_terms = _pfaffian_quotient(h)
     out: Dict[int, Tuple[MultiPoly, int, MultiPoly]] = {}
+    if not g_terms:
+        return out
     for i in range(1, n + 1):
-        lift = {e[: i - 1] + (e[i - 1] + 1,) + e[i:]: c for e, c in g_terms}
+        lift = {e[: i - 1] + (e[i - 1] + 1,) + e[i:]: c for e, c in g_terms.items()}
         d = MultiPoly(n, F, lift if i % 2 else {e: F.neg(c) for e, c in lift.items()})
         alpha, g = strip_variable_power(d, i)
         out[i] = (d, alpha, g)
@@ -234,6 +254,13 @@ def _rational_sample_points(n: int) -> Iterable[Tuple[int, ...]]:
         yield vec
 
 
+def _factored(terms: Iterable[Tuple[Tuple[int, ...], int]]) -> List[Tuple[int, List[int]]]:
+    """Integer terms (exponents, c) as (c, its variables each repeated by
+    its exponent), zero coefficients dropped: a polynomial evaluated on
+    ints by one product per term."""
+    return [(c, [i for i, e in enumerate(exps) for _ in range(e)]) for exps, c in terms if c]
+
+
 def _zero_set_matches(
     field: GF, g: MultiPoly, degrees: Iterable[Tuple[Vector, int]]
 ) -> bool:
@@ -245,11 +272,7 @@ def _zero_set_matches(
     and the sum is reduced mod p once per point.
     """
     p = field.p
-    terms = []
-    for exps, c in g.terms.items():
-        c = field.of(c)
-        if c:
-            terms.append((c, [i for i, e in enumerate(exps) for _ in range(e)]))
+    terms = _factored((exps, field.of(c)) for exps, c in g.terms.items())
     for pt, deg in degrees:
         total = 0
         for c, factors in terms:
@@ -261,13 +284,70 @@ def _zero_set_matches(
     return True
 
 
+def _integer_rank(rows: List[List[int]]) -> int:
+    """The rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After a pivot every remaining entry is a minor of the input on the
+    pivot rows and columns so far, so dividing by the previous pivot is
+    exact and the entries stay as small as those minors.
+    """
+    work = [list(row) for row in rows]
+    nrows = len(work)
+    rank, prev = 0, 1
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, nrows) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        top = work[rank]
+        a = top[c]
+        for row in work[rank + 1 :]:
+            b = row[c]
+            for j in range(c + 1, len(row)):
+                row[j] = (a * row[j] - b * top[j]) // prev
+            row[c] = 0
+        prev = a
+        rank += 1
+    return rank
+
+
+def _cleared(terms: Dict) -> Dict:
+    """Rational coefficients times the least common multiple of their
+    denominators: integers with the same ratios."""
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    return {key: int(c * scale) for key, c in terms.items()}
+
+
+def _grid_degrees(h: TriForm) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """(point, degree) at each sample point of a rational form, on
+    integers: h is scaled once to integer coefficients, which does not
+    change the rank of M_u, and each integer M_u is ranked by
+    ``_integer_rank``.  The degrees are those of ``point_degree``."""
+    n = h.n
+    coeffs = [(i - 1, j - 1, k - 1, c) for (i, j, k), c in _cleared(h.coeffs).items()]
+    for pt in _rational_sample_points(n):
+        # M_u as contraction_matrix builds it
+        m = [[0] * n for _ in range(n)]
+        for i, j, k, c in coeffs:
+            for a, b, x in ((j, k, c * pt[i]), (i, k, -c * pt[j]), (i, j, c * pt[k])):
+                m[a][b] += x
+                m[b][a] -= x
+        yield pt, n - 1 - _integer_rank(m)
+
+
 def _grid_matches(h: TriForm, g: MultiPoly) -> bool:
     """Pointwise check of {g = 0} against the poles of a rational form on a
-    sampled grid, with exact arithmetic."""
-    F = h.field
-    for pt in _rational_sample_points(h.n):
-        delta, _ = point_degree(h, pt)
-        if (g.evaluate(pt) == F.zero) != (delta >= 1):
+    sampled grid, on integers: g is scaled once to integer coefficients,
+    which does not change its zeros, and the degrees are
+    ``_grid_degrees``."""
+    terms = _factored(_cleared(g.terms).items())
+    for pt, degree in _grid_degrees(h):
+        value = 0
+        for c, factors in terms:
+            for v in factors:
+                c *= pt[v]
+            value += c
+        if (value == 0) != (degree >= 1):
             return False
     return True
 
@@ -489,8 +569,9 @@ def enumerate_upper_radical(
     budget: Optional[int] = None,
 ) -> List[PluckerLine]:
     """All lines of the upper radical of h over ``over_field(h, field)``,
-    canonical and sorted: one scan, each line assembled at its least pole."""
-    return _radical_lines(enumerate_poles(h, field, budget=budget, with_radicals=True))
+    canonical and sorted: one scan, guarded by G at odd n, each line
+    assembled at its least pole."""
+    return _radical_lines(_scan_report(over_field(h, field), budget, True, guarded=True))
 
 
 def _upper_radical_by_wedge(

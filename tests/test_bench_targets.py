@@ -83,3 +83,14 @@ def test_traced_fingerprint_expands_one_pfaffian():
     with SPANS.Tracer() as tracer:
         geometry.fingerprint(catalog_form("T9", GF(2)), GF(2))
     assert [span[0] for span in tracer.spans].count("linalg.pfaffian") == 1
+
+
+@pytest.mark.parametrize(
+    "tag,lam,count", [("T9", None, 1), ("T10_1", 2, 0)], ids=["odd-n", "even-n"]
+)
+def test_traced_build_expands_the_guard_pfaffian(tag, lam, count):
+    """``build_geometry`` guards its scan by G at odd n: one Pfaffian, and
+    none at even n."""
+    with SPANS.Tracer() as tracer:
+        geometry.build_geometry(catalog_form(tag, GF(3), param=lam))
+    assert [span[0] for span in tracer.spans].count("linalg.pfaffian") == count

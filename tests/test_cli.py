@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes and output determinism."""
 
+import gzip
 import itertools
 import json
 import random
@@ -127,6 +128,38 @@ def test_check_polar_needs_n_7(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: polar check applies to n = 7\n"
+
+
+# checks that the label or n alone rule out, with the error each gives
+REFUSED_CHECKS = {
+    "polar-T9": (("polar", "--catalog", "T9", "--field", "gf(2)"),
+                 "polar check applies to T5, T6 or T8"),
+    "polar-T8-n8": (("polar", "--catalog", "T8", "--field", "gf(5)", "--dim", "8"),
+                    "polar check applies to n = 7"),
+    "cone-T9": (("cone", "--catalog", "T9", "--field", "gf(2)"), "cone check applies to T7"),
+    "cone-T7-n8": (("cone", "--catalog", "T7", "--field", "gf(3)", "--dim", "8"),
+                   "cone structure check applies to n = 7"),
+    "t11-T9": (("t11", "--catalog", "T9", "--field", "gf(2)"),
+               "t11 check applies to T11_1/T11_2"),
+    "t11-T11_2-n8": (("t11", "--catalog", "T11_2", "--param", "1", "--field", "gf(2)",
+                      "--dim", "8"), "t11 check applies to n = 7"),
+    "t4-T9": (("t4", "--catalog", "T9", "--field", "gf(2)"), "t4 check applies to T4"),
+    "t4-T4-n7": (("t4", "--catalog", "T4", "--field", "gf(3)", "--dim", "7"),
+                 "T4 check applies to n = 6"),
+    "hexagon-T7": (("hexagon", "--catalog", "T7", "--field", "gf(2)"),
+                   "hexagon check applies to T9/T12, not T7"),
+    "cone-file": (("cone", "--file", str(Path(__file__).resolve().parent / "forms/n5_gf3.form")),
+                  "cone check applies to T7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_CHECKS))
+def test_check_refuses_before_the_scan(capsys, monkeypatch, case):
+    """A check that the form's label or n rules out exits 2 with its error
+    line and scans no point."""
+    forbid_everywhere(monkeypatch, "scan")
+    argv, message = REFUSED_CHECKS[case]
+    assert run_cli(capsys, "check", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_check_cone_reports_witness(capsys):
@@ -539,6 +572,26 @@ GOLDEN_CASES["check-spread_T10_1-2_gf3"] = (
     ("check", "spread", *GOLDEN_INSTANCES["T10_1-2_gf3"], "--output", "json"),
     0,
 )
+# the scans that `check` and `radical-lines` guard by G, beyond n = 7 over
+# GF(2) and GF(3): the known-red T7 cone and T11_1(2) over GF(5), the
+# radical lines of T5 over GF(5), and a form file with n = 5, whose G is
+# linear
+GOLDEN_CASES["check-cone_T7_gf5"] = (
+    ("check", "cone", "--catalog", "T7", "--field", "gf(5)", "--output", "json"),
+    1,
+)
+GOLDEN_CASES["check-t11_T11_1-2_gf5"] = (
+    ("check", "t11", "--catalog", "T11_1", "--param", "2", "--field", "gf(5)", "--output", "json"),
+    0,
+)
+GOLDEN_CASES["radical-lines_T5_gf5"] = (
+    ("radical-lines", "--catalog", "T5", "--field", "gf(5)", "--output", "json"),
+    0,
+)
+GOLDEN_CASES["radical-lines_file-n5_gf3"] = (
+    ("radical-lines", "--file", str(FORMS_DIR / "n5_gf3.form"), "--output", "json"),
+    0,
+)
 # the JSON of `matrix` and `tables`
 GOLDEN_CASES["matrix_T9_q"] = (
     ("matrix", "--catalog", "T9", "--field", "q", "--output", "json"),
@@ -547,9 +600,24 @@ GOLDEN_CASES["matrix_T9_q"] = (
 GOLDEN_CASES["tables-2"] = (("tables", "--which", "2", "--output", "json"), 0)
 
 
+# outputs of a megabyte or more are kept gzipped (mtime 0, so recording twice
+# gives the same bytes)
+GZIPPED_GOLDENS = {"radical-lines_T5_gf5"}
+
+
 def golden_path(name: str) -> Path:
     argv, _ = GOLDEN_CASES[name]
-    return GOLDEN_DIR / (f"{name}.txt" if argv[-1] == "text" else f"{name}.json")
+    suffix = ".txt" if argv[-1] == "text" else ".json"
+    if name in GZIPPED_GOLDENS:
+        suffix += ".gz"
+    return GOLDEN_DIR / f"{name}{suffix}"
+
+
+def golden_text(name: str) -> str:
+    path = golden_path(name)
+    if name in GZIPPED_GOLDENS:
+        return gzip.decompress(path.read_bytes()).decode()
+    return path.read_text()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -557,7 +625,7 @@ def test_golden_outputs(capsys, name):
     argv, want_code = GOLDEN_CASES[name]
     code, out, _ = run_cli(capsys, *argv)
     assert code == want_code
-    assert out == golden_path(name).read_text()
+    assert out == golden_text(name)
 
 
 def test_radical_lines_point_reads_degree_off_line_count(capsys, monkeypatch):
@@ -571,7 +639,7 @@ def test_radical_lines_point_reads_degree_off_line_count(capsys, monkeypatch):
         argv, want_code = GOLDEN_CASES[name]
         code, out, _ = run_cli(capsys, *argv)
         assert code == want_code
-        assert out == golden_path(name).read_text()
+        assert out == golden_text(name)
 
 
 # The JSON writer against its reference: `_emit` prints
@@ -674,7 +742,10 @@ def _record_golden() -> None:
         with contextlib.redirect_stdout(buf):
             code = main(list(argv))
         assert code == want_code, (name, code)
-        golden_path(name).write_text(buf.getvalue())
+        data = buf.getvalue().encode()
+        if name in GZIPPED_GOLDENS:
+            data = gzip.compress(data, mtime=0)
+        golden_path(name).write_bytes(data)
 
 
 if __name__ == "__main__":

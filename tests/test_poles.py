@@ -1,5 +1,6 @@
 """Pole enumeration, degrees, the variety pipeline and the upper radical."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,11 +14,16 @@ from polegeom.linalg import Matrix, pfaffian, random_invertible
 from polegeom.poles import (
     BudgetExceededError,
     VarietyError,
+    _grid_degrees,
+    _integer_rank,
+    _pfaffian_quotient,
     _radical_lines,
+    _rational_sample_points,
     _upper_radical_by_wedge,
     _zero_set_matches,
     contraction_matrix,
     enumerate_poles,
+    structure_cube,
     enumerate_upper_radical,
     full_report,
     lines_through_point,
@@ -37,6 +43,7 @@ from polegeom.poly import (
 )
 from polegeom.projective import (
     PluckerLine,
+    num_projective_points,
     projective_point_at,
     projective_points,
     subspace_rref,
@@ -767,3 +774,199 @@ def test_render_variety_names():
     result = pole_variety(catalog_form("T9", GF(2)))
     names = [f"x{i}" for i in range(1, 8)]
     assert render_poly(result.g, names) == "x1*x4 + x2*x5 + x3*x6 + x7^2"
+
+
+# -- the integer grid check of a rational form -------------------------------
+
+
+def _random_rational_form(n, rng):
+    coeffs = {}
+    for t in itertools.combinations(range(1, n + 1), 3):
+        if rng.random() < 0.5:
+            num = rng.randint(-4, 4)
+            if num:
+                coeffs[t] = Fraction(num, rng.choice((1, 2, 3, 6, 7)))
+    return TriForm(n, QQ, coeffs)
+
+
+GRID_FORMS = [
+    (f"{tag}{'' if lam is None else f'({lam})'}", catalog_form(tag, QQ, param=lam))
+    for tag, _, lam in desk_instances(fields=(QQ,))
+] + [
+    (f"random-n{n}-{seed}", _random_rational_form(n, random.Random(f"grid/{n}/{seed}")))
+    for n in (4, 5, 6, 7)
+    for seed in range(2)
+]
+
+
+@pytest.mark.parametrize("name,h", GRID_FORMS, ids=[name for name, _ in GRID_FORMS])
+def test_grid_degrees_match_point_degree(name, h):
+    """The integer route gives the Field route's degree at every one of the
+    240 sample points of a rational form."""
+    assert h.field is QQ and not h.is_zero()
+    want = [(pt, point_degree(h, pt)[0]) for pt in _rational_sample_points(h.n)]
+    assert len(want) == 240
+    assert list(_grid_degrees(h)) == want
+
+
+def test_integer_rank_matches_field_rank():
+    """Fraction-free elimination against ``Matrix.rank`` over Q, on
+    matrices of full and deficient rank, zero columns included."""
+    rng = random.Random(91)
+    cases = []
+    for r, c in ((1, 1), (3, 3), (4, 6), (6, 4), (7, 7)):
+        for _ in range(10):
+            cases.append([[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)])
+    for r, k, c in ((5, 2, 5), (6, 3, 7), (7, 4, 7), (4, 1, 3)):
+        for _ in range(10):
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+            right = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)]
+            rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+            for row in rows:
+                row[rng.randrange(c)] = 0 if rng.random() < 0.3 else row[0]
+            cases.append(rows)
+    cases += [[[0] * 4 for _ in range(3)], [[0, 0, 2], [0, 0, 4]]]
+    for rows in cases:
+        assert _integer_rank(rows) == Matrix(QQ, [[QQ.of(x) for x in row] for row in rows]).rank()
+
+
+# -- the G-guarded scan of build_geometry and enumerate_upper_radical ---------
+
+
+def _scan_windows(p, n):
+    """Index ranges of PG(n-1, p) to compare a guarded and a full scan on:
+    the whole space when it is small, else the first points, the points
+    around the first two changes of the leading coordinate, and the last."""
+    total = num_projective_points(p, n)
+    if total <= 3000:
+        return [(0, total)]
+    first, second = p ** (n - 1), p ** (n - 1) + p ** (n - 2)
+    return [
+        (0, 600),
+        (first - 300, first + 300),
+        (second - 300, second + 300),
+        (total - 600, total),
+    ]
+
+
+def _assert_guard_agrees(h):
+    """The guarded scan gives the full scan's points, degrees and radicals,
+    window by window."""
+    p, n = h.field.p, h.n
+    cube = structure_cube(h, h.field)
+    guard = _pfaffian_quotient(h) or None
+    for lo, hi in _scan_windows(p, n):
+        want = kernels.scan(cube, n, p, lo, hi, True)
+        assert kernels.scan(cube, n, p, lo, hi, True, guard) == want, (lo, hi)
+        if guard is not None:
+            # without radicals too, the degrees alone
+            assert kernels.scan(cube, n, p, lo, hi, False, guard)[1] == want[1]
+    return guard
+
+
+ODD_DESK = [
+    (tag, field, lam)
+    for tag, field, lam in desk_instances(fields=(GF(2), GF(3), GF(5), GF(7)))
+    if catalog_form(tag, field, param=lam).n % 2
+]
+
+
+@pytest.mark.parametrize("pulled", [False, True], ids=["catalog", "pullback"])
+@pytest.mark.parametrize(
+    "tag,field,lam",
+    ODD_DESK,
+    ids=[f"{tag}{'' if lam is None else f'({lam})'}-{field!r}" for tag, field, lam in ODD_DESK],
+)
+def test_guarded_scan_matches_full_scan(tag, field, lam, pulled):
+    h = catalog_form(tag, field, param=lam)
+    if pulled:
+        h = h.pullback(random_invertible(field, h.n, random.Random(f"guard/{tag}/{field!r}")))
+    assert _assert_guard_agrees(h) is not None
+
+
+RANDOM_GUARD_FORMS = [(n, p, seed) for n in (3, 5, 7) for p in (2, 3, 5, 7) for seed in range(2)]
+
+
+@pytest.mark.parametrize(
+    "n,p,seed", RANDOM_GUARD_FORMS, ids=[f"n{n}-gf{p}-{s}" for n, p, s in RANDOM_GUARD_FORMS]
+)
+def test_guarded_scan_matches_full_scan_random(n, p, seed):
+    rng = random.Random(f"guard/{n}/{p}/{seed}")
+    h = random_form(n, GF(p), rng, density=0.7)
+    while h.is_zero():
+        h = random_form(n, GF(p), rng, density=0.7)
+    _assert_guard_agrees(h)
+
+
+def test_guarded_scan_matches_full_scan_n9():
+    """n = 9 over GF(2): G is a cubic."""
+    h = random_form(9, GF(2), random.Random("guard/9"), density=0.6)
+    guard = _assert_guard_agrees(h)
+    assert guard is not None and {sum(e) for e in guard} == {3}
+
+
+@pytest.mark.parametrize(
+    "tag,n,p",
+    [("T2", 7, 3), ("T9", 9, 2), ("T1", 5, 5)],
+    ids=["T2-n7-gf3", "T9-n9-gf2", "T1-n5-gf5"],
+)
+def test_guard_vanishes_with_a_radical(tag, n, p):
+    """A form with a nonzero radical has every point a pole, so G = 0:
+    the guarded path scans unguarded and gives enumerate_poles' answer."""
+    h = catalog_form(tag, GF(p), n=n)
+    assert _pfaffian_quotient(h) == {}
+    assert _assert_guard_agrees(h) is None
+    assert poles._scan_report(h, None, True, guarded=True) == enumerate_poles(h)
+    assert enumerate_poles(h, with_radicals=False).histogram.get(0) is None
+
+
+def test_guard_with_extra_zeros_raises():
+    """u_1 G vanishes where G does not: the scan eliminates there, finds
+    full rank and refuses the guard."""
+    field = GF(3)
+    h = catalog_form("T9", field).pullback(random_invertible(field, 7, random.Random(5)))
+    g_terms = _pfaffian_quotient(h)
+    g = MultiPoly(7, field, g_terms)
+    u1 = MultiPoly(7, field, {(1, 0, 0, 0, 0, 0, 0): 1})
+    assert any(e[0] == 0 for e in g_terms)  # u_1 does not divide G
+    bad = (g * u1).terms
+    cube = structure_cube(h, field)
+    total = num_projective_points(3, 7)
+    assert kernels.scan(cube, 7, 3, 0, total, False, g_terms)
+    with pytest.raises(RuntimeError, match="not the pole equation"):
+        kernels.scan(cube, 7, 3, 0, total, True, bad)
+
+
+GUARD_CALLS = {
+    "build_geometry": build_geometry,
+    "enumerate_upper_radical": enumerate_upper_radical,
+    "full_report": full_report,
+    "pole_variety": pole_variety,
+    "fingerprint": lambda h: fingerprint(h, h.field),
+    "enumerate_poles": enumerate_poles,
+}
+GUARDED = {"build_geometry", "enumerate_upper_radical"}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_CALLS))
+@pytest.mark.parametrize("tag,lam", [("T9", None), ("T10_1", 2)], ids=["odd-n", "even-n"])
+def test_guard_reaches_only_the_unverifying_paths(monkeypatch, name, tag, lam):
+    """Only build_geometry and enumerate_upper_radical guard their scan,
+    and only at odd n; full_report, pole_variety and fingerprint verify the
+    pole equation against a full scan."""
+    seen = []
+    real_scan = kernels.scan
+
+    def recording_scan(*args):
+        seen.append(args[6] if len(args) > 6 else None)
+        return real_scan(*args)
+
+    monkeypatch.setattr(kernels, "scan", recording_scan)
+    h = catalog_form(tag, GF(3), param=lam)
+    GUARD_CALLS[name](h)
+    if name in GUARDED and h.n % 2:
+        assert seen == [_pfaffian_quotient(h)]
+    elif name == "pole_variety" and h.n % 2 == 0:
+        assert seen == []  # even n: all points, by parity
+    else:
+        assert seen == [None]
