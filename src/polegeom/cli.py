@@ -145,18 +145,21 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
-def _add_form_source(parser: argparse.ArgumentParser) -> None:
+# the flags a command takes only when it reads them
+_FLAGS = {
+    "budget": dict(type=int, help="enumeration budget (p^n cap, default 10^7)"),
+    "output": dict(choices=("text", "json"), default="text", help="report format"),
+}
+
+
+def _add_form_source(parser: argparse.ArgumentParser, *flags: str) -> None:
     parser.add_argument("--catalog", help="catalog type tag, e.g. T9 or T10_1")
     parser.add_argument("--file", help="path of a form file")
     parser.add_argument("--param", help="parameter for the parametric types")
     parser.add_argument("--field", help="field spec: gf(p) or q")
     parser.add_argument("--dim", type=int, help="ambient dimension")
-    parser.add_argument(
-        "--budget", type=int, help="enumeration budget (p^n cap, default 10^7)"
-    )
-    parser.add_argument(
-        "--output", choices=("text", "json"), default="text", help="report format"
-    )
+    for flag in flags:
+        parser.add_argument(f"--{flag}", **_FLAGS[flag])
 
 
 def _read_form(path: str) -> TriForm:
@@ -487,24 +490,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("radical", help="radical and rank of the form")
-    _add_form_source(p)
+    _add_form_source(p, "output")
     p.set_defaults(func=_cmd_radical)
 
     p = sub.add_parser("matrix", help="symbolic contraction matrix")
-    _add_form_source(p)
+    _add_form_source(p, "output")
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("poles", help="full pole report over a finite field")
-    _add_form_source(p)
+    _add_form_source(p, "budget", "output")
     p.set_defaults(func=_cmd_poles)
 
     p = sub.add_parser("variety", help="pole-variety equation")
-    _add_form_source(p)
+    _add_form_source(p, "budget", "output")
     p.add_argument("--index", type=int, help="principal index to use")
     p.set_defaults(func=_cmd_variety)
 
     p = sub.add_parser("radical-lines", help="upper-radical lines")
-    _add_form_source(p)
+    _add_form_source(p, "budget", "output")
     p.add_argument("--point", help="restrict to lines through this point")
     p.set_defaults(func=_cmd_radical_lines)
 
@@ -521,18 +524,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a geometry check (exit 1 on failure)")
     p.add_argument("what", choices=CHECKS)
-    _add_form_source(p)
+    _add_form_source(p, "budget", "output")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("fingerprint", help="deterministic geometry fingerprint")
-    _add_form_source(p)
+    _add_form_source(p, "budget", "output")
     p.set_defaults(func=_cmd_fingerprint)
 
     p = sub.add_parser("tables", help="recompute and diff the reference tables")
     p.add_argument("--which", default="all", choices=("2", "3", "4", "5", "all"))
-    p.add_argument(
-        "--output", choices=("text", "json"), default="text", help="report format"
-    )
+    p.add_argument("--output", **_FLAGS["output"])
     p.set_defaults(func=_cmd_tables)
 
     return parser

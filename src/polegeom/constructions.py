@@ -5,11 +5,10 @@ recursive chain whose pole set is a union of coordinate hyperplanes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .fields import Field, Scalar, same_field
 from .forms import TriForm
-from .projective import pair_list
 
 Pair = Tuple[int, int]
 
@@ -131,26 +130,3 @@ def cch_hyperplane(n: int, field: Field) -> TriForm:
         )
         form = reducible_join(form, link)
     return form
-
-
-def symplectic_bilinear(field: Field, n: int, pairs: Sequence[Pair]) -> BilinearAltForm:
-    """Convenience constructor: sum of unit coefficients on the given pairs."""
-    return BilinearAltForm(n, field, {tuple(p): field.one for p in pairs})
-
-
-def decomposable_pairs_span(
-    field: Field, n: int, part0: Sequence[int], part1: Sequence[int]
-) -> List[Tuple[Scalar, ...]]:
-    """Basis of V_0 ^ V_1 inside the Pluecker coordinate space."""
-    pairs = pair_list(n)
-    index = {pq: i for i, pq in enumerate(pairs)}
-    basis = []
-    for a in part0:
-        for b in part1:
-            vec = [field.zero] * len(pairs)
-            key, sign = (a, b), 1
-            if a > b:
-                key, sign = (b, a), -1
-            vec[index[key]] = field.one if sign > 0 else field.neg(field.one)
-            basis.append(tuple(vec))
-    return basis

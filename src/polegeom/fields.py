@@ -9,7 +9,7 @@ hashable and cheap to store in sparse containers.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -89,9 +89,6 @@ class GF:
         if a == 0 or self.p == 2:
             return True
         return pow(a, (self.p - 1) // 2, self.p) == 1
-
-    def elements(self) -> Iterable[int]:
-        return range(self.p)
 
     def format(self, a: int) -> str:
         return str(a % self.p)

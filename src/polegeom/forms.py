@@ -160,15 +160,6 @@ class TriForm:
             raise ValueError("cannot shrink a form")
         return TriForm(n, self.field, dict(self.coeffs), label=self.label)
 
-    def reindex(self, mapping: Dict[int, int], n: int) -> "TriForm":
-        """Relabel basis indices through an injective mapping into 1..n."""
-        if len(set(mapping.values())) != len(mapping):
-            raise ValueError("mapping must be injective")
-        terms = [
-            (mapping[i], mapping[j], mapping[k], c) for (i, j, k), c in self.coeffs.items()
-        ]
-        return TriForm.from_terms(n, self.field, terms)
-
     def radical_and_rank(self) -> Tuple[List[Vector], int]:
         """Radical basis (reduced echelon) and rank = n - dim(radical)."""
         if self.is_zero():

@@ -31,17 +31,6 @@ class Matrix:
         if any(len(row) != self.ncols for row in self.rows):
             raise ValueError("ragged rows")
 
-    @classmethod
-    def zero(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(
-            field,
-            [[field.one if i == j else field.zero for j in range(n)] for i in range(n)],
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -200,12 +189,6 @@ class PolyMatrix:
         ]
         return PolyMatrix(self.field, self.nvars, entries)
 
-    def evaluate_at(self, point: Sequence[Scalar]) -> Matrix:
-        return Matrix(
-            self.field,
-            [[p.evaluate(point) for p in row] for row in self.entries],
-        )
-
     def render(self) -> str:
         """Aligned text rendering for CLI debugging."""
         from .poly import render_poly
@@ -353,32 +336,3 @@ def _det_cofactor(m: PolyMatrix) -> MultiPoly:
     # memo keyed on column subsets is valid because the row index is
     # determined by the number of removed columns
     return rec(0, tuple(range(n)))
-
-
-def random_matrix(field: Field, n: int, rng) -> Matrix:
-    """Uniform random n x n matrix (entries from a bounded box over Q)."""
-    if field.is_finite:
-        return Matrix(
-            field, [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)]
-        )
-    return Matrix(
-        field, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-    )
-
-
-def random_invertible(field: Field, n: int, rng) -> Matrix:
-    while True:
-        m = random_matrix(field, n, rng)
-        if m.rank() == n:
-            return m
-
-
-def random_alternating(field: Field, n: int, rng) -> Matrix:
-    F = field
-    rows = [[F.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = F.of(rng.randrange(F.order)) if F.is_finite else F.of(rng.randint(-9, 9))
-            rows[i][j] = x
-            rows[j][i] = F.neg(x)
-    return Matrix(F, rows)

@@ -2,9 +2,9 @@
 
 Terms are stored in a map from exponent tuples to nonzero coefficients.
 Only the operations the Pfaffian pipeline needs are provided: ring
-arithmetic, exact division, variable-power stripping, evaluation,
-substitution and equality up to a nonzero scalar.  Monomials are ordered
-by graded lexicographic order wherever an ordering matters.
+arithmetic, variable-power stripping, evaluation, substitution and
+equality up to a nonzero scalar.  Monomials are ordered by graded
+lexicographic order wherever an ordering matters.
 """
 
 from __future__ import annotations
@@ -164,30 +164,6 @@ class MultiPoly:
             self.field,
             {e[:i] + e[i + 1 :]: c for e, c in self.terms.items()},
         )
-
-
-def exact_divide(a: MultiPoly, b: MultiPoly) -> Optional[MultiPoly]:
-    """Return q with a = q*b, or None when b does not divide a exactly.
-
-    Single-divisor multivariate division; with one divisor the remainder
-    is canonical, so a zero remainder is equivalent to divisibility.
-    """
-    a._check(b)
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    F = a.field
-    lead_e, lead_c = b.leading()
-    quot: Dict[Exponents, Scalar] = {}
-    rem = a
-    while not rem.is_zero():
-        e, c = rem.leading()
-        diff = tuple(x - y for x, y in zip(e, lead_e))
-        if any(d < 0 for d in diff):
-            return None
-        q = F.div(c, lead_c)
-        quot[diff] = q
-        rem = rem - MultiPoly(a.nvars, F, {diff: q}) * b
-    return MultiPoly(a.nvars, F, quot)
 
 
 def strip_variable_power(a: MultiPoly, index: int) -> Tuple[int, MultiPoly]:

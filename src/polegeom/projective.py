@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .fields import GF, Field, Scalar
 from .linalg import Matrix
@@ -56,26 +56,6 @@ def projective_point_at(p: int, n: int, index: int) -> Tuple[int, ...]:
         index -= block
         k += 1
     raise IndexError("projective point index out of range")
-
-
-def projective_points(field: GF, n: int) -> Iterator[Tuple[int, ...]]:
-    """All canonical points of PG(n-1, p) in the fixed enumeration order."""
-    p = field.p
-    for k in range(n):
-        tail = n - k - 1
-        head = [0] * k + [1]
-        counter = [0] * tail
-        while True:
-            yield tuple(head + counter)
-            pos = tail - 1
-            while pos >= 0:
-                counter[pos] += 1
-                if counter[pos] < p:
-                    break
-                counter[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
 
 
 def span_points(field: GF, basis: Sequence[Vector]) -> List[Vector]:
@@ -172,13 +152,6 @@ class PluckerLine:
             raise ValueError("dependent vectors span no line")
         b = (red.rows[0], red.rows[1])
         return cls(basis=b, wedge=wedge2_coordinates(field, b[0], b[1]))
-
-    def points(self, field: GF) -> List[Vector]:
-        return span_points(field, list(self.basis))
-
-    def contains(self, field: Field, point: Sequence[Scalar]) -> bool:
-        m = Matrix(field, [self.basis[0], self.basis[1], point])
-        return m.rank() == 2
 
 
 def subspace_rref(field: Field, vectors: Sequence[Sequence[Scalar]]) -> Tuple[Vector, ...]:

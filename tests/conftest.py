@@ -5,6 +5,7 @@ import sys
 
 from polegeom.fields import GF, QQ
 from polegeom.forms import TriForm, catalog_tags
+from polegeom.linalg import Matrix
 
 # parameter choices satisfying each parametric row's condition per field
 CATALOG_PARAMS = {
@@ -39,6 +40,31 @@ def random_form(n, field, rng, density=0.5):
         if rng.random() < density
     }
     return TriForm(n, field, coeffs)
+
+
+def random_invertible(field, n, rng):
+    """A seeded uniform invertible n x n matrix (entries from a bounded box
+    over Q), drawn row by row until one has full rank."""
+    while True:
+        if field.is_finite:
+            m = Matrix(field, [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)])
+        else:
+            m = Matrix(field, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        if m.rank() == n:
+            return m
+
+
+def random_alternating(field, n, rng):
+    """A seeded alternating n x n matrix: each entry above the diagonal
+    uniform (from a bounded box over Q), its mirror the negative."""
+    F = field
+    rows = [[F.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = F.of(rng.randrange(F.order)) if F.is_finite else F.of(rng.randint(-9, 9))
+            rows[i][j] = x
+            rows[j][i] = F.neg(x)
+    return Matrix(F, rows)
 
 
 def forbid_everywhere(monkeypatch, name):

@@ -8,12 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import desk_instances, forbid_everywhere
+from conftest import desk_instances, forbid_everywhere, random_invertible
 from polegeom import cli
 from polegeom.cli import main
 from polegeom.fields import GF
 from polegeom.forms import catalog_form
-from polegeom.linalg import random_invertible
 
 
 def run_cli(capsys, *argv):
@@ -282,6 +281,34 @@ def test_budget_exceeded_message(capsys):
     )
     assert code == 2
     assert err.startswith("budget exceeded")
+
+
+# each command that reads neither --budget nor --output, with valid arguments
+UNREAD_FLAG_COMMANDS = {
+    "catalog": ("catalog", "--catalog", "T1", "--field", "gf(2)"),
+    "eval": ("eval", "--catalog", "T1", "--field", "gf(2)", "--x", "1,0,0", "--y", "0,1,0",
+             "--z", "0,0,1"),
+    "radical": ("radical", "--catalog", "T1", "--field", "gf(2)"),
+    "matrix": ("matrix", "--catalog", "T1", "--field", "gf(2)"),
+    "construct": ("construct", "cch", "--dim", "5", "--field", "gf(2)"),
+}
+UNREAD_FLAGS = [
+    (command, flag, value)
+    for command in UNREAD_FLAG_COMMANDS
+    for flag, value in (("--budget", "1"), ("--output", "json"))
+    if flag == "--budget" or command in ("catalog", "eval", "construct")
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
+def test_unread_flag_is_refused(capsys, command, flag, value):
+    """A command takes only the flags it reads: the rest exit 2."""
+    argv = UNREAD_FLAG_COMMANDS[command]
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err
 
 
 def test_deterministic_output(capsys):

@@ -6,10 +6,8 @@ from polegeom.constructions import (
     BilinearAltForm,
     block_decompose,
     cch_hyperplane,
-    decomposable_pairs_span,
     expansion,
     reducible_join,
-    symplectic_bilinear,
     trivial_extension,
 )
 from polegeom.fields import GF, QQ
@@ -22,7 +20,13 @@ from polegeom.poles import (
     point_degree,
 )
 from polegeom.poly import equal_up_to_scalar, parse_poly
-from polegeom.projective import projective_points, subspace_rref
+from polegeom.projective import (
+    num_projective_points,
+    pair_list,
+    projective_point_at,
+    span_points,
+    subspace_rref,
+)
 
 
 def test_trivial_extension_matches_catalog():
@@ -48,7 +52,8 @@ def test_trivial_extension_degree_law():
     h0 = catalog_form("T9", field)
     extra = 1
     ext = trivial_extension(h0, extra)
-    for u in projective_points(field, 8):
+    for i in range(num_projective_points(2, 8)):
+        u = projective_point_at(2, 8, i)
         head = u[:7]
         if all(x == 0 for x in head):
             delta, _ = point_degree(ext, u)
@@ -61,21 +66,21 @@ def test_trivial_extension_degree_law():
 
 def test_expansion_t8():
     field = GF(2)
-    h0 = symplectic_bilinear(field, 7, [(2, 3), (4, 5), (6, 7)])
+    h0 = BilinearAltForm(7, field, {(2, 3): 1, (4, 5): 1, (6, 7): 1})
     h = expansion(h0, 1)
     assert h == catalog_form("T8", field)
 
 
 def test_expansion_t2():
     field = GF(3)
-    h0 = symplectic_bilinear(field, 5, [(2, 3), (4, 5)])
+    h0 = BilinearAltForm(5, field, {(2, 3): 1, (4, 5): 1})
     h = expansion(h0, 1)
     assert h == catalog_form("T2", field)
 
 
 def test_expansion_direction_validation():
     field = GF(2)
-    h0 = symplectic_bilinear(field, 7, [(2, 3), (4, 5), (6, 7)])
+    h0 = BilinearAltForm(7, field, {(2, 3): 1, (4, 5): 1, (6, 7): 1})
     with pytest.raises(ValueError):
         expansion(h0, 2)  # already used
     with pytest.raises(ValueError):
@@ -84,7 +89,7 @@ def test_expansion_direction_validation():
 
 def test_expansion_last_direction_convention():
     field = QQ
-    h0 = symplectic_bilinear(field, 5, [(1, 2), (3, 4)])
+    h0 = BilinearAltForm(5, field, {(1, 2): 1, (3, 4): 1})
     h = expansion(h0, 5)
     assert set(h.coeffs) == {(1, 2, 5), (3, 4, 5)}
     assert h.coeffs[(1, 2, 5)] == field.one
@@ -94,7 +99,7 @@ def test_symplectic_expansion_pole_geometry():
     """Poles of the expanded form fill the bilinear carrier hyperplane and
     its radical lines are exactly the totally isotropic lines there."""
     field = GF(2)
-    h0 = symplectic_bilinear(field, 7, [(2, 3), (4, 5), (6, 7)])
+    h0 = BilinearAltForm(7, field, {(2, 3): 1, (4, 5): 1, (6, 7): 1})
     h = expansion(h0, 1)
     report = enumerate_poles(h, field)
     for u, deg in zip(report.points, report.degrees):
@@ -124,7 +129,7 @@ def test_trivial_extension_upper_radical_description():
     e8 = (0,) * 7 + (1,)
 
     def projects_to_base_line(line):
-        shadows = {pt[:7] for pt in line.points(field)}
+        shadows = {pt[:7] for pt in span_points(field, list(line.basis))}
         if any(all(x == 0 for x in s) for s in shadows):
             return False  # collapses onto the new direction
         reps = {s for s in shadows if any(s)}
@@ -139,7 +144,7 @@ def test_trivial_extension_upper_radical_description():
     from polegeom.poles import _all_lines
 
     for line in _all_lines(field, 8):
-        if any(pt == e8 for pt in line.points(field)) or projects_to_base_line(line):
+        if e8 in span_points(field, list(line.basis)) or projects_to_base_line(line):
             expected.add(line)
     got = set(enumerate_upper_radical(ext, field))
     assert got == expected
@@ -154,7 +159,7 @@ def test_expansion_rank5_pole_geometry():
     report = enumerate_poles(h, field)
     for u, deg in zip(report.points, report.degrees):
         assert deg == (2 if u[0] == 0 else 0)
-    h0 = symplectic_bilinear(field, 5, [(2, 3), (4, 5)])
+    h0 = BilinearAltForm(5, field, {(2, 3): 1, (4, 5): 1})
     for line in enumerate_upper_radical(h, field):
         x, y = line.basis
         assert x[0] == 0 and y[0] == 0
@@ -164,7 +169,7 @@ def test_expansion_rank5_pole_geometry():
 def test_block_decompose_t3():
     field = GF(2)
     a = catalog_form("T1", field, n=6)
-    b = catalog_form("T1", field).reindex({1: 4, 2: 5, 3: 6}, 6)
+    b = TriForm.from_terms(6, field, [(4, 5, 6, 1)])
     assert block_decompose(a, b) == catalog_form("T3", field)
 
 
@@ -174,13 +179,13 @@ def test_block_decompose_validation():
     with pytest.raises(ValueError):
         block_decompose(a, a)
     with pytest.raises(ValueError):
-        block_decompose(a, catalog_form("T1", field, n=6).reindex({1: 4, 2: 5, 3: 6}, 6), alpha=0)
+        block_decompose(a, TriForm.from_terms(6, field, [(4, 5, 6, 1)]), alpha=0)
 
 
 def test_block_decompose_all_points_are_poles():
     field = GF(3)
     a = catalog_form("T1", field, n=6)
-    b = catalog_form("T1", field).reindex({1: 4, 2: 5, 3: 6}, 6)
+    b = TriForm.from_terms(6, field, [(4, 5, 6, 1)])
     h = block_decompose(a, b, alpha=2, beta=1)
     report = enumerate_poles(h, field)
     assert all(deg >= 1 for deg in report.degrees)
@@ -190,7 +195,7 @@ def test_block_lines_meet_both_summands():
     field = GF(2)
     h = catalog_form("T3", field)
     for line in enumerate_upper_radical(h, field):
-        pts = line.points(field)
+        pts = span_points(field, list(line.basis))
         assert any(all(x == 0 for x in pt[3:]) for pt in pts)  # meets [V0]
         assert any(all(x == 0 for x in pt[:3]) for pt in pts)  # meets [V1]
 
@@ -198,7 +203,7 @@ def test_block_lines_meet_both_summands():
 def test_block_scalars_give_same_geometry():
     field = GF(3)
     a = catalog_form("T1", field, n=6)
-    b = catalog_form("T1", field).reindex({1: 4, 2: 5, 3: 6}, 6)
+    b = TriForm.from_terms(6, field, [(4, 5, 6, 1)])
     base_lines = enumerate_upper_radical(block_decompose(a, b), field)
     for alpha, beta in ((2, 1), (1, 2), (2, 2)):
         h = block_decompose(a, b, alpha, beta)
@@ -215,7 +220,8 @@ def test_block_wedge_span_identity():
     h = catalog_form("T3", field)
     lines = enumerate_upper_radical(h, field)
     lhs = subspace_rref(field, [line.wedge for line in lines])
-    mixed = decomposable_pairs_span(field, 6, (1, 2, 3), (4, 5, 6))
+    # unit wedges e_a ^ e_b, a in V_0 = <e1, e2, e3>, b in V_1 = <e4, e5, e6>
+    mixed = [tuple(int(pq == (a, b)) for pq in pair_list(6)) for a in (1, 2, 3) for b in (4, 5, 6)]
     # the two summands have empty upper radicals on their own parts
     rhs = subspace_rref(field, mixed)
     assert lhs == rhs
@@ -250,7 +256,8 @@ def test_join_hyperplane_contained_in_poles():
         a = TriForm.from_terms(7, field, [(1, 2, 3, 1), (3, 4, 5, 1)])
         b = TriForm.from_terms(7, field, [(5, 6, 7, 1)])
         h = reducible_join(a, b)
-        for u in projective_points(field, 7):
+        for i in range(num_projective_points(p, 7)):
+            u = projective_point_at(p, 7, i)
             if u[4] == 0:  # the shared index: u5 = 0
                 delta, _ = point_degree(h, u)
                 assert delta >= 1

@@ -65,7 +65,7 @@ def test_parse_field():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_field_axioms_exhaustive(p):
     F = GF(p)
-    elems = list(F.elements())
+    elems = list(range(p))
     for a in elems:
         assert F.add(a, F.zero) == a
         assert F.mul(a, F.one) == a
@@ -137,7 +137,7 @@ def test_cubic_matches_root_search(p):
 
 def test_scalar_format_roundtrip():
     F = GF(5)
-    for a in F.elements():
+    for a in range(F.p):
         assert F.of(F.format(a)) == a
     for a in (Fraction(3, 7), Fraction(-2), Fraction(0)):
         assert QQ.of(QQ.format(a)) == a

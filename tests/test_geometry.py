@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import desk_instances, forbid_everywhere, random_form
+from conftest import desk_instances, forbid_everywhere, random_form, random_invertible
 from polegeom import geometry
 from polegeom.constructions import BilinearAltForm
 from polegeom.fields import GF
@@ -30,11 +30,12 @@ from polegeom.geometry import (
     unit_equation,
 )
 from polegeom.kernels import _inverse_table, _rref_mod_p
-from polegeom.linalg import Matrix, random_invertible
+from polegeom.linalg import Matrix
 from polegeom.poles import PoleReport, _all_lines
 from polegeom.projective import (
     PluckerLine,
-    projective_points,
+    num_projective_points,
+    projective_point_at,
     span_points,
     span_points_mod_p,
     subspace_rref,
@@ -127,8 +128,9 @@ def _regulus_switched(geom):
         # through each point P of x, the line meeting y and z: P and the
         # point where the plane <P, y> meets z
         out = []
-        for pt in x.points(field):
-            hit = next(c for c in z.points(field) if rank([pt, c, *y.basis]) == 3)
+        z_points = span_points(field, list(z.basis))
+        for pt in span_points(field, list(x.basis)):
+            hit = next(c for c in z_points if rank([pt, c, *y.basis]) == 3)
             out.append(PluckerLine.from_pair(field, pt, hit))
         return out
 
@@ -149,7 +151,7 @@ def test_incidence_maps_follow_the_lines():
     geom = build_geometry(catalog_form("T7", field))
     lines = geom.lines[::-1][:50]
     moved = dataclasses.replace(geom, lines=lines)
-    points = [line.points(field) for line in lines]
+    points = [span_points(field, list(line.basis)) for line in lines]
     assert [sorted(pts) for pts in moved.points_by_line] == [sorted(pts) for pts in points]
     want = {}
     for idx, pts in enumerate(points):
@@ -266,9 +268,8 @@ def test_cone_t7_clauses(p):
     assert report.degree4_is_conic
     assert len(report.conic_points) == p + 1
     # the conic in the canonical enumeration order of PG(6, p)
-    assert report.conic_points == tuple(
-        pt for pt in projective_points(field, 7) if pt in set(report.conic_points)
-    )
+    order = [projective_point_at(p, 7, i) for i in range(num_projective_points(p, 7))]
+    assert report.conic_points == tuple(pt for pt in order if pt in set(report.conic_points))
     assert report.off_vertex_ok
     # the fully-radical-plane clause fails: the opposite regulus of the
     # base quadric consists of radical lines lying in no such plane
@@ -710,16 +711,16 @@ def _polar_apex_cases():
     rng = random.Random(4343)
     cases = []
     for p, top in ((2, 6), (3, 6), (5, 5)):
-        field = GF(p)
         for n in range(4, top + 1):
             kept = 0
             while kept < 2:
                 carrier = [
                     [rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, 2))
                 ]
+                total = num_projective_points(p, n)
                 inside = [
                     pt
-                    for pt in projective_points(field, n)
+                    for pt in (projective_point_at(p, n, i) for i in range(total))
                     if all(sum(e * x for e, x in zip(eq, pt)) % p == 0 for eq in carrier)
                 ]
                 v = rng.choice(inside)

@@ -10,7 +10,7 @@ from polegeom import geometry, kernels, poles
 from polegeom.fields import GF, QQ
 from polegeom.forms import CatalogConditionError, TriForm, catalog_form
 from polegeom.geometry import build_geometry, fingerprint
-from polegeom.linalg import Matrix, pfaffian, random_invertible
+from polegeom.linalg import Matrix, pfaffian
 from polegeom.poles import (
     BudgetExceededError,
     VarietyError,
@@ -45,12 +45,12 @@ from polegeom.projective import (
     PluckerLine,
     num_projective_points,
     projective_point_at,
-    projective_points,
+    span_points,
     subspace_rref,
     wedge2_coordinates,
     wedge2_mod_p,
 )
-from conftest import desk_instances, forbid_everywhere, random_form
+from conftest import desk_instances, forbid_everywhere, random_form, random_invertible
 
 
 def test_symbolic_matrix_t1():
@@ -83,8 +83,10 @@ def test_symbolic_matrix_embedded_zero_rows():
 def test_symbolic_numeric_coherence_gf2(tag, field, lam):
     h = catalog_form(tag, field, param=lam)
     sym = symbolic_matrix(h)
-    for u in projective_points(field, h.n):
-        assert sym.evaluate_at(u) == contraction_matrix(h, u)
+    for i in range(num_projective_points(2, h.n)):
+        u = projective_point_at(2, h.n, i)
+        values = [[entry.evaluate(u) for entry in row] for row in sym.entries]
+        assert Matrix(field, values) == contraction_matrix(h, u)
 
 
 def test_symbolic_numeric_coherence_rational():
@@ -94,7 +96,8 @@ def test_symbolic_numeric_coherence_rational():
         sym = symbolic_matrix(h)
         for _ in range(100):
             u = [rng.randint(-9, 9) for _ in range(h.n)]
-            assert sym.evaluate_at(u) == contraction_matrix(h, u)
+            values = [[entry.evaluate(u) for entry in row] for row in sym.entries]
+            assert Matrix(QQ, values) == contraction_matrix(h, u)
 
 
 def test_point_degree_t9():
@@ -195,7 +198,8 @@ def test_column_dependence_when_coordinate_nonzero():
         field = GF(p)
         for tag, _, lam in desk_instances((field,)):
             h = catalog_form(tag, field, param=lam)
-            for u in projective_points(field, h.n):
+            for i in range(num_projective_points(p, h.n)):
+                u = projective_point_at(p, h.n, i)
                 m = contraction_matrix(h, u)
                 cols = list(zip(*m.rows))
                 full_rank = m.rank()
@@ -210,7 +214,8 @@ def test_column_dependence_when_coordinate_nonzero():
 def test_column_dependence_full_scan_one_form():
     field = GF(3)
     h = catalog_form("T5", field)
-    for u in projective_points(field, 7):
+    for i in range(num_projective_points(3, 7)):
+        u = projective_point_at(3, 7, i)
         m = contraction_matrix(h, u)
         cols = list(zip(*m.rows))
         full_rank = m.rank()
@@ -408,7 +413,7 @@ def test_lines_through_point_spread():
     for u in [(1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 1, 0), (1, 1, 1, 1, 1, 1)]:
         lines = lines_through_point(h, u)
         assert len(lines) == 1
-        assert lines[0].contains(GF(2), u)
+        assert u in span_points(GF(2), list(lines[0].basis))
 
 
 def test_lines_through_point_hexagon():
@@ -417,7 +422,7 @@ def test_lines_through_point_hexagon():
     lines = lines_through_point(h, e1)
     assert len(lines) == 3
     for line in lines:
-        assert line.contains(GF(2), e1)
+        assert e1 in span_points(GF(2), list(line.basis))
 
 
 def test_lines_through_smooth_point():
@@ -433,7 +438,7 @@ def test_enumerate_upper_radical_t1():
     span = subspace_rref(field, radical_plane)
     for line in lines:
         meets = any(
-            all(x == 0 for x in pt[:3]) for pt in line.points(field)
+            all(x == 0 for x in pt[:3]) for pt in span_points(field, list(line.basis))
         )
         assert meets, line
     # count: lines meeting the plane [span] in PG(5,2)
@@ -450,7 +455,7 @@ def test_enumerate_upper_radical_spread_counts():
     assert len(lines) == 21  # (2^6-1)/(2^2-1)
     covered = set()
     for line in lines:
-        pts = line.points(GF(2))
+        pts = span_points(GF(2), list(line.basis))
         assert len(pts) == 3
         assert covered.isdisjoint(pts)
         covered.update(pts)

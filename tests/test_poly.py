@@ -1,4 +1,4 @@
-"""Sparse polynomial ring: arithmetic, division, stripping, evaluation."""
+"""Sparse polynomial ring: arithmetic, stripping, evaluation."""
 
 import random
 
@@ -8,7 +8,6 @@ from polegeom.fields import GF, QQ
 from polegeom.poly import (
     MultiPoly,
     equal_up_to_scalar,
-    exact_divide,
     parse_poly,
     render_poly,
     strip_variable_power,
@@ -48,14 +47,6 @@ def test_frobenius_gf2():
     F = GF(2)
     a = parse_poly("u1+u2", 3, F)
     assert a * a == parse_poly("u1^2+u2^2", 3, F)
-
-
-def test_exact_divide_examples():
-    assert exact_divide(P("u1^2*u3"), P("u1")) == P("u1*u3")
-    assert exact_divide(P("u1^2-u2^2"), P("u1+u2")) == P("u1-u2")
-    assert exact_divide(P("u1+u2"), P("u3")) is None
-    with pytest.raises(ZeroDivisionError):
-        exact_divide(P("u1"), MultiPoly.zero(3, QQ))
 
 
 def test_strip_variable_power():
@@ -108,19 +99,6 @@ def test_ring_axioms_random(field):
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a - a == MultiPoly.zero(4, field)
-
-
-@pytest.mark.parametrize("field", [GF(3), QQ])
-def test_divide_multiply_roundtrip(field):
-    rng = random.Random(99)
-    hits = 0
-    while hits < 40:
-        a = random_poly(rng, 3, field)
-        b = random_poly(rng, 3, field)
-        if a.is_zero() or b.is_zero():
-            continue
-        hits += 1
-        assert exact_divide(a * b, b) == a
 
 
 def test_strip_roundtrip():
