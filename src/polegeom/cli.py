@@ -33,7 +33,7 @@ from .poles import (
     upper_radical_system,
 )
 from .poly import render_poly
-from .projective import canonical_point
+from .projective import canonical_point, wedge2_mod_p
 
 
 class UsageError(Exception):
@@ -299,7 +299,10 @@ def _cmd_radical_lines(args) -> int:
             "count": len(lines),
             "solution_dim": len(system.solution),
             "lines": [
-                {"basis": [list(b) for b in line.basis], "plucker": list(line.wedge)}
+                {
+                    "basis": [list(b) for b in line.basis],
+                    "plucker": list(wedge2_mod_p(field.p, *line.basis)),
+                }
                 for line in lines
             ],
         }
@@ -309,16 +312,16 @@ def _cmd_radical_lines(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.what == "cch":
-        if not args.field or not args.dim:
+        if not args.field or args.dim is None:
             raise UsageError("construct cch needs --field and --dim")
         form = constructions.cch_hyperplane(args.dim, parse_field(args.field))
     elif args.what == "extend":
         base = _form_over(*_load_form(args))
-        if not args.extra:
+        if args.extra is None:
             raise UsageError("construct extend needs --extra")
         form = constructions.trivial_extension(base, args.extra)
     elif args.what == "expand":
-        if not (args.pairs and args.field and args.dim and args.direction):
+        if not (args.pairs and args.field) or args.dim is None or args.direction is None:
             raise UsageError(
                 "construct expand needs --pairs, --direction, --dim, --field"
             )
@@ -332,7 +335,7 @@ def _cmd_construct(args) -> int:
             coeffs[(j, k)] = field.one
         bilinear = constructions.BilinearAltForm(args.dim, field, coeffs)
         form = constructions.expansion(bilinear, args.direction)
-    elif args.what in ("block", "join"):
+    else:  # block or join
         first, field = _load_form(args)
         if not args.file2:
             raise UsageError(f"construct {args.what} needs --file2")
@@ -346,8 +349,6 @@ def _cmd_construct(args) -> int:
             )
         else:
             form = constructions.reducible_join(first, second)
-    else:
-        raise UsageError(f"unknown construction {args.what!r}")
     sys.stdout.write(form.to_text())
     return 0
 
@@ -418,12 +419,10 @@ def _cmd_check(args) -> int:
         report = geometry.t11_structure_check(geom, form)
         passed = report.passed
         witnesses = [{"witness": report.witness}] if report.witness else []
-    elif name == "t4":
+    else:  # t4
         report = geometry.t4_line_check(geom)
         passed = report.passed
         witnesses = [{"witness": report.witness}] if report.witness else []
-    else:
-        raise UsageError(f"unknown check {name!r} (choose from {CHECKS})")
     payload = {
         "check": name,
         "form": form.label or "file",
@@ -455,13 +454,13 @@ def _cmd_fingerprint(args) -> int:
 
 def _cmd_tables(args) -> int:
     which = [2, 3, 4, 5] if args.which == "all" else [int(args.which)]
-    ok = True
-    for w in which:
-        report = tables.tables_fixture(w)
-        ok = ok and report["ok"]
-        if args.output == "json":
-            _emit(report, "json")
-        else:
+    reports = [tables.tables_fixture(w) for w in which]
+    ok = all(report["ok"] for report in reports)
+    if args.output == "json":
+        # one JSON document: a single table's report, or all of them in one object
+        _emit(reports[0] if len(reports) == 1 else {"ok": ok, "tables": reports}, "json")
+    else:
+        for w, report in zip(which, reports):
             for row in report["rows"]:
                 status = "ok" if row["ok"] else "DIFF"
                 print(f"table {w}\t{row['tag']}\t{status}")

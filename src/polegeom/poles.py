@@ -477,7 +477,7 @@ def _least_point_lines(
         if first is None:
             continue
         ys = sorted(y for y in span_points_mod_p(p, space[first:]) if not u[y.index(1)])
-        lines.extend(PluckerLine(basis=(u, y), wedge=wedge2_mod_p(p, u, y)) for y in ys)
+        lines.extend(PluckerLine(basis=(u, y)) for y in ys)
     return lines
 
 
@@ -526,8 +526,7 @@ def lines_through_point(
     ]
     complement = [y for y in kernels.kernel_mod_p(m, p) if y.index(1) != a]
     return sorted(
-        PluckerLine(basis=b, wedge=wedge2_mod_p(p, *b))
-        for b in (_line_rref(p, u_pt, y) for y in span_points_mod_p(p, complement))
+        PluckerLine(basis=_line_rref(p, u_pt, y)) for y in span_points_mod_p(p, complement)
     )
 
 
@@ -559,8 +558,8 @@ def _line_bases(p: int, n: int) -> Iterator[Tuple[Vector, Vector]]:
 
 def _all_lines(field: GF, n: int) -> Iterable[PluckerLine]:
     """Every line of PG(n-1, q) by reduced-echelon shape enumeration."""
-    for row1, row2 in _line_bases(field.p, n):
-        yield PluckerLine(basis=(row1, row2), wedge=wedge2_mod_p(field.p, row1, row2))
+    for basis in _line_bases(field.p, n):
+        yield PluckerLine(basis=basis)
 
 
 def enumerate_upper_radical(
@@ -593,7 +592,11 @@ def _upper_radical_by_wedge(
             f"{count} lines of PG({h.n - 1}, {field.p}) exceed budget {limit}"
         )
     system = upper_radical_system(h)
-    return sorted(line for line in _all_lines(field, h.n) if system.contains(line.wedge))
+    return sorted(
+        line
+        for line in _all_lines(field, h.n)
+        if system.contains(wedge2_mod_p(field.p, *line.basis))
+    )
 
 
 def full_report(
@@ -633,7 +636,10 @@ def full_report(
         ],
         "histogram": {str(k): v for k, v in report.histogram.items()},
         "upper_radical": [
-            {"basis": [list(b) for b in line.basis], "plucker": list(line.wedge)}
+            {
+                "basis": [list(b) for b in line.basis],
+                "plucker": list(wedge2_mod_p(field.p, *line.basis)),
+            }
             for line in lines
         ],
         "variety": variety,

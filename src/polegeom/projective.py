@@ -1,11 +1,12 @@
 """Canonical projective points and lines of PG(n-1, K).
 
 Points are represented by their unique vector with first nonzero
-coordinate 1; lines by the reduced-echelon basis of their 2-space plus
-the Pluecker coordinate vector of that basis.  The enumeration order of
-canonical points is fixed (first-nonzero position ascending, then the
-trailing coordinates as a base-p odometer) and supports random access,
-which a scan that starts mid-space (its ``start`` index) relies on.
+coordinate 1; lines by the reduced-echelon basis of their 2-space alone,
+whose Pluecker coordinates ``wedge2_mod_p`` computes only where a report
+prints them.  The enumeration order of canonical points is fixed
+(first-nonzero position ascending, then the trailing coordinates as a
+base-p odometer) and supports random access, which a scan that starts
+mid-space (its ``start`` index) relies on.
 """
 
 from __future__ import annotations
@@ -143,15 +144,13 @@ class PluckerLine:
     """A projective line with canonical reduced-echelon basis."""
 
     basis: Tuple[Vector, Vector]
-    wedge: Vector
 
     @classmethod
     def from_pair(cls, field: Field, x: Sequence[Scalar], y: Sequence[Scalar]) -> "PluckerLine":
         red, pivots = Matrix(field, [x, y]).rref()
         if len(pivots) != 2:
             raise ValueError("dependent vectors span no line")
-        b = (red.rows[0], red.rows[1])
-        return cls(basis=b, wedge=wedge2_coordinates(field, b[0], b[1]))
+        return cls(basis=(red.rows[0], red.rows[1]))
 
 
 def subspace_rref(field: Field, vectors: Sequence[Sequence[Scalar]]) -> Tuple[Vector, ...]:

@@ -13,6 +13,7 @@ from polegeom import cli
 from polegeom.cli import main
 from polegeom.fields import GF
 from polegeom.forms import catalog_form
+from polegeom.projective import wedge2_coordinates
 
 
 def run_cli(capsys, *argv):
@@ -367,6 +368,41 @@ def test_construct_join(tmp_path, capsys):
     assert "1 2 3 1" in out and "3 4 5 1" in out
 
 
+# a given 0 is a value, not a missing flag: the library's own error shows
+ZERO_FLAG_CASES = {
+    "extend-extra": (
+        ("construct", "extend", "--catalog", "T1", "--field", "gf(2)", "--extra", "0"),
+        "error: extra must be >= 1\n",
+    ),
+    "expand-direction": (
+        ("construct", "expand", "--pairs", "23", "--direction", "0", "--dim", "4",
+         "--field", "gf(2)"),
+        "error: direction 0 outside 1..4\n",
+    ),
+    "cch-dim": (
+        ("construct", "cch", "--dim", "0", "--field", "gf(2)"),
+        "error: need odd n >= 5\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_FLAG_CASES))
+def test_construct_zero_flag_reaches_library(capsys, case):
+    argv, want_err = ZERO_FLAG_CASES[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == want_err
+
+
+@pytest.mark.parametrize("command", ["check", "construct"])
+def test_unknown_subcommand_choice_exit_2(capsys, command):
+    code, out, err = run_cli(capsys, command, "bogus", "--catalog", "T1", "--field", "gf(2)")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'bogus'" in err
+
+
 def test_check_with_file_source(tmp_path, capsys):
     form_file = tmp_path / "t9.form"
     _, out, _ = run_cli(capsys, "catalog", "--catalog", "T9", "--field", "gf(2)")
@@ -625,6 +661,7 @@ GOLDEN_CASES["matrix_T9_q"] = (
     0,
 )
 GOLDEN_CASES["tables-2"] = (("tables", "--which", "2", "--output", "json"), 0)
+GOLDEN_CASES["tables-all"] = (("tables", "--output", "json"), 0)
 
 
 # outputs of a megabyte or more are kept gzipped (mtime 0, so recording twice
@@ -653,6 +690,16 @@ def test_golden_outputs(capsys, name):
     code, out, _ = run_cli(capsys, *argv)
     assert code == want_code
     assert out == golden_text(name)
+
+
+def test_tables_all_json_is_one_document():
+    """`tables --output json` over all four tables is one JSON object
+    holding each table's report, the first of them that of `--which 2`."""
+    payload = json.loads(golden_text("tables-all"))
+    assert list(payload) == ["ok", "tables"]
+    assert payload["ok"] is True
+    assert [report["table"] for report in payload["tables"]] == [2, 3, 4, 5]
+    assert payload["tables"][0] == json.loads(golden_text("tables-2"))
 
 
 def test_radical_lines_point_reads_degree_off_line_count(capsys, monkeypatch):
@@ -734,6 +781,29 @@ def test_emit_json_matches_json_dumps(tmp_path, capsys, monkeypatch, tag, field,
     for point in points:
         lines = emitted("radical-lines", "--point", ",".join(map(str, point)))["lines"]
         assert bool(lines) == (point in poles)
+
+
+@pytest.mark.parametrize(
+    "tag,lam,p",
+    [("T7", None, 3), ("T4", None, 5), ("T10_1", 3, 7)],
+    ids=["T7-gf3", "T4-gf5", "T10_1-3-gf7"],
+)
+def test_plucker_arrays_are_wedges_of_their_bases(tmp_path, capsys, tag, lam, p):
+    """Every `plucker` array that `poles` and `radical-lines` print is the
+    Field-based ``wedge2_coordinates`` of the basis printed next to it, on
+    seeded pullbacks."""
+    field = GF(p)
+    h = catalog_form(tag, field, param=lam)
+    h = h.pullback(random_invertible(field, h.n, random.Random(f"plucker/{tag}/{p}")))
+    form_file = tmp_path / "h.form"
+    form_file.write_text(h.to_text())
+    for command, key in (("poles", "upper_radical"), ("radical-lines", "lines")):
+        code, out, _ = run_cli(capsys, command, "--file", str(form_file), "--output", "json")
+        assert code == 0
+        records = json.loads(out)[key]
+        assert records
+        for record in records:
+            assert record["plucker"] == list(wedge2_coordinates(field, *record["basis"]))
 
 
 @pytest.mark.parametrize(

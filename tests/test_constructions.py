@@ -26,6 +26,7 @@ from polegeom.projective import (
     projective_point_at,
     span_points,
     subspace_rref,
+    wedge2_coordinates,
 )
 
 
@@ -219,7 +220,7 @@ def test_block_wedge_span_identity():
     field = GF(2)
     h = catalog_form("T3", field)
     lines = enumerate_upper_radical(h, field)
-    lhs = subspace_rref(field, [line.wedge for line in lines])
+    lhs = subspace_rref(field, [wedge2_coordinates(field, *line.basis) for line in lines])
     # unit wedges e_a ^ e_b, a in V_0 = <e1, e2, e3>, b in V_1 = <e4, e5, e6>
     mixed = [tuple(int(pq == (a, b)) for pq in pair_list(6)) for a in (1, 2, 3) for b in (4, 5, 6)]
     # the two summands have empty upper radicals on their own parts

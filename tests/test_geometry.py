@@ -31,7 +31,7 @@ from polegeom.geometry import (
 )
 from polegeom.kernels import _inverse_table, _rref_mod_p
 from polegeom.linalg import Matrix
-from polegeom.poles import PoleReport, _all_lines
+from polegeom.poles import PoleReport, _all_lines, lines_through_point
 from polegeom.projective import (
     PluckerLine,
     num_projective_points,
@@ -284,6 +284,7 @@ def test_cone_t7_clauses(p):
         ("T9", "pencil plane of (1, 0, 0, 0, 0, 1, 0) misses the conic"),
         ("T8", "off-vertex pole (0, 1, 0, 0, 0, 0, 1) has degree 4"),
     ],
+    ids=["T9", "T8"],
 )
 def test_cone_check_refutes_other_families(tag, witness):
     """Clause (d) fails on the rank-7 families that are not cones, at the
@@ -376,6 +377,30 @@ def test_checks_stay_on_ints(monkeypatch, check, tag, lam):
     forbid_everywhere(monkeypatch, "point_degree")
     forbid_everywhere(monkeypatch, "span_points")
     assert run() == want
+
+
+def test_lines_carry_no_pluecker_vector(monkeypatch):
+    """A line is its echelon basis: building the geometry, every check and
+    ``lines_through_point`` run with ``wedge2_mod_p`` made to raise, and
+    give their usual verdicts."""
+    field = GF(3)
+    forms = {
+        tag: catalog_form(tag, field, param=lam)
+        for tag, lam in (("T10_1", 2), ("T8", None), ("T7", None), ("T9", None),
+                         ("T11_1", 2), ("T4", None))
+    }
+    forbid_everywhere(monkeypatch, "wedge2_mod_p")
+    geoms = {tag: build_geometry(h) for tag, h in forms.items()}
+    assert spread_check(geoms["T10_1"]).is_spread
+    assert normal_spread_check(geoms["T10_1"])
+    assert list(geoms["T8"].lines) == expected_polar_lines("T8", field)
+    assert not cone_structure_check(geoms["T7"], forms["T7"]).passed  # the known-red clause
+    stats = hexagon_check(geoms["T9"])
+    assert stats.as_tuple() == (stats.points, stats.points, 4, 4, 12, 6)
+    assert t11_structure_check(geoms["T11_1"], forms["T11_1"]).passed
+    assert t4_line_check(geoms["T4"]).passed
+    u = max(geoms["T7"].degrees, key=geoms["T7"].degrees.get)
+    assert len(lines_through_point(forms["T7"], u)) == 40  # a pole of degree 4
 
 
 def test_cone_t7_pole_count_gf3():
