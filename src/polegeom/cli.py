@@ -289,7 +289,7 @@ def _cmd_radical_lines(args) -> int:
             "point": list(canonical_point(field, u)),
             "degree": delta,
             "count": len(lines),
-            "lines": [[list(b) for b in line.basis] for line in lines],
+            "lines": [[list(b) for b in line] for line in lines],
         }
     else:
         lines = enumerate_upper_radical(form, field, budget=args.budget)
@@ -300,8 +300,8 @@ def _cmd_radical_lines(args) -> int:
             "solution_dim": len(system.solution),
             "lines": [
                 {
-                    "basis": [list(b) for b in line.basis],
-                    "plucker": list(wedge2_mod_p(field.p, *line.basis)),
+                    "basis": [list(b) for b in line],
+                    "plucker": list(wedge2_mod_p(field.p, *line)),
                 }
                 for line in lines
             ],

@@ -19,12 +19,16 @@ class BilinearAltForm:
     __slots__ = ("n", "field", "coeffs")
 
     def __init__(self, n: int, field: Field, coeffs: Dict[Pair, Scalar]):
+        if n < 2:
+            raise ValueError("need dimension n >= 2")
         self.n = n
         self.field = field
         clean: Dict[Pair, Scalar] = {}
         for (j, k), c in coeffs.items():
-            if not (1 <= j < k <= n):
+            if j >= k:
                 raise ValueError(f"pair {(j, k)} not strictly increasing in 1..{n}")
+            if j < 1 or k > n:
+                raise ValueError(f"pair {(j, k)} outside 1..{n}")
             c = field.of(c)
             if c != field.zero:
                 clean[(j, k)] = c

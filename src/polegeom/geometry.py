@@ -10,7 +10,7 @@ a deterministic fingerprint used as a near-equivalence proxy.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .constructions import BilinearAltForm
@@ -29,7 +29,7 @@ from .poles import (
     variety_candidates,
 )
 from .projective import (
-    PluckerLine,
+    Line,
     Vector,
     num_projective_points,
     span_points_mod_p,
@@ -38,26 +38,30 @@ from .projective import (
 
 @dataclass
 class IncidenceStructure:
-    """Poles and upper-radical lines with exact incidence; both incidence
-    maps are derived from the lines on construction (and on replace)."""
+    """Poles and upper-radical lines with exact incidence, built from the
+    scan's degrees and the lines alone: the poles and both incidence maps
+    are derived from them on construction (and on replace)."""
 
     field: GF
     n: int
-    points: Tuple[Vector, ...]
     # every point of PG(n-1, p), degree 0 included, in canonical order
     degrees: Dict[Vector, int]
-    lines: Tuple[PluckerLine, ...]
+    # reduced-echelon pairs (r1, r2)
+    lines: Tuple[Line, ...]
+    # the points of positive degree, in the order of ``degrees``
+    points: Tuple[Vector, ...] = dc_field(init=False)
     points_by_line: Tuple[Tuple[Vector, ...], ...] = dc_field(init=False)
     lines_by_point: Dict[Vector, Tuple[int, ...]] = dc_field(init=False)
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
         p = self.field.p
+        self.points = tuple(u for u, d in self.degrees.items() if d >= 1)
         # the points of each line from its reduced-echelon basis (r1, r2),
         # in the order span_points gives: r1 + t*r2 for t = 0..p-1, then r2
         self.points_by_line = tuple(
             tuple(tuple((a + t * b) % p for a, b in zip(r1, r2)) for t in range(p)) + (r2,)
-            for r1, r2 in (line.basis for line in self.lines)
+            for r1, r2 in self.lines
         )
         lines_by_point: Dict[Vector, List[int]] = {}
         for idx, pts in enumerate(self.points_by_line):
@@ -76,15 +80,11 @@ def build_geometry(
     n: only the zeros of G are eliminated."""
     hf = over_field(h, field)
     report = _scan_report(hf, budget, True, guarded=True)
-    lines = tuple(_radical_lines(report))
-    degrees = dict(zip(report.points, report.degrees))
-    points = tuple(u for u, deg in zip(report.points, report.degrees) if deg >= 1)
     return IncidenceStructure(
         field=hf.field,
         n=hf.n,
-        points=points,
-        degrees=degrees,
-        lines=lines,
+        degrees=dict(zip(report.points, report.degrees)),
+        lines=tuple(_radical_lines(report)),
         label=h.label,
     )
 
@@ -118,11 +118,8 @@ class SpreadResult:
 def spread_check(geom: IncidenceStructure) -> SpreadResult:
     """Whether the line set partitions all points of PG(n-1, q)."""
     total = num_projective_points(geom.field.p, geom.n)
-    counts = Counter()
-    for pts in geom.points_by_line:
-        counts.update(pts)
-    histogram = Counter(counts.values())
-    histogram[0] = total - len(counts)
+    histogram = Counter(len(ids) for ids in geom.lines_by_point.values())
+    histogram[0] = total - len(geom.lines_by_point)
     if histogram[0] == 0:
         del histogram[0]
     is_spread = bool(geom.lines) and set(histogram) == {1}
@@ -153,15 +150,15 @@ def normal_spread_check(geom: IncidenceStructure) -> bool:
         todo = full & ~masks[i]
         while todo:
             j = (todo & -todo).bit_length() - 1
-            eqs = kernel_mod_p([list(row) for row in lines[i].basis + lines[j].basis], q)
-            plane = [list(row) for row in lines[i].basis + lines[j].basis[:1]]
+            eqs = kernel_mod_p([list(row) for row in lines[i] + lines[j]], q)
+            plane = [list(row) for row in lines[i] + lines[j][:1]]
             _rref_mod_p(plane, geom.n, q, inv)
             members, group = [i], 1 << i
             for z in span_points_mod_p(q, plane):
                 m = geom.lines_by_point[z][0]
                 if m == i:
                     continue
-                r1, r2 = lines[m].basis
+                r1, r2 = lines[m]
                 w = r2 if z == r1 else r1
                 if any(sum(e * x for e, x in zip(eq, w)) % q for eq in eqs):
                     return False
@@ -183,7 +180,7 @@ def polar_space_lines(
     beta: BilinearAltForm,
     carrier_eqs: Sequence[Sequence[int]],
     apex_eqs: Optional[Sequence[Sequence[int]]] = None,
-) -> List[PluckerLine]:
+) -> List[Line]:
     """Lines inside the carrier subspace, totally isotropic for beta, and
     meeting the apex subspace A non-trivially when one is given; sorted.
 
@@ -243,12 +240,12 @@ POLAR_CONFIGS: Dict[str, List[dict]] = {
 }
 
 
-def expected_polar_lines(tag: str, field: GF) -> List[PluckerLine]:
+def expected_polar_lines(tag: str, field: GF) -> List[Line]:
     """The polar-space line set of PG(6, p) (union over components for
     T5): ``POLAR_CONFIGS`` are coordinates of n = 7."""
     n = 7
     configs = POLAR_CONFIGS[tag]
-    out: Set[PluckerLine] = set()
+    out: Set[Line] = set()
     for cfg in configs:
         beta = BilinearAltForm(
             n, field, {p: field.of(c) for p, c in cfg["beta"].items()}
@@ -297,7 +294,7 @@ def _pencil_plane(geom: IncidenceStructure, u: Vector) -> Tuple[Vector, ...]:
     """
     p = geom.field.p
     i, j = geom.lines_by_point[u][:2]
-    work = [list(row) for row in geom.lines[i].basis + geom.lines[j].basis]
+    work = [list(row) for row in geom.lines[i] + geom.lines[j]]
     rank = len(_rref_mod_p(work, geom.n, p, _inverse_table(p)))
     return tuple(tuple(row) for row in work[:rank])
 
@@ -350,7 +347,7 @@ def cone_structure_check(geom: IncidenceStructure, h: TriForm) -> ConeReport:
         least = min(line for idx, line in enumerate(geom.lines) if idx not in covered)
         witness = (
             f"{uncovered} of {len(geom.lines)} radical lines lie in no "
-            f"fully-radical plane through a conic point, e.g. {least.basis}"
+            f"fully-radical plane through a conic point, e.g. {least}"
         )
     # (d) poles off the vertex plane have degree 2 and their pencil plane
     # meets the conic
@@ -387,14 +384,7 @@ class HexagonStats:
     diameter: Optional[int]
 
     def as_tuple(self) -> Tuple:
-        return (
-            self.points,
-            self.lines,
-            self.points_per_line,
-            self.lines_per_point,
-            self.girth,
-            self.diameter,
-        )
+        return astuple(self)
 
 
 def incidence_graph_stats(geom: IncidenceStructure) -> HexagonStats:
@@ -526,13 +516,13 @@ def t4_line_check(geom: IncidenceStructure) -> T4Report:
     check_scope("t4", geom.label, n)
     # the lines of V1 = <e4, e5, e6>: the lines of PG(2, p) after three zeros
     zero = (0, 0, 0)
-    expected = {PluckerLine(basis=(zero + s, zero + t)) for s, t in _line_bases(p, 3)}
+    expected = {(zero + s, zero + t) for s, t in _line_bases(p, 3)}
     for a in span_points_mod_p(p, [unit_equation(n, i) for i in (1, 2, 3)]):
         omega_a = a[3:] + a[:3]
         for code in range(p**3):
             # a+b for b in V1 is canonical with a's lead, as _line_rref needs
             b = (code % p, code // p % p, code // (p * p))
-            expected.add(PluckerLine(basis=_line_rref(p, a[:3] + b, omega_a)))
+            expected.add(_line_rref(p, a[:3] + b, omega_a))
     lines_ok = set(geom.lines) == expected
     hist_ok = True
     witness = None
@@ -564,15 +554,7 @@ class GeometryFingerprint:
     variety_degree: Optional[int]
 
     def as_tuple(self) -> Tuple:
-        return (
-            self.rank,
-            self.n,
-            self.pole_count,
-            self.degree_histogram,
-            self.line_count,
-            self.lines_per_point_histogram,
-            self.variety_degree,
-        )
+        return astuple(self)
 
 
 def _variety_degree(hf: TriForm, degrees: Sequence[Tuple[Vector, int]]) -> Optional[int]:

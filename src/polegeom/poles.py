@@ -25,7 +25,7 @@ from .forms import TriForm
 from .linalg import Matrix, PolyMatrix, pfaffian
 from .poly import MultiPoly, strip_variable_power
 from .projective import (
-    PluckerLine,
+    Line,
     Vector,
     num_projective_lines,
     num_projective_points,
@@ -434,7 +434,7 @@ def upper_radical_system(h: TriForm) -> PluckerSystem:
     return PluckerSystem(n=n, pairs=pairs, equations=eq, solution=kernel)
 
 
-def _line_rref(p: int, u: Vector, y: Sequence[int]) -> Tuple[Vector, Vector]:
+def _line_rref(p: int, u: Vector, y: Sequence[int]) -> Line:
     """Reduced-echelon basis (r1, r2) of the line [u, y] mod p, for a
     canonical point u and a vector y outside <u>."""
     a = next(i for i, x in enumerate(u) if x)
@@ -454,7 +454,7 @@ def _line_rref(p: int, u: Vector, y: Sequence[int]) -> Tuple[Vector, Vector]:
 
 def _least_point_lines(
     p: int, spaces: Iterable[Tuple[Vector, Sequence[Vector]]]
-) -> List[PluckerLine]:
+) -> List[Line]:
     """For each pair (u, space), in the order given, the lines [u, y] with
     y in the span of ``space`` whose least point (in the canonical order)
     is u, sorted by y.
@@ -469,7 +469,7 @@ def _least_point_lines(
     first row in its combination, so the span is listed from the first of
     those rows whose pivot u is zero at.
     """
-    lines: List[PluckerLine] = []
+    lines: List[Line] = []
     for u, space in spaces:
         a = u.index(1)
         pivots = [row.index(1) for row in space]
@@ -477,11 +477,11 @@ def _least_point_lines(
         if first is None:
             continue
         ys = sorted(y for y in span_points_mod_p(p, space[first:]) if not u[y.index(1)])
-        lines.extend(PluckerLine(basis=(u, y)) for y in ys)
+        lines.extend((u, y) for y in ys)
     return lines
 
 
-def _radical_lines(report: PoleReport) -> List[PluckerLine]:
+def _radical_lines(report: PoleReport) -> List[Line]:
     """The upper-radical lines of a scan with radicals, sorted, each once:
     ``_least_point_lines`` over each pole u and its radical Rad(chi_u),
     which the scan hands over in reduced echelon form.
@@ -497,7 +497,7 @@ def _radical_lines(report: PoleReport) -> List[PluckerLine]:
 
 def lines_through_point(
     h: TriForm, u: Sequence[Scalar], field: Optional[GF] = None
-) -> List[PluckerLine]:
+) -> List[Line]:
     """The upper-radical lines through [u] of h over ``over_field(h,
     field)``, sorted: all [u, y] with y in Rad(chi_u).
 
@@ -525,12 +525,10 @@ def lines_through_point(
         for j in range(n)
     ]
     complement = [y for y in kernels.kernel_mod_p(m, p) if y.index(1) != a]
-    return sorted(
-        PluckerLine(basis=_line_rref(p, u_pt, y)) for y in span_points_mod_p(p, complement)
-    )
+    return sorted(_line_rref(p, u_pt, y) for y in span_points_mod_p(p, complement))
 
 
-def _line_bases(p: int, n: int) -> Iterator[Tuple[Vector, Vector]]:
+def _line_bases(p: int, n: int) -> Iterator[Line]:
     """The reduced-echelon basis of every line of PG(n-1, p), on ints, by
     echelon shape: pivots i < j, then the free entries as a base-p odometer."""
     for i in range(n):
@@ -556,17 +554,11 @@ def _line_bases(p: int, n: int) -> Iterator[Tuple[Vector, Vector]]:
                 yield tuple(row1), tuple(row2)
 
 
-def _all_lines(field: GF, n: int) -> Iterable[PluckerLine]:
-    """Every line of PG(n-1, q) by reduced-echelon shape enumeration."""
-    for basis in _line_bases(field.p, n):
-        yield PluckerLine(basis=basis)
-
-
 def enumerate_upper_radical(
     h: TriForm,
     field: Optional[GF] = None,
     budget: Optional[int] = None,
-) -> List[PluckerLine]:
+) -> List[Line]:
     """All lines of the upper radical of h over ``over_field(h, field)``,
     canonical and sorted: one scan, guarded by G at odd n, each line
     assembled at its least pole."""
@@ -577,7 +569,7 @@ def _upper_radical_by_wedge(
     h: TriForm,
     field: Optional[GF] = None,
     budget: Optional[int] = None,
-) -> List[PluckerLine]:
+) -> List[Line]:
     """The upper radical by the reference route: every line of PG(n-1, p)
     filtered through the linear system ``upper_radical_system``.  The
     tests cross-check ``enumerate_upper_radical`` against it.  The lines it
@@ -594,8 +586,8 @@ def _upper_radical_by_wedge(
     system = upper_radical_system(h)
     return sorted(
         line
-        for line in _all_lines(field, h.n)
-        if system.contains(wedge2_mod_p(field.p, *line.basis))
+        for line in _line_bases(field.p, h.n)
+        if system.contains(wedge2_mod_p(field.p, *line))
     )
 
 
@@ -637,8 +629,8 @@ def full_report(
         "histogram": {str(k): v for k, v in report.histogram.items()},
         "upper_radical": [
             {
-                "basis": [list(b) for b in line.basis],
-                "plucker": list(wedge2_mod_p(field.p, *line.basis)),
+                "basis": [list(b) for b in line],
+                "plucker": list(wedge2_mod_p(field.p, *line)),
             }
             for line in lines
         ],

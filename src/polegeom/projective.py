@@ -1,9 +1,9 @@
 """Canonical projective points and lines of PG(n-1, K).
 
 Points are represented by their unique vector with first nonzero
-coordinate 1; lines by the reduced-echelon basis of their 2-space alone,
-whose Pluecker coordinates ``wedge2_mod_p`` computes only where a report
-prints them.  The enumeration order of canonical points is fixed
+coordinate 1; a line (``Line``) is the reduced-echelon pair (r1, r2) of
+its 2-space, a plain tuple that sorts and hashes as one, whose Pluecker
+coordinates ``wedge2_mod_p`` computes only where a report prints them.  The enumeration order of canonical points is fixed
 (first-nonzero position ascending, then the trailing coordinates as a
 base-p odometer) and supports random access, which a scan that starts
 mid-space (its ``start`` index) relies on.
@@ -11,7 +11,6 @@ mid-space (its ``start`` index) relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
@@ -19,6 +18,7 @@ from .fields import GF, Field, Scalar
 from .linalg import Matrix
 
 Vector = Tuple[Scalar, ...]
+Line = Tuple[Vector, Vector]
 
 
 def canonical_point(field: Field, vec: Sequence[Scalar]) -> Vector:
@@ -139,18 +139,17 @@ def wedge2_mod_p(p: int, x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
     return tuple([(x[j] * y[k] - x[k] * y[j]) % p for j, k in _index_pairs(len(x))])
 
 
-@dataclass(frozen=True, order=True)
 class PluckerLine:
-    """A projective line with canonical reduced-echelon basis."""
-
-    basis: Tuple[Vector, Vector]
+    """Holds only ``from_pair``, the Field-based reference for a line's
+    reduced-echelon pair.  It stays until the benchmark's tracer stops
+    wrapping it by this name (ROADMAP items B and H)."""
 
     @classmethod
-    def from_pair(cls, field: Field, x: Sequence[Scalar], y: Sequence[Scalar]) -> "PluckerLine":
+    def from_pair(cls, field: Field, x: Sequence[Scalar], y: Sequence[Scalar]) -> Line:
         red, pivots = Matrix(field, [x, y]).rref()
         if len(pivots) != 2:
             raise ValueError("dependent vectors span no line")
-        return cls(basis=(red.rows[0], red.rows[1]))
+        return red.rows[0], red.rows[1]
 
 
 def subspace_rref(field: Field, vectors: Sequence[Sequence[Scalar]]) -> Tuple[Vector, ...]:

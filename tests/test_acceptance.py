@@ -102,7 +102,7 @@ def _t1_expected_lines(field):
     h = catalog_form("T1", field, n=6)
     lines = enumerate_upper_radical(h, field)
     for line in lines:
-        pts = span_points(field, list(line.basis))
+        pts = span_points(field, list(line))
         if not any(all(x == field.zero for x in pt[:3]) for pt in pts):
             return False
     by_wedge = _upper_radical_by_wedge(h, field)
@@ -112,7 +112,7 @@ def _t1_expected_lines(field):
 def _t3_expected_lines(field):
     h = catalog_form("T3", field)
     for line in enumerate_upper_radical(h, field):
-        pts = span_points(field, list(line.basis))
+        pts = span_points(field, list(line))
         if not any(all(x == field.zero for x in pt[3:]) for pt in pts):
             return False
         if not any(all(x == field.zero for x in pt[:3]) for pt in pts):
@@ -206,7 +206,7 @@ def _t7_verdict(field):
     vertex_lines = sum(
         1
         for line in geom.lines
-        if all(v[i] == field.zero for v in line.basis for i in range(3, 7))
+        if all(v[i] == field.zero for v in line for i in range(3, 7))
     )
     uncovered = f"{total - (q * q + q + 1)} of {total} radical lines"
     line_set = set(geom.lines)

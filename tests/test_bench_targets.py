@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import polegeom.cli  # noqa: F401  the tracer wraps cli._emit, so cli must be loaded
-from polegeom import geometry, kernels, poles
+from polegeom import geometry, kernels, poles, projective
 from polegeom.fields import GF
 from polegeom.forms import catalog_form
 
@@ -94,3 +94,31 @@ def test_traced_build_expands_the_guard_pfaffian(tag, lam, count):
     with SPANS.Tracer() as tracer:
         geometry.build_geometry(catalog_form(tag, GF(3), param=lam))
     assert [span[0] for span in tracer.spans].count("linalg.pfaffian") == count
+
+
+def test_traced_build_counts_every_incidence():
+    """``_incidences`` reads ``points_by_line`` off the built geometry: on
+    the hexagon T9/GF(3), p + 1 = 4 points on each of its 364 lines."""
+    with SPANS.Tracer() as tracer:
+        geom = geometry.build_geometry(catalog_form("T9", GF(3)))
+    assert len(geom.lines) == 364
+    assert tracer.counts["geometry.incidences"] == 4 * len(geom.lines) == 1456
+
+
+def test_traced_upper_radical_counts_its_lines():
+    """``_lines_emitted`` reads the length of the returned line list."""
+    with SPANS.Tracer() as tracer:
+        lines = poles.enumerate_upper_radical(catalog_form("T7", GF(3)))
+    assert lines
+    assert tracer.counts["poles.lines_emitted"] == len(lines)
+
+
+def test_traced_from_pair_returns_a_pair():
+    """The tracer counts ``PluckerLine.from_pair`` in the class and keeps it
+    a classmethod, whose result is the plain reduced-echelon pair."""
+    field = GF(3)
+    with SPANS.Tracer() as tracer:
+        line = projective.PluckerLine.from_pair(field, (2, 1, 0), (0, 1, 1))
+    assert tracer.counts["projective.from_pair_calls"] == 1
+    assert line == ((1, 0, 1), (0, 1, 1))
+    assert type(line) is tuple and all(type(row) is tuple for row in line)

@@ -383,6 +383,17 @@ ZERO_FLAG_CASES = {
         ("construct", "cch", "--dim", "0", "--field", "gf(2)"),
         "error: need odd n >= 5\n",
     ),
+    # the dimension is refused in its own words, not blamed on a pair
+    "expand-dim": (
+        ("construct", "expand", "--pairs", "23", "--direction", "1", "--dim", "0",
+         "--field", "gf(2)"),
+        "error: need dimension n >= 2\n",
+    ),
+    "expand-pair-beyond-dim": (
+        ("construct", "expand", "--pairs", "23", "--direction", "1", "--dim", "2",
+         "--field", "gf(2)"),
+        "error: pair (2, 3) outside 1..2\n",
+    ),
 }
 
 

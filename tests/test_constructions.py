@@ -110,7 +110,7 @@ def test_symplectic_expansion_pole_geometry():
             assert deg == 0
     lines = enumerate_upper_radical(h, field)
     for line in lines:
-        x, y = line.basis
+        x, y = line
         assert x[0] == 0 and y[0] == 0
         assert h0.evaluate(x, y) == field.zero
     # every totally isotropic line of the carrier occurs
@@ -130,7 +130,7 @@ def test_trivial_extension_upper_radical_description():
     e8 = (0,) * 7 + (1,)
 
     def projects_to_base_line(line):
-        shadows = {pt[:7] for pt in span_points(field, list(line.basis))}
+        shadows = {pt[:7] for pt in span_points(field, list(line))}
         if any(all(x == 0 for x in s) for s in shadows):
             return False  # collapses onto the new direction
         reps = {s for s in shadows if any(s)}
@@ -142,10 +142,10 @@ def test_trivial_extension_upper_radical_description():
         return PluckerLine.from_pair(field, x, y) in base_lines
 
     expected = set()
-    from polegeom.poles import _all_lines
+    from polegeom.poles import _line_bases
 
-    for line in _all_lines(field, 8):
-        if e8 in span_points(field, list(line.basis)) or projects_to_base_line(line):
+    for line in _line_bases(field.p, 8):
+        if e8 in span_points(field, list(line)) or projects_to_base_line(line):
             expected.add(line)
     got = set(enumerate_upper_radical(ext, field))
     assert got == expected
@@ -162,7 +162,7 @@ def test_expansion_rank5_pole_geometry():
         assert deg == (2 if u[0] == 0 else 0)
     h0 = BilinearAltForm(5, field, {(2, 3): 1, (4, 5): 1})
     for line in enumerate_upper_radical(h, field):
-        x, y = line.basis
+        x, y = line
         assert x[0] == 0 and y[0] == 0
         assert h0.evaluate(x, y) == field.zero
 
@@ -196,7 +196,7 @@ def test_block_lines_meet_both_summands():
     field = GF(2)
     h = catalog_form("T3", field)
     for line in enumerate_upper_radical(h, field):
-        pts = span_points(field, list(line.basis))
+        pts = span_points(field, list(line))
         assert any(all(x == 0 for x in pt[3:]) for pt in pts)  # meets [V0]
         assert any(all(x == 0 for x in pt[:3]) for pt in pts)  # meets [V1]
 
@@ -220,7 +220,7 @@ def test_block_wedge_span_identity():
     field = GF(2)
     h = catalog_form("T3", field)
     lines = enumerate_upper_radical(h, field)
-    lhs = subspace_rref(field, [wedge2_coordinates(field, *line.basis) for line in lines])
+    lhs = subspace_rref(field, [wedge2_coordinates(field, *line) for line in lines])
     # unit wedges e_a ^ e_b, a in V_0 = <e1, e2, e3>, b in V_1 = <e4, e5, e6>
     mixed = [tuple(int(pq == (a, b)) for pq in pair_list(6)) for a in (1, 2, 3) for b in (4, 5, 6)]
     # the two summands have empty upper radicals on their own parts

@@ -31,7 +31,12 @@ from polegeom.geometry import (
 )
 from polegeom.kernels import _inverse_table, _rref_mod_p
 from polegeom.linalg import Matrix
-from polegeom.poles import PoleReport, _all_lines, lines_through_point
+from polegeom.poles import (
+    PoleReport,
+    _line_bases,
+    enumerate_upper_radical,
+    lines_through_point,
+)
 from polegeom.projective import (
     PluckerLine,
     num_projective_points,
@@ -128,15 +133,15 @@ def _regulus_switched(geom):
         # through each point P of x, the line meeting y and z: P and the
         # point where the plane <P, y> meets z
         out = []
-        z_points = span_points(field, list(z.basis))
-        for pt in span_points(field, list(x.basis)):
-            hit = next(c for c in z_points if rank([pt, c, *y.basis]) == 3)
+        z_points = span_points(field, list(z))
+        for pt in span_points(field, list(x)):
+            hit = next(c for c in z_points if rank([pt, c, *y]) == 3)
             out.append(PluckerLine.from_pair(field, pt, hit))
         return out
 
     a, b = geom.lines[:2]
-    span = [*a.basis, *b.basis]
-    c = next(l for l in geom.lines[2:] if rank(span + list(l.basis)) == 4)
+    span = [*a, *b]
+    c = next(l for l in geom.lines[2:] if rank(span + list(l)) == 4)
     opposite = transversals(a, b, c)
     regulus = set(transversals(*opposite[:3]))
     assert regulus <= set(geom.lines)
@@ -151,16 +156,81 @@ def test_incidence_maps_follow_the_lines():
     geom = build_geometry(catalog_form("T7", field))
     lines = geom.lines[::-1][:50]
     moved = dataclasses.replace(geom, lines=lines)
-    points = [span_points(field, list(line.basis)) for line in lines]
+    points = [span_points(field, list(line)) for line in lines]
     assert [sorted(pts) for pts in moved.points_by_line] == [sorted(pts) for pts in points]
     want = {}
     for idx, pts in enumerate(points):
         for pt in pts:
             want[pt] = want.get(pt, ()) + (idx,)
     assert moved.lines_by_point == want
-    for name in ("lines_by_point", "points_by_line"):
+    for name in ("points", "lines_by_point", "points_by_line"):
         with pytest.raises(ValueError):
             dataclasses.replace(geom, **{name: {}})
+
+
+def test_points_follow_the_degrees():
+    """The poles are derived from the degrees: ``replace`` with new degrees
+    gives the points of positive degree, in the order of the degrees."""
+    geom = build_geometry(catalog_form("T7", GF(3)))
+    assert geom.points == tuple(u for u, d in geom.degrees.items() if d >= 1)
+    degrees = {u: 0 if d == 4 else d for u, d in geom.degrees.items()}
+    moved = dataclasses.replace(geom, degrees=degrees)
+    assert moved.points == tuple(u for u in geom.points if geom.degrees[u] != 4)
+    assert len(moved.points) == len(geom.points) - 4  # the conic of PG(2, 3)
+    assert moved.lines_by_point == geom.lines_by_point
+
+
+def _is_line_pair(line):
+    return (
+        type(line) is tuple
+        and len(line) == 2
+        and all(type(row) is tuple and all(type(x) is int for x in row) for row in line)
+    )
+
+
+def test_lines_are_plain_pairs():
+    """Every line the library hands out is the reduced-echelon pair (r1, r2)
+    itself: a tuple of two tuples of ints."""
+    field = GF(3)
+    h = catalog_form("T7", field)
+    geom = build_geometry(h)
+    u = next(u for u, d in geom.degrees.items() if d == 2)
+    beta = BilinearAltForm(7, field, {(2, 3): 1, (4, 5): 1, (6, 7): 1})
+    routes = {
+        "build_geometry": geom.lines,
+        "enumerate_upper_radical": enumerate_upper_radical(h),
+        "lines_through_point": lines_through_point(h, u),
+        "polar_space_lines": polar_space_lines(field, 7, beta, [unit_equation(7, 1)]),
+        "expected_polar_lines": expected_polar_lines("T5", field),
+        "from_pair": [PluckerLine.from_pair(field, (1, 2, 0), (2, 0, 1))],
+    }
+    for name, lines in routes.items():
+        assert lines, name
+        assert all(_is_line_pair(line) for line in lines), name
+    assert routes["from_pair"] == [((1, 0, 2), (0, 1, 2))]
+
+
+def _histogram_by_points(geom):
+    """The cover histogram counted off ``points_by_line``, point by point."""
+    counts = Counter(pt for pts in geom.points_by_line for pt in pts)
+    histogram = Counter(counts.values())
+    histogram[0] = num_projective_points(geom.field.p, geom.n) - len(counts)
+    return {k: v for k, v in sorted(histogram.items()) if v}
+
+
+@pytest.mark.parametrize("tag,p,lam", [("T10_2", 2, 1), ("T10_1", 3, 2)])
+def test_spread_histogram_matches_points_by_line(tag, p, lam):
+    """``spread_check`` reads its cover counts off ``lines_by_point``; they
+    equal the counts over ``points_by_line`` on a spread, a perturbed
+    spread and a regulus-switched spread."""
+    field = GF(p)
+    geom = _spread_geometry(tag, p, lam)
+    other = PluckerLine.from_pair(field, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+    lines = tuple(line for line in geom.lines if line != other)
+    perturbed = dataclasses.replace(geom, lines=(other,) + lines[1:])
+    for g in (geom, perturbed, _regulus_switched(geom), build_geometry(catalog_form("T3", field))):
+        assert spread_check(g).cover_histogram == _histogram_by_points(g)
+    assert set(spread_check(perturbed).cover_histogram) == {0, 1, 2}
 
 
 @pytest.mark.parametrize("tag,p,lam", [("T10_2", 2, 1), ("T10_1", 3, 2), ("T10_1", 5, 2)])
@@ -187,7 +257,7 @@ def _normal_by_points(geom):
         todo = full & ~masks[i]
         while todo:
             j = (todo & -todo).bit_length() - 1
-            basis = [list(row) for row in lines[i].basis + lines[j].basis]
+            basis = [list(row) for row in lines[i] + lines[j]]
             if len(_rref_mod_p(basis, geom.n, q, inv)) != 4:
                 return False
             members = {geom.lines_by_point[pt][0] for pt in span_points_mod_p(q, basis)}
@@ -353,8 +423,7 @@ def test_t11_check_rejects_wrong_dimension():
 )
 def test_checks_stay_on_ints(monkeypatch, check, tag, lam):
     """Once the geometry is built, the cone, t11 and t4 checks read it on
-    ints mod p: no GF arithmetic, no Field-based radical, span or line, and
-    the cone and t11 checks construct no line at all."""
+    ints mod p: no GF arithmetic, no Field-based radical, span or line."""
     field = GF(3)
     h = catalog_form(tag, field, param=lam)
     geom = build_geometry(h)
@@ -371,9 +440,6 @@ def test_checks_stay_on_ints(monkeypatch, check, tag, lam):
     for name in ("of", "add", "sub", "mul", "neg", "inv"):
         monkeypatch.setattr(GF, name, forbidden)
     monkeypatch.setattr(PluckerLine, "from_pair", forbidden)
-    if check != "t4":
-        # the cone and t11 checks read containment off the line ids
-        monkeypatch.setattr(PluckerLine, "__init__", forbidden)
     forbid_everywhere(monkeypatch, "point_degree")
     forbid_everywhere(monkeypatch, "span_points")
     assert run() == want
@@ -648,8 +714,8 @@ def _plane_lines_by_field(field, rows):
         return tuple(vec)
 
     return {
-        PluckerLine.from_pair(field, combine(inner.basis[0]), combine(inner.basis[1]))
-        for inner in _all_lines(field, 3)
+        PluckerLine.from_pair(field, combine(inner[0]), combine(inner[1]))
+        for inner in _line_bases(field.p, 3)
     }
 
 
@@ -791,9 +857,9 @@ def test_polar_space_lines_by_definition(p, n, beta, carrier, apex):
 
     want = sorted(
         line
-        for line in _all_lines(field, n)
-        if all(zero_on(carrier, row) for row in line.basis)
-        and form.evaluate(*line.basis) == field.zero
-        and (apex is None or any(zero_on(apex, pt) for pt in span_points(field, list(line.basis))))
+        for line in _line_bases(field.p, n)
+        if all(zero_on(carrier, row) for row in line)
+        and form.evaluate(*line) == field.zero
+        and (apex is None or any(zero_on(apex, pt) for pt in span_points(field, list(line))))
     )
     assert polar_space_lines(field, n, form, carrier, apex) == want

@@ -191,6 +191,53 @@ def test_degree_laws(p):
             assert all(x == field.zero for x in m.mul_vec(u))
 
 
+def _adjoint_vector(m, p):
+    """The 15 signed 4x4 sub-Pfaffians of an alternating 6x6 matrix mod p,
+    in the lexicographic pair order of ``wedge2_mod_p``: at the pair (i, j)
+    (0-based), (-1)^(i+j+1) times the Pfaffian on the other four indices."""
+    out = []
+    for i, j in itertools.combinations(range(6), 2):
+        a, b, c, d = (x for x in range(6) if x not in (i, j))
+        pf = m[a][b] * m[c][d] - m[a][c] * m[b][d] + m[a][d] * m[b][c]
+        out.append((-1) ** (i + j + 1) * pf % p)
+    return tuple(out)
+
+
+def _is_multiple(v, w, p):
+    """Whether v = c*w mod p for some c != 0, with w nonzero."""
+    k = next(i for i, x in enumerate(w) if x)
+    c = v[k] * pow(w[k], p - 2, p) % p
+    return c != 0 and all(x == c * y % p for x, y in zip(v, w))
+
+
+@pytest.mark.parametrize(
+    "tag,lam,p",
+    [("T10_1", 2, 3), ("T10_2", 1, 2), ("T4", None, 3), ("T4", None, 5),
+     ("T3", None, 5), ("T10_1", 3, 7)],
+)
+def test_scan_radicals_match_the_pfaffian_adjoint(tag, lam, p):
+    """An oracle for the scan's radicals at n = 6 without elimination: the
+    signed 4x4 sub-Pfaffians of M_u vanish exactly at the points of degree
+    >= 3, and at a degree-1 point they are a nonzero multiple of the
+    Pluecker vector of its radical line.  On the catalog row and one
+    seeded pullback of it."""
+    field = GF(p)
+    h = catalog_form(tag, field, param=lam)
+    pulled = h.pullback(random_invertible(field, 6, random.Random(f"adjoint/{tag}-{p}")))
+    for form in (h, pulled):
+        report = enumerate_poles(form)
+        cube = structure_cube(form, field)
+        assert {1, 3} & set(report.histogram)
+        for u, deg, radical in zip(report.points, report.degrees, report.radicals):
+            m = [[sum(x * c[j][k] for x, c in zip(u, cube)) % p for k in range(6)]
+                 for j in range(6)]
+            v = _adjoint_vector(m, p)
+            if deg == 1:
+                assert _is_multiple(v, wedge2_mod_p(p, *radical), p), u
+            else:
+                assert not any(v), u
+
+
 def test_column_dependence_when_coordinate_nonzero():
     """Columns at nonzero coordinates of u never raise the rank."""
     for p in (2, 3):
@@ -412,7 +459,7 @@ def test_lines_through_point_spread():
     for u in [(1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 1, 0), (1, 1, 1, 1, 1, 1)]:
         lines = lines_through_point(h, u)
         assert len(lines) == 1
-        assert u in span_points(GF(2), list(lines[0].basis))
+        assert u in span_points(GF(2), list(lines[0]))
 
 
 def test_lines_through_point_hexagon():
@@ -421,7 +468,7 @@ def test_lines_through_point_hexagon():
     lines = lines_through_point(h, e1)
     assert len(lines) == 3
     for line in lines:
-        assert e1 in span_points(GF(2), list(line.basis))
+        assert e1 in span_points(GF(2), list(line))
 
 
 def test_lines_through_smooth_point():
@@ -437,7 +484,7 @@ def test_enumerate_upper_radical_t1():
     span = subspace_rref(field, radical_plane)
     for line in lines:
         meets = any(
-            all(x == 0 for x in pt[:3]) for pt in span_points(field, list(line.basis))
+            all(x == 0 for x in pt[:3]) for pt in span_points(field, list(line))
         )
         assert meets, line
     # count: lines meeting the plane [span] in PG(5,2)
@@ -454,7 +501,7 @@ def test_enumerate_upper_radical_spread_counts():
     assert len(lines) == 21  # (2^6-1)/(2^2-1)
     covered = set()
     for line in lines:
-        pts = span_points(GF(2), list(line.basis))
+        pts = span_points(GF(2), list(line))
         assert len(pts) == 3
         assert covered.isdisjoint(pts)
         covered.update(pts)
@@ -515,13 +562,13 @@ def test_radical_lines_match_lines_through_each_pole(tag, lam, p):
     if tag == "T7":
         assert {2, 4} <= set(report.histogram)
     bases = {
-        line.basis
+        line
         for u, deg in zip(report.points, report.degrees)
         if deg
         for line in lines_through_point(h, u)
     }
     assert bases
-    assert [line.basis for line in _radical_lines(report)] == sorted(bases)
+    assert _radical_lines(report) == sorted(bases)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -645,7 +692,7 @@ def test_system_membership_matches_lines():
     system = upper_radical_system(h)
     lines = enumerate_upper_radical(h)
     for line in lines[:50]:
-        assert system.contains(wedge2_coordinates(field, *line.basis))
+        assert system.contains(wedge2_coordinates(field, *line))
 
 
 # One top-level call each; every one of them must scan PG(n-1, p) once.
