@@ -329,10 +329,12 @@ def _cmd_construct(args) -> int:
         coeffs = {}
         for chunk in args.pairs.split(","):
             chunk = chunk.strip()
-            if len(chunk) != 2:
+            if not (len(chunk) == 2 and chunk.isascii() and chunk.isdigit()):
                 raise UsageError(f"bad pair {chunk!r} (expected two digits, e.g. 23)")
-            j, k = int(chunk[0]), int(chunk[1])
-            coeffs[(j, k)] = field.one
+            pair = (int(chunk[0]), int(chunk[1]))
+            if pair in coeffs:
+                raise UsageError(f"repeated pair {chunk!r}")
+            coeffs[pair] = field.one
         bilinear = constructions.BilinearAltForm(args.dim, field, coeffs)
         form = constructions.expansion(bilinear, args.direction)
     else:  # block or join

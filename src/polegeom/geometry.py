@@ -244,9 +244,10 @@ def expected_polar_lines(tag: str, field: GF) -> List[Line]:
     """The polar-space line set of PG(6, p) (union over components for
     T5): ``POLAR_CONFIGS`` are coordinates of n = 7."""
     n = 7
-    configs = POLAR_CONFIGS[tag]
+    if tag not in POLAR_CONFIGS:
+        raise ValueError("polar check applies to T5, T6 or T8")
     out: Set[Line] = set()
-    for cfg in configs:
+    for cfg in POLAR_CONFIGS[tag]:
         beta = BilinearAltForm(
             n, field, {p: field.of(c) for p, c in cfg["beta"].items()}
         )

@@ -1,11 +1,11 @@
 """Exact linear algebra over field scalars and over polynomial entries.
 
-Scalar matrices support rank/kernel (reduced echelon form), Bareiss
-determinants and Pfaffians; polynomial matrices support principal
-row/column deletion, cofactor determinants and Pfaffians.  Pfaffians use
-first-row expansion with memoization on index subsets, which stays exact
-in every characteristic (including 2, where "alternating" degenerates to
-zero diagonal plus symmetry).
+Scalar matrices support rank/kernel (reduced echelon form); polynomial
+matrices support principal row/column deletion.  For both, the Pfaffian
+(first-row expansion) and the determinant (cofactor expansion) are each
+one expansion memoized on index subsets, in the entries' own arithmetic,
+which stays exact in every characteristic (including 2, where
+"alternating" degenerates to zero diagonal plus symmetry).
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
 
     def mul_vec(self, vec: Sequence[Scalar]) -> Tuple[Scalar, ...]:
         F = self.field
@@ -121,18 +118,6 @@ class Matrix:
                     return False
         return True
 
-    def principal_delete(self, index: int) -> "Matrix":
-        """Delete row and column `index` (1-based)."""
-        if not 1 <= index <= self.nrows:
-            raise IndexError(f"index {index} out of range 1..{self.nrows}")
-        i = index - 1
-        rows = [
-            [x for c, x in enumerate(row) if c != i]
-            for r, row in enumerate(self.rows)
-            if r != i
-        ]
-        return Matrix(self.field, rows)
-
 
 class PolyMatrix:
     """A square matrix with MultiPoly entries."""
@@ -200,139 +185,75 @@ class PolyMatrix:
         )
 
 
-def _pfaffian_generic(n, entry, zero, add, sub, mul, is_zero_fn):
-    """Pfaffian by first-row expansion, memoized on tuples of live indices."""
-    memo: Dict[Tuple[int, ...], object] = {}
-
-    def rec(indices: Tuple[int, ...]):
-        if not indices:
-            return None  # empty Pfaffian handled by caller as one
-        if indices in memo:
-            return memo[indices]
-        first = indices[0]
-        rest = indices[1:]
-        acc = zero
-        sign = 1
-        for pos, j in enumerate(rest):
-            a = entry(first, j)
-            if not is_zero_fn(a):
-                sub_indices = rest[:pos] + rest[pos + 1 :]
-                inner = rec(sub_indices)
-                term = a if inner is None else mul(a, inner)
-                acc = add(acc, term) if sign > 0 else sub(acc, term)
-            sign = -sign
-        memo[indices] = acc
-        return acc
-
-    if n == 0:
-        return None
-    return rec(tuple(range(n)))
+def _expansion_ring(m, name: str):
+    """The rows of a Matrix or PolyMatrix, the zero an expansion sums from,
+    and the map from its result to the answer, where None is the empty
+    product, one.  GF(p) scalars are expanded as plain ints and reduced
+    once at the end, which is exact: both quantities are integer
+    polynomials in the entries."""
+    if isinstance(m, Matrix):
+        if m.nrows != m.ncols:
+            raise ValueError(f"{name} needs a square matrix")
+        F = m.field
+        return m.rows, 0, lambda x: F.one if x is None else F.of(x)
+    if isinstance(m, PolyMatrix):
+        zero, one = (MultiPoly.constant(m.nvars, m.field, c) for c in (0, 1))
+        return m.entries, zero, lambda x: one if x is None else x
+    raise TypeError(f"unsupported matrix type {type(m).__name__}")
 
 
 def pfaffian(m):
-    """Pfaffian of an alternating Matrix or PolyMatrix.
+    """Pfaffian of an alternating Matrix or PolyMatrix, by first-row
+    expansion memoized on the tuple of live indices.
 
     Odd sizes give 0; the square of the result equals the determinant.
     """
-    if isinstance(m, Matrix):
-        if m.nrows != m.ncols:
-            raise ValueError("pfaffian needs a square matrix")
-        if not m.is_alternating():
-            raise ValueError("pfaffian needs an alternating matrix")
-        F = m.field
-        if m.nrows == 0:
-            return F.one
-        if m.nrows % 2 == 1:
-            return F.zero
-        return _pfaffian_generic(
-            m.nrows,
-            lambda i, j: m.rows[i][j],
-            F.zero,
-            F.add,
-            F.sub,
-            F.mul,
-            lambda x: x == F.zero,
-        )
-    if isinstance(m, PolyMatrix):
-        if not m.is_alternating():
-            raise ValueError("pfaffian needs an alternating matrix")
-        F, nv = m.field, m.nvars
-        one = MultiPoly.constant(nv, F, F.one)
-        if m.size == 0:
-            return one
-        if m.size % 2 == 1:
-            return MultiPoly.zero(nv, F)
-        return _pfaffian_generic(
-            m.size,
-            lambda i, j: m.entries[i][j],
-            MultiPoly.zero(nv, F),
-            lambda a, b: a + b,
-            lambda a, b: a - b,
-            lambda a, b: a * b,
-            lambda p: p.is_zero(),
-        )
-    raise TypeError(f"unsupported matrix type {type(m).__name__}")
+    rows, zero, finish = _expansion_ring(m, "pfaffian")
+    if not m.is_alternating():
+        raise ValueError("pfaffian needs an alternating matrix")
+    memo: Dict[Tuple[int, ...], object] = {}
+
+    def rec(live: Tuple[int, ...]):
+        if not live:
+            return None  # the empty Pfaffian, so no term is multiplied by one
+        if live in memo:
+            return memo[live]
+        row, rest = rows[live[0]], live[1:]
+        acc = zero
+        for pos, j in enumerate(rest):
+            a = row[j]
+            if a:
+                inner = rec(rest[:pos] + rest[pos + 1 :])
+                term = a if inner is None else a * inner
+                acc = acc - term if pos % 2 else acc + term
+        memo[live] = acc
+        return acc
+
+    return finish(rec(tuple(range(len(rows)))))
 
 
 def determinant(m):
-    """Exact determinant: Bareiss elimination for scalar matrices, cofactor
-    expansion for polynomial matrices."""
-    if isinstance(m, Matrix):
-        return _det_bareiss(m)
-    if isinstance(m, PolyMatrix):
-        return _det_cofactor(m)
-    raise TypeError(f"unsupported matrix type {type(m).__name__}")
+    """Exact determinant of a square Matrix or PolyMatrix, by cofactor
+    expansion along the rows memoized on the columns left (which fix the
+    row: the number of columns removed)."""
+    rows, zero, finish = _expansion_ring(m, "determinant")
+    n = len(rows)
+    memo: Dict[Tuple[int, ...], object] = {}
 
-
-def _det_bareiss(m: Matrix) -> Scalar:
-    if m.nrows != m.ncols:
-        raise ValueError("determinant needs a square matrix")
-    F = m.field
-    n = m.nrows
-    if n == 0:
-        return F.one
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = F.one
-    for k in range(n - 1):
-        if a[k][k] == F.zero:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != F.zero), None)
-            if pivot is None:
-                return F.zero
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = F.sub(F.mul(a[i][j], a[k][k]), F.mul(a[i][k], a[k][j]))
-                a[i][j] = F.div(num, prev)
-            a[i][k] = F.zero
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign > 0 else F.neg(det)
-
-
-def _det_cofactor(m: PolyMatrix) -> MultiPoly:
-    F, nv, n = m.field, m.nvars, m.size
-    if n == 0:
-        return MultiPoly.constant(nv, F, F.one)
-    memo: Dict[Tuple[int, ...], MultiPoly] = {}
-
-    def rec(row: int, cols: Tuple[int, ...]) -> MultiPoly:
-        if len(cols) == 1:
-            return m.entries[row][cols[0]]
+    def rec(cols: Tuple[int, ...]):
+        if not cols:
+            return None
         if cols in memo:
             return memo[cols]
-        acc = MultiPoly.zero(nv, F)
+        row = rows[n - len(cols)]
+        acc = zero
         for pos, c in enumerate(cols):
-            a = m.entries[row][c]
-            if a.is_zero():
-                continue
-            minor = rec(row + 1, cols[:pos] + cols[pos + 1 :])
-            term = a * minor
-            acc = acc + term if pos % 2 == 0 else acc - term
+            a = row[c]
+            if a:
+                inner = rec(cols[:pos] + cols[pos + 1 :])
+                term = a if inner is None else a * inner
+                acc = acc - term if pos % 2 else acc + term
         memo[cols] = acc
         return acc
 
-    # memo keyed on column subsets is valid because the row index is
-    # determined by the number of removed columns
-    return rec(0, tuple(range(n)))
+    return finish(rec(tuple(range(n))))

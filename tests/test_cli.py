@@ -389,6 +389,17 @@ ZERO_FLAG_CASES = {
          "--field", "gf(2)"),
         "error: need dimension n >= 2\n",
     ),
+    # a repeated or malformed pair is refused by name, never merged or crashed on
+    "expand-repeated-pair": (
+        ("construct", "expand", "--pairs", "23,23", "--direction", "1", "--dim", "4",
+         "--field", "gf(2)"),
+        "error: repeated pair '23'\n",
+    ),
+    "expand-bad-pair": (
+        ("construct", "expand", "--pairs", "2a", "--direction", "1", "--dim", "4",
+         "--field", "gf(2)"),
+        "error: bad pair '2a' (expected two digits, e.g. 23)\n",
+    ),
     "expand-pair-beyond-dim": (
         ("construct", "expand", "--pairs", "23", "--direction", "1", "--dim", "2",
          "--field", "gf(2)"),

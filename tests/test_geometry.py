@@ -328,6 +328,11 @@ def test_polar_configs_cover_expected_tags():
     assert set(POLAR_CONFIGS) == {"T5", "T6", "T8"}
 
 
+def test_expected_polar_lines_refuses_other_tags():
+    with pytest.raises(ValueError, match="polar check applies to T5, T6 or T8"):
+        expected_polar_lines("T9", GF(3))
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_cone_t7_clauses(p):
     field = GF(p)

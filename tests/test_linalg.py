@@ -1,5 +1,8 @@
-"""Exact matrices: rank/kernel, Bareiss determinants, Pfaffians."""
+"""Exact matrices: rank/kernel, principal deletion, and the Pfaffian and
+determinant expansions, checked against each other and against the
+Leibniz sum over permutations."""
 
+import itertools
 import random
 
 import pytest
@@ -132,7 +135,7 @@ def test_determinant_2x2_symbolic():
     assert determinant(m) == parse_poly("u1*u4-u2*u3", 4, F)
 
 
-def test_determinant_bareiss_matches_cofactor():
+def test_determinant_matches_on_scalars_and_constants():
     rng = random.Random(2024)
     for _ in range(20):
         n = rng.randint(1, 5)
@@ -144,6 +147,63 @@ def test_determinant_bareiss_matches_cofactor():
         det_poly = determinant(poly_m)
         expected = det_poly.evaluate((0,))
         assert determinant(m) == expected
+
+
+def _leibniz(field, rows):
+    """The determinant as the sum over permutations, signed by inversions."""
+    n = len(rows)
+    total = field.zero
+    for perm in itertools.permutations(range(n)):
+        term = field.one
+        for i, j in enumerate(perm):
+            term = field.mul(term, rows[i][j])
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = field.sub(total, term) if inversions % 2 else field.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), QQ], ids=repr)
+def test_determinant_matches_leibniz(field):
+    rng = random.Random(f"leibniz/{field!r}")
+    for n in range(0, 6):
+        for _ in range(6):
+            rows = [[field.of(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+            want = _leibniz(field, rows)
+            assert determinant(Matrix(field, rows)) == want
+            consts = [[MultiPoly.constant(2, field, x) for x in row] for row in rows]
+            assert determinant(PolyMatrix(field, 2, consts)) == MultiPoly.constant(
+                2, field, want
+            )
+
+
+def test_empty_pfaffian_and_determinant_are_one():
+    for field in (GF(2), GF(5), QQ):
+        one = MultiPoly.constant(3, field, 1)
+        for f in (pfaffian, determinant):
+            assert f(Matrix(field, [])) == field.one
+            assert f(PolyMatrix(field, 3, [])) == one
+
+
+def test_gf_pfaffian_is_a_residue():
+    # the integer expansion -a13*a24 = -1 comes back as 4 in GF(5)
+    F = GF(5)
+    rows = [[0] * 4 for _ in range(4)]
+    for i, j in ((0, 2), (1, 3)):
+        rows[i][j], rows[j][i] = 1, 4
+    assert pfaffian(Matrix(F, rows)) == 4
+
+
+def test_pfaffian_rejects_other_types():
+    with pytest.raises(TypeError, match="unsupported matrix type list"):
+        pfaffian([[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match="pfaffian needs a square matrix"):
+        pfaffian(Matrix(GF(3), [[0, 1, 2]]))
+
+
+def test_multipoly_truth_is_nonzero():
+    assert not MultiPoly.zero(2, GF(3))
+    assert MultiPoly.constant(2, GF(3), 2)
+    assert parse_poly("u1*u2", 2, QQ)
 
 
 def test_alternating_rank_is_even():

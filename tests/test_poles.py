@@ -1,5 +1,6 @@
 """Pole enumeration, degrees, the variety pipeline and the upper radical."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -191,16 +192,34 @@ def test_degree_laws(p):
             assert all(x == field.zero for x in m.mul_vec(u))
 
 
-def _adjoint_vector(m, p):
-    """The 15 signed 4x4 sub-Pfaffians of an alternating 6x6 matrix mod p,
-    in the lexicographic pair order of ``wedge2_mod_p``: at the pair (i, j)
-    (0-based), (-1)^(i+j+1) times the Pfaffian on the other four indices."""
+@functools.lru_cache(maxsize=None)
+def _adjoint_terms(n):
+    """(sign, S) per coordinate of ``_adjoint_vector`` at dimension n."""
     out = []
-    for i, j in itertools.combinations(range(6), 2):
-        a, b, c, d = (x for x in range(6) if x not in (i, j))
-        pf = m[a][b] * m[c][d] - m[a][c] * m[b][d] + m[a][d] * m[b][c]
-        out.append((-1) ** (i + j + 1) * pf % p)
+    for t in itertools.combinations(range(n), n - 4):
+        s = tuple(x for x in range(n) if x not in t)
+        inversions = sum(x > y for x, y in itertools.combinations(t + s, 2))
+        out.append(((-1) ** inversions, s))
     return tuple(out)
+
+
+def _adjoint_vector(m, p):
+    """The signed 4x4 sub-Pfaffians of an alternating n x n matrix mod p,
+    indexed by the (n-4)-subsets T of range(n) in lexicographic order: at
+    T, the sign of the permutation (T, S), both ascending, times the
+    Pfaffian on the complement S.  For n = 6 the sign is (-1)^(i+j+1) at
+    the pair (i, j), in the pair order of ``wedge2_mod_p``."""
+    return tuple(
+        sign * (m[a][b] * m[c][d] - m[a][c] * m[b][d] + m[a][d] * m[b][c]) % p
+        for sign, (a, b, c, d) in _adjoint_terms(len(m))
+    )
+
+
+def _contraction_mod_p(cube, u, p):
+    """M_u = sum of u_i C_i mod p, as lists of ints."""
+    n = len(u)
+    return [[sum(x * c[j][k] for x, c in zip(u, cube)) % p for k in range(n)]
+            for j in range(n)]
 
 
 def _is_multiple(v, w, p):
@@ -229,13 +248,49 @@ def test_scan_radicals_match_the_pfaffian_adjoint(tag, lam, p):
         cube = structure_cube(form, field)
         assert {1, 3} & set(report.histogram)
         for u, deg, radical in zip(report.points, report.degrees, report.radicals):
-            m = [[sum(x * c[j][k] for x, c in zip(u, cube)) % p for k in range(6)]
-                 for j in range(6)]
-            v = _adjoint_vector(m, p)
+            v = _adjoint_vector(_contraction_mod_p(cube, u, p), p)
             if deg == 1:
                 assert _is_multiple(v, wedge2_mod_p(p, *radical), p), u
             else:
                 assert not any(v), u
+
+
+def _plane_minors(rows, p):
+    """The 3x3 minors mod p of a 3 x 7 basis at the column triples of
+    ``itertools.combinations(range(7), 3)``: its Pluecker vector in L^3."""
+    a, b, c = rows
+    return tuple(
+        (a[i] * (b[j] * c[k] - b[k] * c[j]) - a[j] * (b[i] * c[k] - b[k] * c[i])
+         + a[k] * (b[i] * c[j] - b[j] * c[i])) % p
+        for i, j, k in itertools.combinations(range(7), 3)
+    )
+
+
+@pytest.mark.parametrize(
+    "tag,lam,p",
+    [("T7", None, 3), ("T7", None, 5), ("T5", None, 3), ("T6", None, 3),
+     ("T11_1", 2, 3), ("T8", None, 3), ("T9", None, 3), ("T9", None, 2),
+     ("T11_2", 1, 2)],
+)
+def test_scan_radicals_match_the_pfaffian_adjoint_n7(tag, lam, p):
+    """The n = 7 half of the oracle: the 35 signed 4x4 sub-Pfaffians of
+    M_u vanish exactly at the points of degree >= 4, and at a degree-2
+    pole they are a nonzero multiple of the Pluecker vector in L^3 of its
+    radical plane Rad(chi_u).  On the catalog row and one seeded pullback
+    of it."""
+    field = GF(p)
+    h = catalog_form(tag, field, param=lam)
+    pulled = h.pullback(random_invertible(field, 7, random.Random(f"adjoint/{tag}-{p}")))
+    for form in (h, pulled):
+        report = enumerate_poles(form)
+        cube = structure_cube(form, field)
+        assert {2, 4} & set(report.histogram)
+        for u, deg, radical in zip(report.points, report.degrees, report.radicals):
+            v = _adjoint_vector(_contraction_mod_p(cube, u, p), p)
+            if deg == 2:
+                assert _is_multiple(v, _plane_minors(radical, p), p), u
+            else:
+                assert any(v) == (deg == 0), u
 
 
 def test_column_dependence_when_coordinate_nonzero():
