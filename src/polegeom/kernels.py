@@ -1,10 +1,13 @@
 """GF(p) kernels: the point scan, kernel bases mod p, and incidence-graph statistics.
 
 scan walks PG(n-1, p) in the canonical order and returns every point's
-degree and, on request, each pole's radical as its reduced row echelon
-basis, the one radical format, which every line builder reads as it is;
-at odd n a guard, the pole polynomial G, lets it skip the elimination
-wherever G(u) != 0.  kernel_mod_p gives the same basis for any matrix mod p.
+degree and, on request, the radical of each pole that leads a radical
+line as its reduced row echelon basis, the one radical format, which
+every line builder reads as it is.  It eliminates only as far as a
+caller reads: to the even maximal rank of M_u, and back-substitutes only
+at the poles that lead a line; at odd n a guard, the pole polynomial G,
+lets it skip the elimination wherever G(u) != 0.  kernel_mod_p gives the
+same basis for any matrix mod p.
 graph_stats gives girth, diameter and connectivity from int-bitset balls.
 """
 
@@ -217,8 +220,9 @@ def scan(
     want_kernels: bool,
     guard: Optional[Dict[Tuple[int, ...], int]] = None,
 ) -> Tuple[List[Tuple[int, ...]], List[int], Optional[List[Optional[List[Tuple[int, ...]]]]]]:
-    """Degrees (and optionally the radical bases of the poles) of canonical
-    projective points with enumeration indices in [start, stop).
+    """Degrees (and optionally the radical bases of the poles that lead a
+    line) of canonical projective points with enumeration indices in
+    [start, stop).
 
     The cube must be alternating (ValueError otherwise).  The points are
     walked as an odometer in the canonical order, and M_u = sum_i u_i C_i is
@@ -228,12 +232,19 @@ def scan(
     tables a*C_i mod p are built once, with a prefix sum per odometer
     digit, so each point costs one addition; all lanes are then reduced mod
     p at once by multiply-shift (_packed_reducer).  Forward elimination,
-    pivoting on each row's last nonzero column, gives the rank, and
-    back-substitution runs only when radicals are wanted and the rank is
-    below n-1.  The kernel vector of a free column f is then 1 at f, 0 at
-    the other free columns and nonzero only after f: the reduced row
-    echelon basis of the radical, as kernel_mod_p returns it.  At a point
-    of degree 0 the radical would be <u>, and None stands in its place.
+    pivoting on each row's last nonzero column, gives the rank.  M_u is
+    alternating, so its rank is even and at most n-1: elimination stops
+    two pivots short of that even maximum if a nonzero row is left, as the
+    rank is then the maximum (the parity stop), except at even n with
+    radicals wanted.  Back-substitution runs only when radicals are wanted
+    and u leads a line: some free column c after u's lead has u[c] = 0,
+    the test by which line assembly (``poles._least_point_lines``) picks
+    the poles it reads.  The kernel vector of a free column f is then 1 at
+    f, 0 at the other free columns and nonzero only after f: the reduced
+    row echelon basis of the radical, as kernel_mod_p returns it.  At
+    every other point, degree 0 included, None stands in its place; the
+    rule reads u alone, so any split into [start, stop) pieces agrees with
+    the whole scan.
 
     ``guard``, for odd n, is the pole polynomial G of the cube mod p as
     {exponents: coefficient}, with Pf(M_u^(1)) = u_1 G.  The signed
@@ -290,6 +301,11 @@ def scan(
     for i in range(lead + 1, n):
         acc[i] = acc[i - 1] + tables[i][u[i]]
     last = n - 1
+    # the parity stop: M_u is alternating, so a nonzero row left two pivots
+    # short of the largest even rank `top` makes the rank top.  Not at even
+    # n with radicals wanted, where a pole of degree 1 may lead a line
+    top = last - last % 2
+    short = top - 2 if n % 2 or not want_kernels else -1
     if guard is not None:
         coeffs, steps, sizes, powers, last_powers = _guard_levels(guard, n, p)
         # state[i]: the coefficients of G with u_0 .. u_{i-1} put in, over
@@ -336,7 +352,7 @@ def scan(
             # reversed columns
             piv_rows: List[int] = []
             piv_lanes: List[int] = []
-            while rows:
+            while rows and len(piv_rows) != short:
                 r = rows.pop()
                 at = ((r & -r).bit_length() - 1) // w * w
                 a = (r >> at) & lane
@@ -354,7 +370,7 @@ def scan(
                 rows = kept
                 piv_rows.append(r)
                 piv_lanes.append(at)
-            rank = len(piv_rows)
+            rank = top if rows else len(piv_rows)  # rows left: the parity stop
             if guard is not None and rank == last:
                 raise RuntimeError(
                     f"the guard vanishes at {tuple(u)}, where M_u has full rank "
@@ -362,8 +378,11 @@ def scan(
                 )
             degrees.append(last - rank)
             if want_kernels:
-                if rank == last:
-                    # degree 0: the radical is <u>, which no caller reads
+                if rank == last or all(
+                    u[c] or (last - c) * w in piv_lanes for c in range(lead + 1, n)
+                ):
+                    # u leads no line: no free column after its lead has u
+                    # zero there (the test of poles._least_point_lines)
                     kernels.append(None)
                 else:
                     # back-substitution: each pivot row is zero at the

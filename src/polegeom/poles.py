@@ -140,8 +140,10 @@ class PoleReport:
     is its enumeration index.  ``degrees[i]`` is the degree of
     ``points[i]``.  ``radicals`` is None for a scan without radicals;
     otherwise ``radicals[i]`` is the reduced row echelon basis of
-    Rad(chi_u) at a pole, as the scan produces it, and None at a point of
-    degree 0.
+    Rad(chi_u), as the scan produces it, at a pole that leads a radical
+    line (r1 of a line of ``_radical_lines``), and None at every other
+    point.  ``lines_through_point`` and ``point_degree`` give the radical
+    of any one point.
     """
 
     field: GF
@@ -160,7 +162,8 @@ def enumerate_poles(
 ) -> PoleReport:
     """Scan every canonical projective point of h over ``over_field(h,
     field)`` and record its degree and, on request, the radical of each
-    pole (None at the points of degree 0).
+    pole that leads a radical line (None at every other point; see
+    ``PoleReport``).
     """
     return _scan_report(over_field(h, field), budget, with_radicals, guarded=False)
 
@@ -483,16 +486,17 @@ def _least_point_lines(
 
 def _radical_lines(report: PoleReport) -> List[Line]:
     """The upper-radical lines of a scan with radicals, sorted, each once:
-    ``_least_point_lines`` over each pole u and its radical Rad(chi_u),
-    which the scan hands over in reduced echelon form.
+    ``_least_point_lines`` over each pole u that leads a line and its
+    radical Rad(chi_u), which the scan hands over in reduced echelon form
+    at those poles alone.
 
     No line is missed: h(u, y, .) = 0 is symmetric in u and y and survives
     a change of basis of the line, so for every radical line r1 is a pole
     and the whole line lies in Rad(chi_r1).  Poles are visited in tuple
     order and each pole's lines come sorted, so the list comes out sorted.
     """
-    columns = zip(report.points, report.degrees, report.radicals)
-    return _least_point_lines(report.field.p, sorted((u, r) for u, d, r in columns if d))
+    columns = zip(report.points, report.radicals)
+    return _least_point_lines(report.field.p, sorted((u, r) for u, r in columns if r))
 
 
 def lines_through_point(

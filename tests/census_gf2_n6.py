@@ -2,8 +2,9 @@
 forms matches a catalog row by its fingerprint, and the rows are hit
 exactly the orbit sizes |GL(6,2)|/|Stab|, with |GL(6,2)| = 20,158,709,760.
 
-It runs for about ten minutes, so pytest does not collect it (the name
-does not start with ``test_``).  Run it from the repository root as
+It runs for about four and a half minutes (257 s on a 2-core machine),
+so pytest does not collect it (the name does not start with ``test_``).
+Run it from the repository root as
 
     PYTHONPATH=src python tests/census_gf2_n6.py
 """

@@ -84,3 +84,61 @@ def test_sampled_n6_spreads_are_normal(p, count):
     assert spreads
     for h in spreads:
         assert normal_spread_check(build_geometry(h, field)), h.to_text()
+
+
+def _gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _gl_order(n, q):
+    order = 1
+    for i in range(n):
+        order *= q ** n - q ** i
+    return order
+
+
+def _exact(a, b):
+    quotient, rest = divmod(a, b)
+    assert rest == 0, (a, b)
+    return quotient
+
+
+def _n6_orbit_sizes(q):
+    """The number of nonzero forms on GF(q)^6 in each row: T1 counts the
+    decomposable forms, T2 a radical point times the rank-5 forms of the
+    quotient, and the others are |GL(6, q)| over their stabilizers
+    (SL(3, q)^2 x| 2 for T3, SL(3, q^2) x| 2 for the twisted row T10,
+    which is T10_2 at q = 2 and T10_1 at odd q, and GL(3, q) with a unipotent
+    radical of order q^8 for T4)."""
+    gl6, gl3 = _gl_order(6, q), _gl_order(3, q)
+    sl3 = _exact(gl3, q - 1)
+    sl3_q2 = _exact(_gl_order(3, q * q), q * q - 1)
+    return {
+        "T1": (q - 1) * _gaussian_binomial(6, 3, q),
+        "T2": _gaussian_binomial(6, 1, q)
+        * (q ** 10 - 1 - (q - 1) * _gaussian_binomial(5, 3, q)),
+        "T3": _exact(gl6, 2 * sl3 ** 2),
+        "T10": _exact(gl6, 2 * sl3_q2),
+        "T4": _exact(gl6, gl3 * q ** 8),
+    }
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_n6_orbit_sizes_sum_to_every_nonzero_form(q):
+    """The five rows' orbit sizes partition the q^20 - 1 nonzero forms."""
+    assert sum(_n6_orbit_sizes(q).values()) == q ** 20 - 1
+
+
+def test_n6_orbit_sizes_at_q2_are_the_census_counts():
+    """At q = 2 the orbit sizes are the counts that the exhaustive census
+    of GF(2)^6 (``census_gf2_n6.py``) expects."""
+    # that script imports this module at its top, so it is imported here
+    from census_gf2_n6 import EXPECTED
+
+    sizes = _n6_orbit_sizes(2)
+    sizes["T10_2"] = sizes.pop("T10")
+    assert sizes == EXPECTED

@@ -47,8 +47,10 @@ def _alternating_cube(rng, n, p):
 
 def _reference_scan(cube, n, p):
     """The whole scan with radicals by the definition: M_u = sum_i u_i C_i
-    at every point, then kernel_mod_p; None stands for the radical <u> of
-    a point of degree 0."""
+    at every point, then kernel_mod_p.  None stands for the radical of a
+    point that leads no line: one whose basis has no free column (the
+    first nonzero of a basis row) after the lead of u where u is zero,
+    every point of degree 0 among them."""
     points, degrees, radicals = [], [], []
     for idx in range(num_projective_points(p, n)):
         u = projective_point_at(p, n, idx)
@@ -57,15 +59,17 @@ def _reference_scan(cube, n, p):
             for j in range(n)
         ]
         basis = kernels.kernel_mod_p(m, p)
+        lead = u.index(1)
+        free = [row.index(1) for row in basis]
         points.append(u)
         degrees.append(len(basis) - 1)
-        radicals.append(basis if len(basis) > 1 else None)
+        radicals.append(basis if any(c > lead and not u[c] for c in free) else None)
     return points, degrees, radicals
 
 
 @pytest.mark.parametrize(
     "p,n",
-    [(2, 3), (2, 5), (2, 8), (3, 4), (3, 6), (5, 4), (5, 5), (7, 4),
+    [(2, 3), (2, 5), (2, 8), (3, 4), (3, 6), (3, 7), (5, 4), (5, 5), (7, 4),
      (11, 3), (11, 4), (13, 3), (211, 3)],
 )
 def test_scan_matches_reference(p, n):

@@ -1,5 +1,6 @@
 """Pole enumeration, degrees, the variety pipeline and the upper radical."""
 
+import collections
 import functools
 import itertools
 import random
@@ -162,23 +163,82 @@ def test_report_columns(tag, p):
     assert len(full.points) == len(full.degrees) == len(full.radicals)
     for idx in (0, 1, len(full.points) // 2, len(full.points) - 1):
         assert full.points[idx] == projective_point_at(p, h.n, idx)
-    assert [deg for deg, rad in zip(full.degrees, full.radicals) if rad is None] == [
-        deg for deg in full.degrees if deg == 0
+    # a radical is handed over only at a pole, and only where it leads a line
+    handed = [u for u, rad in zip(full.points, full.radicals) if rad is not None]
+    assert all(deg for deg, rad in zip(full.degrees, full.radicals) if rad is not None)
+    assert handed and set(handed) == {r1 for r1, _ in _radical_lines(full)}
+
+
+def _radicals_or_rebuilt(report):
+    """The report's radicals, with Rad(chi_u) rebuilt at every pole where
+    the scan hands over None: the reduced echelon basis of u together with
+    the lines through u in ``_radical_lines(report)``.  Every y of
+    Rad(chi_u) off <u> spans a radical line [u, y], so those lines span it.
+    None stays at the points of degree 0."""
+    p = report.field.p
+    through = collections.defaultdict(list)
+    for line in _radical_lines(report):
+        r1, r2 = line
+        for t in range(p):
+            through[tuple((a + t * b) % p for a, b in zip(r1, r2))].extend(line)
+        through[r2].extend(line)
+    return [
+        subspace_rref(report.field, [u, *through[u]]) if deg and radical is None else radical
+        for u, deg, radical in zip(report.points, report.degrees, report.radicals)
     ]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_scan_hands_over_radicals_exactly_at_leading_poles(p):
+    """radicals[i] is not None exactly where points[i] is r1 of a line of
+    ``_radical_lines``, for guarded and unguarded scans of every desk
+    instance and a seeded pullback of it.  The rule reads u alone, so a
+    scan split into start/stop pieces hands over the same radicals."""
+    field = GF(p)
+    rng = random.Random(f"leading/{p}")
+    dropped = 0
+    for tag, _, lam in desk_instances((field,)):
+        h = catalog_form(tag, field, param=lam)
+        for form in (h, h.pullback(random_invertible(field, h.n, rng))):
+            n = form.n
+            report = enumerate_poles(form)
+            guard = (_pfaffian_quotient(form) or None) if n % 2 else None
+            cube = structure_cube(form, field)
+            total = len(report.points)
+            cuts = [0, 1, total // 3, total // 2 + 1, total - 1, total]
+            for guarded in (False, True):
+                scanned = poles._scan_report(form, None, True, guarded)
+                leading = {r1 for r1, _ in _radical_lines(scanned)}
+                assert [rad is not None for rad in scanned.radicals] == [
+                    u in leading for u in scanned.points
+                ], (tag, guarded)
+                assert scanned.radicals == report.radicals
+                pieces = [
+                    kernels.scan(cube, n, p, lo, hi, True, guard if guarded else None)[2]
+                    for lo, hi in zip(cuts, cuts[1:])
+                ]
+                assert [rad for piece in pieces for rad in piece] == report.radicals
+            dropped += sum(
+                1 for deg, rad in zip(report.degrees, report.radicals) if deg and rad is None
+            )
+    # the rule drops the radicals of some poles, not only those of degree 0
+    assert dropped
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_degree_laws(p):
     """degree = (n-1) - rank(M_u) = dim Rad(chi_u) - 1, with parity n-1;
-    the report's radical is the reduced echelon basis of the Field kernel
-    of M_u at a pole and None at degree 0."""
+    at a pole, the report's radical (or, where the scan hands over None,
+    the one its lines rebuild) is the reduced echelon basis of the Field
+    kernel of M_u."""
     field = GF(p)
     for tag, _, lam in desk_instances((field,)):
         h = catalog_form(tag, field, param=lam)
         report = enumerate_poles(h, field)
         n = h.n
         assert len(report.points) == len(report.degrees) == len(report.radicals)
-        for u, deg, radical in zip(report.points, report.degrees, report.radicals):
+        radicals = _radicals_or_rebuilt(report)
+        for u, deg, radical in zip(report.points, report.degrees, radicals):
             m = contraction_matrix(h, u)
             rank, kernel = m.rank_and_kernel()
             assert deg == (n - 1) - rank
@@ -238,8 +298,9 @@ def test_scan_radicals_match_the_pfaffian_adjoint(tag, lam, p):
     """An oracle for the scan's radicals at n = 6 without elimination: the
     signed 4x4 sub-Pfaffians of M_u vanish exactly at the points of degree
     >= 3, and at a degree-1 point they are a nonzero multiple of the
-    Pluecker vector of its radical line.  On the catalog row and one
-    seeded pullback of it."""
+    Pluecker vector of its radical line (as the scan hands it over, or as
+    the lines rebuild it).  On the catalog row and one seeded pullback of
+    it."""
     field = GF(p)
     h = catalog_form(tag, field, param=lam)
     pulled = h.pullback(random_invertible(field, 6, random.Random(f"adjoint/{tag}-{p}")))
@@ -247,7 +308,8 @@ def test_scan_radicals_match_the_pfaffian_adjoint(tag, lam, p):
         report = enumerate_poles(form)
         cube = structure_cube(form, field)
         assert {1, 3} & set(report.histogram)
-        for u, deg, radical in zip(report.points, report.degrees, report.radicals):
+        radicals = _radicals_or_rebuilt(report)
+        for u, deg, radical in zip(report.points, report.degrees, radicals):
             v = _adjoint_vector(_contraction_mod_p(cube, u, p), p)
             if deg == 1:
                 assert _is_multiple(v, wedge2_mod_p(p, *radical), p), u
@@ -276,8 +338,8 @@ def test_scan_radicals_match_the_pfaffian_adjoint_n7(tag, lam, p):
     """The n = 7 half of the oracle: the 35 signed 4x4 sub-Pfaffians of
     M_u vanish exactly at the points of degree >= 4, and at a degree-2
     pole they are a nonzero multiple of the Pluecker vector in L^3 of its
-    radical plane Rad(chi_u).  On the catalog row and one seeded pullback
-    of it."""
+    radical plane Rad(chi_u) (as the scan hands it over, or as the lines
+    rebuild it).  On the catalog row and one seeded pullback of it."""
     field = GF(p)
     h = catalog_form(tag, field, param=lam)
     pulled = h.pullback(random_invertible(field, 7, random.Random(f"adjoint/{tag}-{p}")))
@@ -285,7 +347,8 @@ def test_scan_radicals_match_the_pfaffian_adjoint_n7(tag, lam, p):
         report = enumerate_poles(form)
         cube = structure_cube(form, field)
         assert {2, 4} & set(report.histogram)
-        for u, deg, radical in zip(report.points, report.degrees, report.radicals):
+        radicals = _radicals_or_rebuilt(report)
+        for u, deg, radical in zip(report.points, report.degrees, radicals):
             v = _adjoint_vector(_contraction_mod_p(cube, u, p), p)
             if deg == 2:
                 assert _is_multiple(v, _plane_minors(radical, p), p), u
