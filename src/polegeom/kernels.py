@@ -3,7 +3,9 @@
 scan walks PG(n-1, p) in the canonical order and returns every point's
 degree and, on request, the radical of each pole that leads a radical
 line as its reduced row echelon basis, the one radical format, which
-every line builder reads as it is.  It eliminates only as far as a
+every line builder reads as it is.  M_u is one packed int, and each
+pivot of the forward elimination updates all of it with one product and
+one lane-wise reduction mod p.  It eliminates only as far as a
 caller reads: to the even maximal rank of M_u, and back-substitutes only
 at the poles that lead a line; at odd n a guard, the pole polynomial G,
 lets it skip the elimination wherever G(u) != 0.  kernel_mod_p gives the
@@ -13,6 +15,7 @@ graph_stats gives girth, diameter and connectivity from int-bitset balls.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -171,16 +174,25 @@ def _packed_reducer(p: int, bound: int) -> Tuple[int, int, int]:
 
 
 def _require_alternating(cube: List[List[List[int]]], n: int, p: int) -> None:
+    """ValueError unless the cube is alternating mod p: zero wherever an
+    index repeats, and each triple i < j < k read once with its five
+    permutations, equal up to the permutation's sign."""
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = cube[i][j][k] % p
-                if (
-                    (v + cube[j][i][k]) % p
-                    or (v + cube[i][k][j]) % p
-                    or (i == j or j == k) and v
-                ):
-                    raise ValueError("scan needs an alternating cube")
+        plane = cube[i]
+        if any(v % p for v in plane[i]) or any(
+            plane[k][i] % p or cube[k][i][i] % p for k in range(n)
+        ):
+            raise ValueError("scan needs an alternating cube")
+    for i, j, k in itertools.combinations(range(n), 3):
+        v = cube[i][j][k]
+        if (
+            (cube[j][k][i] - v) % p
+            or (cube[k][i][j] - v) % p
+            or (cube[j][i][k] + v) % p
+            or (cube[i][k][j] + v) % p
+            or (cube[k][j][i] + v) % p
+        ):
+            raise ValueError("scan needs an alternating cube")
 
 
 def _guard_levels(guard: Dict[Tuple[int, ...], int], n: int, p: int):
@@ -228,23 +240,28 @@ def scan(
     walked as an odometer in the canonical order, and M_u = sum_i u_i C_i is
     kept as one packed int: the n*n entries are lanes of w bits, row j at
     lanes j*n .. j*n+n-1 with column k in lane j*n + n-1-k, so the last
-    nonzero column of a row is its lowest lane, read off r & -r.  The
-    tables a*C_i mod p are built once, with a prefix sum per odometer
-    digit, so each point costs one addition; all lanes are then reduced mod
-    p at once by multiply-shift (_packed_reducer).  Forward elimination,
-    pivoting on each row's last nonzero column, gives the rank.  M_u is
-    alternating, so its rank is even and at most n-1: elimination stops
-    two pivots short of that even maximum if a nonzero row is left, as the
-    rank is then the maximum (the parity stop), except at even n with
-    radicals wanted.  Back-substitution runs only when radicals are wanted
-    and u leads a line: some free column c after u's lead has u[c] = 0,
-    the test by which line assembly (``poles._least_point_lines``) picks
-    the poles it reads.  The kernel vector of a free column f is then 1 at
-    f, 0 at the other free columns and nonzero only after f: the reduced
-    row echelon basis of the radical, as kernel_mod_p returns it.  At
-    every other point, degree 0 included, None stands in its place; the
-    rule reads u alone, so any split into [start, stop) pieces agrees with
-    the whole scan.
+    nonzero column of a row is its lowest lane, read off r & -r.  The tables
+    a*C_i mod p are built once, with a prefix sum per odometer digit, so
+    each point costs one addition; all lanes are then reduced mod p at once
+    by multiply-shift (_packed_reducer).  Forward elimination gives the
+    rank, one product per pivot on the whole packed M_u: with r the top
+    nonzero row, a its lowest lane (its last nonzero column) and c_j that
+    lane of row j, moved to lane 0 of every row, M_u becomes
+    a * M_u + (p - c) * r, which clears that column in every row and r
+    itself, and one multiply-shift reduces every lane (simultaneous modular
+    reduction, Dumas, Fousse and Salvy, J. Symbolic Comput. 46, 2011);
+    pivot rows are kept unscaled.  M_u is alternating, so its rank is even
+    and at most n-1: elimination stops two pivots short of that even
+    maximum if a nonzero row is left, as the rank is then the maximum (the
+    parity stop), except at even n with radicals wanted.  Back-substitution runs only when radicals
+    are wanted and u leads a line: some free column c after u's lead has
+    u[c] = 0, the test by which line assembly (``poles._least_point_lines``)
+    picks the poles it reads; it scales each pivot row to 1 at its pivot
+    first.  The kernel vector of a free column f is then 1 at f, 0 at the
+    other free columns and nonzero only after f: the reduced row echelon
+    basis of the radical, as kernel_mod_p returns it.  At every other point,
+    degree 0 included, None stands in its place; the rule reads u alone, so
+    any split into [start, stop) pieces agrees with the whole scan.
 
     ``guard``, for odd n, is the pole polynomial G of the cube mod p as
     {exponents: coefficient}, with Pf(M_u^(1)) = u_1 G.  The signed
@@ -271,14 +288,18 @@ def scan(
         raise IndexError("projective point index out of range")
     inv = _inverse_table(p)
     # lanes hold at most n entries below p before reduction, and
-    # x + (p - a) * y with x, y, a below p during elimination
-    w, mul, shift = _packed_reducer(p, max(n, p) * (p - 1))
+    # a * x + (p - c) * y with a, c, x, y below p during elimination;
+    # back-substitution stays below that
+    w, mul, shift = _packed_reducer(p, max(n, 2 * p - 1) * (p - 1))
     lane = (1 << w) - 1
     low = (1 << (w - shift)) - 1
     row_bits = n * w
     row_mask = (1 << row_bits) - 1
     row_low = sum(low << (k * w) for k in range(n))
     all_low = sum(row_low << (j * row_bits) for j in range(n))
+    # col0: lane 0 of every row; p_ones: p in lane 0 of every row
+    col0 = sum(lane << (j * row_bits) for j in range(n))
+    p_ones = sum(p << (j * row_bits) for j in range(n))
     # tables[i][a]: a * C_i mod p, packed
     tables = []
     for i in range(n):
@@ -295,6 +316,7 @@ def scan(
 
     u = list(projective_point_at(p, n, start))
     lead = u.index(1)
+    keep = ~(row_mask << (lead * row_bits))
     # acc[i]: the packed sum of u_i' C_i' over i' <= i
     acc = [0] * n
     acc[lead] = tables[lead][1]
@@ -339,38 +361,26 @@ def scan(
             # u^T M_u = h(u, u, .) = 0 for an alternating cube, so row `lead`
             # (u_lead = 1) is minus the sum of u_j times the other rows: it
             # changes neither the row space nor its reduced echelon form
-            rows = []
-            for j in range(n):
-                if j != lead:
-                    r = (x >> (j * row_bits)) & row_mask
-                    if r:
-                        rows.append(r)
-            # forward elimination, pivoting on each row's last nonzero
-            # column, its lowest lane: rows taken in any order leave every
-            # pivot row zero below its own pivot lane and at the pivot lanes
-            # before it, so the pivots are those of the echelon form on
-            # reversed columns
+            x &= keep
+            # forward elimination on the whole packed matrix, pivoting on
+            # the top nonzero row r at its last nonzero column, its lowest
+            # lane `at` with value a: with c_j the lane `at` of row j, one
+            # product makes row j a * row_j + (p - c_j) * r, zero at `at`
+            # and, for r itself, zero everywhere.  Rows taken in any order
+            # leave every pivot row zero below its own pivot lane and at the
+            # pivot lanes before it, so the pivots are those of the echelon
+            # form on reversed columns; pivot rows stay unscaled
             piv_rows: List[int] = []
             piv_lanes: List[int] = []
-            while rows and len(piv_rows) != short:
-                r = rows.pop()
+            while x and len(piv_rows) != short:
+                r = x >> (x.bit_length() - 1) // row_bits * row_bits  # top row
                 at = ((r & -r).bit_length() - 1) // w * w
                 a = (r >> at) & lane
-                if a != 1:
-                    r *= inv[a]
-                    r -= p * (((r * mul) >> shift) & row_low)
-                kept = []
-                for y in rows:
-                    a = (y >> at) & lane
-                    if a:
-                        y += (p - a) * r
-                        y -= p * (((y * mul) >> shift) & row_low)
-                    if y:
-                        kept.append(y)
-                rows = kept
+                x = a * x + (p_ones - ((x >> at) & col0)) * r
+                x -= p * (((x * mul) >> shift) & all_low)
                 piv_rows.append(r)
                 piv_lanes.append(at)
-            rank = top if rows else len(piv_rows)  # rows left: the parity stop
+            rank = top if x else len(piv_rows)  # rows left: the parity stop
             if guard is not None and rank == last:
                 raise RuntimeError(
                     f"the guard vanishes at {tuple(u)}, where M_u has full rank "
@@ -386,9 +396,14 @@ def scan(
                     kernels.append(None)
                 else:
                     # back-substitution: each pivot row is zero at the
-                    # earlier pivot lanes; clear the later ones, last first
-                    for t in range(rank - 1, 0, -1):
+                    # earlier pivot lanes; clear the later ones, last first,
+                    # each pivot row scaled to 1 at its pivot lane first
+                    for t in range(rank - 1, -1, -1):
                         r, at = piv_rows[t], piv_lanes[t]
+                        a = (r >> at) & lane
+                        if a != 1:
+                            r *= inv[a]
+                            r = piv_rows[t] = r - p * (((r * mul) >> shift) & row_low)
                         for q in range(t):
                             y = piv_rows[q]
                             a = (y >> at) & lane
@@ -419,6 +434,7 @@ def scan(
             u[lead] = 0
             lead += 1
             u[lead] = 1
+            keep = ~(row_mask << (lead * row_bits))
             i = lead
             x = tables[lead][1]
         else:

@@ -69,8 +69,8 @@ def _reference_scan(cube, n, p):
 
 @pytest.mark.parametrize(
     "p,n",
-    [(2, 3), (2, 5), (2, 8), (3, 4), (3, 6), (3, 7), (5, 4), (5, 5), (7, 4),
-     (11, 3), (11, 4), (13, 3), (211, 3)],
+    [(2, 3), (2, 5), (2, 8), (3, 4), (3, 6), (3, 7), (3, 8), (5, 4), (5, 5),
+     (7, 4), (7, 5), (11, 3), (11, 4), (13, 3), (211, 3)],
 )
 def test_scan_matches_reference(p, n):
     rng = random.Random(1000 * p + n)
@@ -123,13 +123,30 @@ def test_kernel_mod_p_matches_field_route(p):
             assert all(sum(a * x for a, x in zip(row, vec)) % p == 0 for row in rows)
 
 
+def test_packed_reducer_takes_the_elimination_bound():
+    # the lane bound of the scan; _packed_reducer raises ArithmeticError
+    # where multiply-shift fails
+    for p in range(2, 256):
+        if not all(p % d for d in range(2, p)):
+            continue
+        for bound in {max(n, 2 * p - 1) * (p - 1) for n in range(3, 9)}:
+            w, m, s = kernels._packed_reducer(p, bound)
+            assert bound * m < 1 << w
+
+
 def test_scan_rejects_non_alternating_cube():
     rng = random.Random(77)
-    for p in (2, 5):
+    for p in (2, 3, 5):
         cube = _alternating_cube(rng, 4, p)
-        cube[0][1][2] = (cube[0][1][2] + 1) % p  # breaks antisymmetry
-        with pytest.raises(ValueError):
-            kernels.scan(cube, 4, p, 0, 1, False)
+        total = num_projective_points(p, 4)
+        assert len(kernels.scan(cube, 4, p, 0, total, True)[1]) == total
+        # every single-entry corruption breaks alternation
+        for i, j, k in itertools.product(range(4), repeat=3):
+            for delta in range(1, p):
+                broken = [[list(row) for row in plane] for plane in cube]
+                broken[i][j][k] += delta
+                with pytest.raises(ValueError):
+                    kernels.scan(broken, 4, p, 0, 1, False)
     # symmetric in a pair but not alternating: a diagonal entry over GF(2)
     cube = _alternating_cube(rng, 4, 2)
     cube[0][0][1] = cube[0][1][0] = cube[1][0][0] = 1
