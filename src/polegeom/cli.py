@@ -195,11 +195,21 @@ def _form_over(form: TriForm, field: Field) -> TriForm:
     return over_field(form, field) if field.is_finite else form
 
 
-def _parse_vector(text: str, field, n: int):
+def _parse_vector(text: str, field, n: int, flag: str):
+    """The n comma-separated components of ``flag``'s vector in field; a
+    component that is not an element of it is a usage error."""
     parts = [p for p in text.replace(" ", "").split(",") if p != ""]
     if len(parts) != n:
         raise UsageError(f"vector needs {n} components, got {len(parts)}")
-    return [field.of(p) for p in parts]
+    vector = []
+    for pos, part in enumerate(parts, 1):
+        try:
+            vector.append(field.of(part))
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(
+                f"component {pos} of {flag}, {part}, is not an element of {field!r}"
+            ) from None
+    return vector
 
 
 def _cmd_catalog(args) -> int:
@@ -214,9 +224,9 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_eval(args) -> int:
     form = _form_over(*_load_form(args))
-    x = _parse_vector(args.x, form.field, form.n)
-    y = _parse_vector(args.y, form.field, form.n)
-    z = _parse_vector(args.z, form.field, form.n)
+    x = _parse_vector(args.x, form.field, form.n, "--x")
+    y = _parse_vector(args.y, form.field, form.n, "--y")
+    z = _parse_vector(args.z, form.field, form.n, "--z")
     print(form.field.format(form.evaluate(x, y, z)))
     return 0
 
@@ -278,7 +288,7 @@ def _cmd_variety(args) -> int:
 def _cmd_radical_lines(args) -> int:
     form, field = _load_form(args)
     if args.point:
-        u = _parse_vector(args.point, field, form.n)
+        u = _parse_vector(args.point, field, form.n, "--point")
         lines = lines_through_point(form, u, field)
         # degree d <=> (p^d - 1)/(p - 1) lines, strictly increasing in d
         delta = on = 0

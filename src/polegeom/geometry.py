@@ -21,12 +21,13 @@ from .poles import (
     _least_point_lines,
     _line_bases,
     _line_rref,
+    _pfaffian_quotient,
     _radical_lines,
     _scan_report,
+    _stripped,
     _zero_set_matches,
     enumerate_poles,
     over_field,
-    variety_candidates,
 )
 from .projective import (
     Line,
@@ -569,12 +570,15 @@ def _variety_degree(hf: TriForm, degrees: Sequence[Tuple[Vector, int]]) -> Optio
     """
     if hf.n % 2 == 0:
         return None
-    cands = variety_candidates(hf)
-    # ascending degree: the first verified candidate realizes the minimum
-    by_degree = sorted(cands.items(), key=lambda kv: (kv[1][2].degree(), kv[0]))
-    for _, (_, _, g) in by_degree:
+    g_terms = _pfaffian_quotient(hf)
+    if not g_terms:
+        return None
+    # g_i = +-G / u_i^v_i(G) has degree deg G - v_i(G); in ascending
+    # degree, the first verified candidate realizes the minimum
+    top = max(sum(e) for e in g_terms)
+    for v, g in sorted((_stripped(g_terms, i) for i in range(hf.n)), key=lambda vg: -vg[0]):
         if _zero_set_matches(hf.field, g, degrees):
-            return g.degree()
+            return top - v
     return None
 
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over field scalars and over polynomial entries.
 
-Scalar matrices support rank/kernel (reduced echelon form); polynomial
-matrices support principal row/column deletion.  For both, the Pfaffian
-(first-row expansion) and the determinant (cofactor expansion) are each
-one expansion memoized on index subsets, in the entries' own arithmetic,
-which stays exact in every characteristic (including 2, where
-"alternating" degenerates to zero diagonal plus symmetry).
+Scalar matrices support rank/kernel (reduced echelon form).  The
+Pfaffian (first-row expansion, of a scalar or a sparse polynomial
+alternating matrix, on plain ints or Fractions) and the determinant
+(cofactor expansion, of a scalar or a MultiPoly matrix, in the entries'
+own arithmetic) are each one expansion memoized on index subsets, which
+stays exact in every characteristic (including 2, where "alternating"
+degenerates to zero diagonal plus symmetry).
 """
 
 from __future__ import annotations
@@ -153,27 +154,6 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.entries[i][j]
 
-    def is_alternating(self) -> bool:
-        for i in range(self.size):
-            if not self.entries[i][i].is_zero():
-                return False
-            for j in range(i + 1, self.size):
-                if self.entries[i][j] != -self.entries[j][i]:
-                    return False
-        return True
-
-    def principal_delete(self, index: int) -> "PolyMatrix":
-        """Delete row and column `index` (1-based)."""
-        if not 1 <= index <= self.size:
-            raise IndexError(f"index {index} out of range 1..{self.size}")
-        i = index - 1
-        entries = [
-            [x for c, x in enumerate(row) if c != i]
-            for r, row in enumerate(self.entries)
-            if r != i
-        ]
-        return PolyMatrix(self.field, self.nvars, entries)
-
     def render(self) -> str:
         """Aligned text rendering for CLI debugging."""
         from .poly import render_poly
@@ -185,15 +165,86 @@ class PolyMatrix:
         )
 
 
-def _expansion_ring(m, name: str):
-    """The rows of a Matrix or PolyMatrix, the zero an expansion sums from,
-    and the map from its result to the answer, where None is the empty
-    product, one.  GF(p) scalars are expanded as plain ints and reduced
-    once at the end, which is exact: both quantities are integer
-    polynomials in the entries."""
+class SparseAlternating:
+    """An alternating matrix of sparse polynomials, kept as the entries
+    above its diagonal.
+
+    ``upper[i]`` maps each j > i whose entry (i, j) is nonzero to that
+    entry, a dict {key: coefficient} of nonzero int or Fraction
+    coefficients.  A key packs a monomial's exponents as the digits of one
+    int, so the key of a product of monomials is the sum of their keys and
+    0 is the key of the monomial 1; the digits must be wide enough for
+    every exponent of the Pfaffian.
+    """
+
+    __slots__ = ("upper",)
+
+    def __init__(self, upper: Sequence[Dict[int, Dict[int, object]]]):
+        self.upper = list(upper)
+
+
+def pfaffian(m):
+    """Pfaffian of an alternating Matrix or SparseAlternating, by one
+    first-row expansion over sparse polynomials on plain ints (or
+    Fractions), memoized on the tuple of live indices.
+
+    A SparseAlternating gives its Pfaffian as terms {key: coefficient},
+    zeros dropped and none reduced.  A Matrix is expanded with its entries
+    as constants {0: x}, GF(p) scalars as plain ints reduced once at the
+    end, which is exact: the Pfaffian is an integer polynomial in the
+    entries.  Odd sizes give 0; the square of the result equals the
+    determinant.
+    """
+    if isinstance(m, SparseAlternating):
+        upper = m.upper
+    elif isinstance(m, Matrix):
+        if m.nrows != m.ncols:
+            raise ValueError("pfaffian needs a square matrix")
+        if not m.is_alternating():
+            raise ValueError("pfaffian needs an alternating matrix")
+        rows = m.rows
+        upper = [
+            {j: {0: rows[i][j]} for j in range(i + 1, m.ncols) if rows[i][j]}
+            for i in range(m.nrows)
+        ]
+    else:
+        raise TypeError(f"unsupported matrix type {type(m).__name__}")
+    memo: Dict[Tuple[int, ...], Dict[int, object]] = {}
+
+    def rec(live: Tuple[int, ...]) -> Dict[int, object]:
+        if not live:
+            return {0: 1}
+        if live in memo:
+            return memo[live]
+        row, rest = upper[live[0]], live[1:]
+        acc: Dict[int, object] = {}
+        get = acc.get
+        for pos, j in enumerate(rest):
+            a = row.get(j)
+            if a:
+                inner = rec(rest[:pos] + rest[pos + 1 :])
+                for ka, ca in a.items():
+                    if pos % 2:
+                        ca = -ca
+                    for kb, cb in inner.items():
+                        k = ka + kb
+                        acc[k] = get(k, 0) + ca * cb
+        memo[live] = acc = {k: c for k, c in acc.items() if c}
+        return acc
+
+    terms = rec(tuple(range(len(upper))))
+    return m.field.of(terms.get(0, 0)) if isinstance(m, Matrix) else terms
+
+
+def _expansion_ring(m):
+    """The rows of a Matrix or PolyMatrix, the zero the determinant sums
+    from, and the map from its result to the answer, where None is the
+    empty product, one.  GF(p) scalars are expanded as plain ints and
+    reduced once at the end, which is exact: the determinant is an integer
+    polynomial in the entries."""
     if isinstance(m, Matrix):
         if m.nrows != m.ncols:
-            raise ValueError(f"{name} needs a square matrix")
+            raise ValueError("determinant needs a square matrix")
         F = m.field
         return m.rows, 0, lambda x: F.one if x is None else F.of(x)
     if isinstance(m, PolyMatrix):
@@ -202,41 +253,11 @@ def _expansion_ring(m, name: str):
     raise TypeError(f"unsupported matrix type {type(m).__name__}")
 
 
-def pfaffian(m):
-    """Pfaffian of an alternating Matrix or PolyMatrix, by first-row
-    expansion memoized on the tuple of live indices.
-
-    Odd sizes give 0; the square of the result equals the determinant.
-    """
-    rows, zero, finish = _expansion_ring(m, "pfaffian")
-    if not m.is_alternating():
-        raise ValueError("pfaffian needs an alternating matrix")
-    memo: Dict[Tuple[int, ...], object] = {}
-
-    def rec(live: Tuple[int, ...]):
-        if not live:
-            return None  # the empty Pfaffian, so no term is multiplied by one
-        if live in memo:
-            return memo[live]
-        row, rest = rows[live[0]], live[1:]
-        acc = zero
-        for pos, j in enumerate(rest):
-            a = row[j]
-            if a:
-                inner = rec(rest[:pos] + rest[pos + 1 :])
-                term = a if inner is None else a * inner
-                acc = acc - term if pos % 2 else acc + term
-        memo[live] = acc
-        return acc
-
-    return finish(rec(tuple(range(len(rows)))))
-
-
 def determinant(m):
     """Exact determinant of a square Matrix or PolyMatrix, by cofactor
     expansion along the rows memoized on the columns left (which fix the
     row: the number of columns removed)."""
-    rows, zero, finish = _expansion_ring(m, "determinant")
+    rows, zero, finish = _expansion_ring(m)
     n = len(rows)
     memo: Dict[Tuple[int, ...], object] = {}
 

@@ -22,8 +22,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from . import kernels
 from .fields import GF, Field, Scalar
 from .forms import TriForm
-from .linalg import Matrix, PolyMatrix, pfaffian
-from .poly import MultiPoly, strip_variable_power
+from .linalg import Matrix, PolyMatrix, SparseAlternating, pfaffian
+from .poly import MultiPoly
 from .projective import (
     Line,
     Vector,
@@ -203,14 +203,43 @@ def _pfaffian_quotient(h: TriForm) -> Dict[Tuple[int, ...], Scalar]:
     """The terms of G, read off Pf(M_u^(1)) = u_1 G: the one Pfaffian that
     is expanded for the pole equation, and the only place it is.  Empty
     when that Pfaffian vanishes identically (every point a pole, or even n).
+
+    M_u^(1) is read straight off h's coefficients as in
+    ``symbolic_matrix``, each entry a linear form {key of u_v: c} with u_v
+    keyed 1 << width*(v-1): every exponent of the Pfaffian, of degree
+    (n-1)/2, fits in ``width`` bits.  It is expanded on plain ints (or
+    Fractions over Q), reduced in h's field once, and divided by u_1.
     """
-    first = pfaffian(symbolic_matrix(h).principal_delete(1))
-    if any(e[0] == 0 for e in first.terms):
-        raise RuntimeError(
-            f"Pf(M_u^(1)) of {h.label or h!r} is not divisible by u_1: "
-            "the sub-Pfaffian identity is broken"
-        )
-    return {(e[0] - 1,) + e[1:]: c for e, c in first.terms.items()}
+    if h.is_zero():
+        raise ValueError("zero form has no contraction matrix")
+    n, F = h.n, h.field
+    width = ((n - 1) // 2).bit_length()
+    upper: List[Dict[int, Dict[int, Scalar]]] = [{} for _ in range(n - 1)]
+    for (i, j, k), c in h.coeffs.items():
+        for a, b, v, x in ((j, k, i, c), (i, k, j, -c), (i, j, k, c)):
+            if a > 1:  # row and column 1 are deleted
+                upper[a - 2].setdefault(b - 2, {})[1 << width * (v - 1)] = x
+    mask = (1 << width) - 1
+    out: Dict[Tuple[int, ...], Scalar] = {}
+    for key, c in pfaffian(SparseAlternating(upper)).items():
+        c = F.of(c)
+        if c == F.zero:
+            continue
+        if not key & mask:
+            raise RuntimeError(
+                f"Pf(M_u^(1)) of {h.label or h!r} is not divisible by u_1: "
+                "the sub-Pfaffian identity is broken"
+            )
+        key -= 1  # divided by u_1, keyed 1
+        out[tuple(key >> width * v & mask for v in range(n))] = c
+    return out
+
+
+def _stripped(g_terms: Dict[Tuple[int, ...], Scalar], i: int):
+    """v_i(G), the power of u_i (0-based i) that divides G, and the terms
+    of G / u_i^v_i(G)."""
+    v = min(e[i] for e in g_terms)
+    return v, {e[:i] + (e[i] - v,) + e[i + 1 :]: c for e, c in g_terms.items()}
 
 
 def variety_candidates(h: TriForm) -> Dict[int, Tuple[MultiPoly, int, MultiPoly]]:
@@ -221,20 +250,21 @@ def variety_candidates(h: TriForm) -> Dict[int, Tuple[MultiPoly, int, MultiPoly]
     rank M_u = n-1 and vanishes elsewhere (Buchsbaum-Eisenbud), and
     M_u u = 0, so Pf(M_u^(i)) = (-1)^(i+1) u_i G(u) for one polynomial G,
     over every field.  G is read off Pf(M_u^(1)) = u_1 G, and every d_i is
-    rebuilt from it: alpha_i = 1 + v_i(G) and g_i = +-G / u_i^(v_i(G)).
-    The candidates are therefore all of 1..n or none (G = 0, every point a
-    pole; also every even n).
+    rebuilt from its terms: alpha_i = 1 + v_i(G) and
+    g_i = +-G / u_i^(v_i(G)).  The candidates are therefore all of 1..n or
+    none (G = 0, every point a pole; also every even n).
     """
     n, F = h.n, h.field
     g_terms = _pfaffian_quotient(h)
     out: Dict[int, Tuple[MultiPoly, int, MultiPoly]] = {}
     if not g_terms:
         return out
-    for i in range(1, n + 1):
-        lift = {e[: i - 1] + (e[i - 1] + 1,) + e[i:]: c for e, c in g_terms.items()}
-        d = MultiPoly(n, F, lift if i % 2 else {e: F.neg(c) for e, c in lift.items()})
-        alpha, g = strip_variable_power(d, i)
-        out[i] = (d, alpha, g)
+    for i in range(n):
+        sign = F.one if i % 2 == 0 else F.neg(F.one)
+        v, stripped = _stripped(g_terms, i)
+        d = {e[:i] + (e[i] + 1,) + e[i + 1 :]: F.mul(sign, c) for e, c in g_terms.items()}
+        g = {e: F.mul(sign, c) for e, c in stripped.items()}
+        out[i + 1] = (MultiPoly(n, F, d), v + 1, MultiPoly(n, F, g))
     return out
 
 
@@ -265,9 +295,10 @@ def _factored(terms: Iterable[Tuple[Tuple[int, ...], int]]) -> List[Tuple[int, L
 
 
 def _zero_set_matches(
-    field: GF, g: MultiPoly, degrees: Iterable[Tuple[Vector, int]]
+    field: GF, g_terms: Dict[Tuple[int, ...], Scalar], degrees: Iterable[Tuple[Vector, int]]
 ) -> bool:
-    """Pointwise check that {g = 0} equals the pole set of a scan.
+    """Pointwise check that {g = 0} equals the pole set of a scan, for g
+    given by its terms {exponents: coefficient}.
 
     ``degrees`` yields (point, degree) for every point of PG(n-1, p), with
     integer coordinates.  g is evaluated on ints: each term becomes
@@ -275,7 +306,7 @@ def _zero_set_matches(
     and the sum is reduced mod p once per point.
     """
     p = field.p
-    terms = _factored((exps, field.of(c)) for exps, c in g.terms.items())
+    terms = _factored((exps, field.of(c)) for exps, c in g_terms.items())
     for pt, deg in degrees:
         total = 0
         for c, factors in terms:
@@ -338,12 +369,12 @@ def _grid_degrees(h: TriForm) -> Iterator[Tuple[Tuple[int, ...], int]]:
         yield pt, n - 1 - _integer_rank(m)
 
 
-def _grid_matches(h: TriForm, g: MultiPoly) -> bool:
-    """Pointwise check of {g = 0} against the poles of a rational form on a
-    sampled grid, on integers: g is scaled once to integer coefficients,
-    which does not change its zeros, and the degrees are
-    ``_grid_degrees``."""
-    terms = _factored(_cleared(g.terms).items())
+def _grid_matches(h: TriForm, g_terms: Dict[Tuple[int, ...], Scalar]) -> bool:
+    """Pointwise check of {g = 0}, for g given by its terms, against the
+    poles of a rational form on a sampled grid, on integers: g is scaled
+    once to integer coefficients, which does not change its zeros, and the
+    degrees are ``_grid_degrees``."""
+    terms = _factored(_cleared(g_terms).items())
     for pt, degree in _grid_degrees(h):
         value = 0
         for c, factors in terms:
@@ -391,9 +422,9 @@ def pole_variety(
     for idx in order:
         d, alpha, g = candidates[idx]
         if finite:
-            ok = _zero_set_matches(report.field, g, zip(report.points, report.degrees))
+            ok = _zero_set_matches(report.field, g.terms, zip(report.points, report.degrees))
         else:
-            ok = _grid_matches(h, g)
+            ok = _grid_matches(h, g.terms)
         if ok:
             return VarietyResult(
                 all_points=False,

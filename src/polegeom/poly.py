@@ -2,9 +2,9 @@
 
 Terms are stored in a map from exponent tuples to nonzero coefficients.
 Only the operations the Pfaffian pipeline needs are provided: ring
-arithmetic, variable-power stripping, evaluation, substitution and
-equality up to a nonzero scalar.  Monomials are ordered by graded
-lexicographic order wherever an ordering matters.
+arithmetic, evaluation, substitution and equality up to a nonzero
+scalar.  Monomials are ordered by graded lexicographic order wherever an
+ordering matters.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ class MultiPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def leading(self) -> Tuple[Exponents, Scalar]:
         """Leading (grlex-greatest) term of a nonzero polynomial."""
@@ -167,23 +161,6 @@ class MultiPoly:
             self.field,
             {e[:i] + e[i + 1 :]: c for e, c in self.terms.items()},
         )
-
-
-def strip_variable_power(a: MultiPoly, index: int) -> Tuple[int, MultiPoly]:
-    """Write a = u_index^e * cofactor with u_index not dividing the cofactor.
-
-    The exponent is maximal (the minimum power of u_index over all terms).
-    """
-    if a.is_zero():
-        raise ValueError("cannot strip a variable from the zero polynomial")
-    i = index - 1
-    e = min(exps[i] for exps in a.terms)
-    cofactor = MultiPoly(
-        a.nvars,
-        a.field,
-        {exps[:i] + (exps[i] - e,) + exps[i + 1 :]: c for exps, c in a.terms.items()},
-    )
-    return e, cofactor
 
 
 def equal_up_to_scalar(a: MultiPoly, b: MultiPoly) -> Optional[Scalar]:

@@ -5,7 +5,8 @@ import sys
 
 from polegeom.fields import GF, QQ
 from polegeom.forms import TriForm, catalog_tags
-from polegeom.linalg import Matrix
+from polegeom.linalg import Matrix, PolyMatrix
+from polegeom.poly import MultiPoly
 
 # parameter choices satisfying each parametric row's condition per field
 CATALOG_PARAMS = {
@@ -81,3 +82,51 @@ def forbid_everywhere(monkeypatch, name):
     assert bound, name
     for mod in bound:
         monkeypatch.setattr(mod, name, forbidden)
+
+
+def principal_delete(m, index):
+    """The PolyMatrix m without row and column ``index`` (1-based)."""
+    if not 1 <= index <= m.size:
+        raise IndexError(f"index {index} out of range 1..{m.size}")
+    i = index - 1
+    entries = [
+        [x for c, x in enumerate(row) if c != i] for r, row in enumerate(m.entries) if r != i
+    ]
+    return PolyMatrix(m.field, m.nvars, entries)
+
+
+def strip_variable_power(a, index):
+    """Write the MultiPoly a = u_index^e * cofactor with u_index not
+    dividing the cofactor: e is the least power of u_index over a's terms."""
+    if a.is_zero():
+        raise ValueError("cannot strip a variable from the zero polynomial")
+    i = index - 1
+    e = min(exps[i] for exps in a.terms)
+    cofactor = MultiPoly(
+        a.nvars,
+        a.field,
+        {exps[:i] + (exps[i] - e,) + exps[i + 1 :]: c for exps, c in a.terms.items()},
+    )
+    return e, cofactor
+
+
+def multipoly_pfaffian(m):
+    """The Pfaffian of an alternating PolyMatrix by first-row expansion in
+    MultiPoly arithmetic, memoized on the live indices: the reference for
+    ``linalg.pfaffian``'s sparse expansion on ints."""
+    memo = {}
+
+    def rec(live):
+        if not live:
+            return MultiPoly.constant(m.nvars, m.field, 1)
+        if live not in memo:
+            row, rest = m.entries[live[0]], live[1:]
+            acc = MultiPoly.zero(m.nvars, m.field)
+            for pos, j in enumerate(rest):
+                if row[j]:
+                    term = row[j] * rec(rest[:pos] + rest[pos + 1 :])
+                    acc = acc - term if pos % 2 else acc + term
+            memo[live] = acc
+        return memo[live]
+
+    return rec(tuple(range(m.size)))

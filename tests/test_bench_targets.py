@@ -96,6 +96,19 @@ def test_traced_build_expands_the_guard_pfaffian(tag, lam, count):
     assert [span[0] for span in tracer.spans].count("linalg.pfaffian") == count
 
 
+@pytest.mark.parametrize(
+    "tag,lam,field,count",
+    [("T9", None, GF(2), 1), ("T10_1", 2, GF(3), 0)],
+    ids=["odd-n", "even-n"],
+)
+def test_traced_report_expands_one_pfaffian(tag, lam, field, count):
+    """``full_report`` verifies the pole equation from one Pfaffian at odd
+    n, and expands none at even n, where every point is on the variety."""
+    with SPANS.Tracer() as tracer:
+        poles.full_report(catalog_form(tag, field, param=lam))
+    assert [span[0] for span in tracer.spans].count("linalg.pfaffian") == count
+
+
 def test_traced_build_counts_every_incidence():
     """``_incidences`` reads ``points_by_line`` off the built geometry: on
     the hexagon T9/GF(3), p + 1 = 4 points on each of its 364 lines."""

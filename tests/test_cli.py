@@ -269,6 +269,48 @@ def test_radical_lines_zero_point_exit_2(capsys):
     assert err == "error: zero vector has no degree\n"
 
 
+# vector components that are not elements of the field, with the error each gives
+BAD_COMPONENTS = {
+    "eval-third-in-gf3": (
+        ("eval", "--catalog", "T1", "--field", "gf(3)",
+         "--x", "1/3,0,0", "--y", "0,1,0", "--z", "0,0,1"),
+        "component 1 of --x, 1/3, is not an element of gf(3)",
+    ),
+    "point-third-in-gf3": (
+        ("radical-lines", "--catalog", "T7", "--field", "gf(3)", "--point", "1/3,0,0,0,0,0,0"),
+        "component 1 of --point, 1/3, is not an element of gf(3)",
+    ),
+    "eval-over-zero-in-q": (
+        ("eval", "--catalog", "T1", "--field", "q",
+         "--x", "1/0,0,0", "--y", "0,1,0", "--z", "0,0,1"),
+        "component 1 of --x, 1/0, is not an element of q",
+    ),
+    "eval-letter-in-q": (
+        ("eval", "--catalog", "T1", "--field", "q",
+         "--x", "1,0,0", "--y", "0,x,0", "--z", "0,0,1"),
+        "component 2 of --y, x, is not an element of q",
+    ),
+    "eval-letter-in-gf3": (
+        ("eval", "--catalog", "T1", "--field", "gf(3)",
+         "--x", "1,0,0", "--y", "0,1,0", "--z", "0,0,x"),
+        "component 3 of --z, x, is not an element of gf(3)",
+    ),
+    "point-letter-in-gf3": (
+        ("radical-lines", "--catalog", "T7", "--field", "gf(3)", "--point", "1,0,0,0,0,0,y"),
+        "component 7 of --point, y, is not an element of gf(3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COMPONENTS))
+def test_bad_vector_component_exit_2(capsys, case):
+    """A vector component that is not an element of the field, a zero
+    denominator or a non-number, exits 2 naming the component and the
+    field."""
+    argv, message = BAD_COMPONENTS[case]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_budget_exceeded_message(capsys):
     code, _, err = run_cli(
         capsys,

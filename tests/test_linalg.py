@@ -7,10 +7,15 @@ import random
 
 import pytest
 
-from conftest import random_alternating, random_invertible
+from conftest import (
+    multipoly_pfaffian,
+    principal_delete,
+    random_alternating,
+    random_invertible,
+)
 from polegeom.fields import GF, QQ
 from polegeom.forms import catalog_form
-from polegeom.linalg import Matrix, PolyMatrix, determinant, pfaffian
+from polegeom.linalg import Matrix, PolyMatrix, SparseAlternating, determinant, pfaffian
 from polegeom.poles import contraction_matrix, symbolic_matrix
 from polegeom.poly import MultiPoly, parse_poly
 
@@ -57,16 +62,16 @@ def test_principal_delete_2x2():
     F = QQ
     a = parse_poly("u1", 2, F)
     m = PolyMatrix(F, 2, [[MultiPoly.zero(2, F), a], [-a, MultiPoly.zero(2, F)]])
-    d = m.principal_delete(1)
+    d = principal_delete(m, 1)
     assert d.size == 1
     assert d.entry(0, 0).is_zero()
     with pytest.raises(IndexError):
-        m.principal_delete(3)
+        principal_delete(m, 3)
 
 
 def test_principal_delete_t9_block():
     sym = symbolic_matrix(catalog_form("T9", QQ))
-    top = sym.principal_delete(7)
+    top = principal_delete(sym, 7)
     assert top.size == 6
     for i in range(6):
         for j in range(6):
@@ -74,10 +79,8 @@ def test_principal_delete_t9_block():
 
 
 def test_pfaffian_2x2():
-    F = QQ
-    a = parse_poly("u1", 2, F)
-    m = PolyMatrix(F, 2, [[MultiPoly.zero(2, F), a], [-a, MultiPoly.zero(2, F)]])
-    assert pfaffian(m) == a
+    a = {1: 3, 4: -1}  # 3*u1 - u2, with u_v keyed 1 << 2*(v-1)
+    assert pfaffian(SparseAlternating([{1: a}, {}])) == a
 
 
 def test_pfaffian_4x4_classic():
@@ -92,8 +95,9 @@ def test_pfaffian_4x4_classic():
 def test_pfaffian_odd_is_zero():
     m = random_alternating(GF(5), 5, random.Random(1))
     assert pfaffian(m) == 0
+    # M_u of the rank-3 form on n = 3, with u_v keyed 1 << (v-1)
+    assert pfaffian(SparseAlternating([{1: {4: 1}, 2: {2: -1}}, {2: {1: 1}}, {}])) == {}
     sym = symbolic_matrix(catalog_form("T1", QQ))
-    assert pfaffian(sym).is_zero()
     assert determinant(sym).is_zero()
 
 
@@ -110,6 +114,46 @@ def test_pfaffian_squares_to_determinant():
                 m = random_alternating(field, n, rng)
                 pf = pfaffian(m)
                 assert field.mul(pf, pf) == determinant(m)
+
+
+def _sparse_and_multipoly(field, size, nvars, rng):
+    """A seeded alternating matrix of linear forms in nvars variables, as a
+    SparseAlternating (u_v keyed 1 << 4*(v-1)) and as a PolyMatrix."""
+    F = field
+    upper = [{} for _ in range(size)]
+    rows = [[MultiPoly.zero(nvars, F)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            coeffs = [F.of(rng.randint(-3, 3) if rng.random() < 0.6 else 0) for _ in range(nvars)]
+            if any(coeffs):
+                upper[i][j] = {1 << 4 * v: c for v, c in enumerate(coeffs) if c}
+            units = [tuple(int(w == v) for w in range(nvars)) for v in range(nvars)]
+            entry = MultiPoly(nvars, F, {units[v]: c for v, c in enumerate(coeffs)})
+            rows[i][j], rows[j][i] = entry, -entry
+    return SparseAlternating(upper), PolyMatrix(F, nvars, rows)
+
+
+def _unpacked(terms, field, nvars):
+    """Packed terms {key: c}, 4 bits per exponent, as a MultiPoly."""
+    return MultiPoly(
+        nvars,
+        field,
+        {tuple(k >> 4 * v & 15 for v in range(nvars)): field.of(c) for k, c in terms.items()},
+    )
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_sparse_pfaffian_matches_multipoly_and_squares_to_determinant(field):
+    """The sparse expansion on ints equals the first-row expansion in
+    MultiPoly arithmetic, and its square is the determinant, for seeded
+    alternating matrices of linear forms of every size up to 6."""
+    rng = random.Random(f"sparse/{field!r}")
+    for size in range(7):
+        for _ in range(3):
+            sparse, poly = _sparse_and_multipoly(field, size, 3, rng)
+            pf = _unpacked(pfaffian(sparse), field, 3)
+            assert pf == multipoly_pfaffian(poly)
+            assert pf * pf == determinant(poly)
 
 
 def test_char2_alternating():
@@ -181,7 +225,8 @@ def test_empty_pfaffian_and_determinant_are_one():
         one = MultiPoly.constant(3, field, 1)
         for f in (pfaffian, determinant):
             assert f(Matrix(field, [])) == field.one
-            assert f(PolyMatrix(field, 3, [])) == one
+        assert pfaffian(SparseAlternating([])) == {0: 1}
+        assert determinant(PolyMatrix(field, 3, [])) == one
 
 
 def test_gf_pfaffian_is_a_residue():
@@ -196,6 +241,8 @@ def test_gf_pfaffian_is_a_residue():
 def test_pfaffian_rejects_other_types():
     with pytest.raises(TypeError, match="unsupported matrix type list"):
         pfaffian([[0, 1], [-1, 0]])
+    with pytest.raises(TypeError, match="unsupported matrix type PolyMatrix"):
+        pfaffian(symbolic_matrix(catalog_form("T9", QQ)))
     with pytest.raises(ValueError, match="pfaffian needs a square matrix"):
         pfaffian(Matrix(GF(3), [[0, 1, 2]]))
 

@@ -12,7 +12,7 @@ from polegeom import geometry, kernels, poles
 from polegeom.fields import GF, QQ
 from polegeom.forms import CatalogConditionError, TriForm, catalog_form
 from polegeom.geometry import build_geometry, fingerprint
-from polegeom.linalg import Matrix, pfaffian
+from polegeom.linalg import Matrix
 from polegeom.poles import (
     BudgetExceededError,
     VarietyError,
@@ -36,13 +36,7 @@ from polegeom.poles import (
     upper_radical_system,
     variety_candidates,
 )
-from polegeom.poly import (
-    MultiPoly,
-    equal_up_to_scalar,
-    parse_poly,
-    render_poly,
-    strip_variable_power,
-)
+from polegeom.poly import MultiPoly, equal_up_to_scalar, parse_poly, render_poly
 from polegeom.projective import (
     num_projective_points,
     projective_point_at,
@@ -51,7 +45,15 @@ from polegeom.projective import (
     wedge2_coordinates,
     wedge2_mod_p,
 )
-from conftest import desk_instances, forbid_everywhere, random_form, random_invertible
+from conftest import (
+    desk_instances,
+    forbid_everywhere,
+    multipoly_pfaffian,
+    principal_delete,
+    random_form,
+    random_invertible,
+    strip_variable_power,
+)
 
 
 def test_symbolic_matrix_t1():
@@ -419,7 +421,7 @@ def test_variety_rank3_no_poles():
     # the basic rank-3 form on n=3 has no poles; its equation is a unit
     result = pole_variety(catalog_form("T1", GF(3)))
     assert not result.all_points
-    assert result.g.degree() == 0
+    assert list(result.g.terms) == [(0, 0, 0)]
 
 
 def test_variety_t2_n5():
@@ -468,14 +470,50 @@ def test_variety_index_at_the_ends_of_the_range():
 
 def _candidates_from_every_pfaffian(h):
     """The reference route: expand all n principal Pfaffians of the
-    symbolic M_u, skip the identically zero ones and strip u_i from each."""
+    symbolic M_u in MultiPoly arithmetic, skip the identically zero ones
+    and strip u_i from each."""
     sym = symbolic_matrix(h)
     out = {}
     for i in range(1, h.n + 1):
-        d = pfaffian(sym.principal_delete(i))
+        d = multipoly_pfaffian(principal_delete(sym, i))
         if not d.is_zero():
             out[i] = (d, *strip_variable_power(d, i))
     return out
+
+
+def _quotient_by_multipoly(h):
+    """G by the MultiPoly route: Pf(M_u^(1)) of ``symbolic_matrix``,
+    expanded in MultiPoly arithmetic, divided by u_1."""
+    first = multipoly_pfaffian(principal_delete(symbolic_matrix(h), 1))
+    assert all(e[0] >= 1 for e in first.terms)
+    return {(e[0] - 1,) + e[1:]: c for e, c in first.terms.items()}
+
+
+QUOTIENT_CASES = (
+    [
+        pytest.param(catalog_form(tag, field, param=lam), id=f"{tag}-{field!r}")
+        for tag, field, lam in desk_instances((GF(2), GF(3), GF(5), GF(7), QQ))
+    ]
+    + [
+        pytest.param(
+            catalog_form("T9", field).pullback(
+                random_invertible(field, 7, random.Random(f"quotient/{field!r}"))
+            ),
+            id=f"T9-{field!r}-pullback",
+        )
+        for field in (GF(2), GF(3), GF(5), GF(7))
+    ]
+    + [pytest.param(random_form(9, GF(3), random.Random("quotient/9")), id="n9-gf(3)")]
+)
+
+
+@pytest.mark.parametrize("h", QUOTIENT_CASES)
+def test_pfaffian_quotient_matches_the_multipoly_route(h):
+    """G read off the coefficients and expanded on ints equals G expanded
+    from the MultiPoly matrix of ``symbolic_matrix``: on every desk
+    instance over GF(2), GF(3), GF(5), GF(7) and Q, on a seeded pullback
+    over each GF(p), and at n = 9, where the exponents need 3 bits."""
+    assert _pfaffian_quotient(h) == _quotient_by_multipoly(h)
 
 
 VARIETY_REFERENCE_CASES = (
@@ -519,9 +557,9 @@ def test_variety_candidates_guard_the_identity(monkeypatch):
     """A first Pfaffian with a term free of u_1 breaks Pf(M_u^(1)) = u_1*G
     and is refused rather than turned into candidates."""
     h = catalog_form("T9", GF(3))
-    monkeypatch.setattr(
-        poles, "pfaffian", lambda m: parse_poly("u1^2*u4 + u2*u5*u7", 7, GF(3))
-    )
+    real = poles.pfaffian
+    # Pf(M_u^(1)) plus the constant 1, keyed 0, a term free of u_1
+    monkeypatch.setattr(poles, "pfaffian", lambda m: {**real(m), 0: 1})
     with pytest.raises(RuntimeError, match="not divisible by u_1"):
         variety_candidates(h)
 
@@ -870,11 +908,11 @@ def test_zero_set_matches_both_verdicts(p, pulled):
     report = enumerate_poles(h, field, with_radicals=False)
     pairs = list(zip(report.points, report.degrees))
     eq = pole_variety(h, report=report).g
-    assert _zero_set_matches(field, eq, pairs)
-    assert not _zero_set_matches(field, eq + MultiPoly.constant(7, field, 1), pairs)
+    assert _zero_set_matches(field, eq.terms, pairs)
+    assert not _zero_set_matches(field, (eq + MultiPoly.constant(7, field, 1)).terms, pairs)
     first_pole = next(pos for pos, (_, deg) in enumerate(pairs) if deg >= 1)
     pairs[first_pole] = (pairs[first_pole][0], 0)
-    assert not _zero_set_matches(field, eq, pairs)
+    assert not _zero_set_matches(field, eq.terms, pairs)
 
 
 def test_infinite_field_rejected():

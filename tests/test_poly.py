@@ -4,14 +4,9 @@ import random
 
 import pytest
 
+from conftest import strip_variable_power
 from polegeom.fields import GF, QQ
-from polegeom.poly import (
-    MultiPoly,
-    equal_up_to_scalar,
-    parse_poly,
-    render_poly,
-    strip_variable_power,
-)
+from polegeom.poly import MultiPoly, equal_up_to_scalar, parse_poly, render_poly
 
 
 def P(text, nvars=3, field=QQ):
