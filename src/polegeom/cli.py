@@ -180,7 +180,8 @@ def _load_form(args) -> Tuple[TriForm, Field]:
     if args.catalog:
         if field is None:
             raise UsageError("--catalog needs --field")
-        return catalog_form(args.catalog, field, n=args.dim, param=args.param), field
+        param = None if args.param is None else _parse_scalar(args.param, field, "--param")
+        return catalog_form(args.catalog, field, n=args.dim, param=param), field
     form = _read_form(args.file)
     if field is None:
         return form, form.field
@@ -195,21 +196,22 @@ def _form_over(form: TriForm, field: Field) -> TriForm:
     return over_field(form, field) if field.is_finite else form
 
 
+def _parse_scalar(text: str, field, name: str):
+    """``text``, the value of ``name``, as an element of field; a value
+    that is not one is a usage error naming both and the field."""
+    try:
+        return field.of(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{name}, {text}, is not an element of {field!r}") from None
+
+
 def _parse_vector(text: str, field, n: int, flag: str):
     """The n comma-separated components of ``flag``'s vector in field; a
     component that is not an element of it is a usage error."""
     parts = [p for p in text.replace(" ", "").split(",") if p != ""]
     if len(parts) != n:
         raise UsageError(f"vector needs {n} components, got {len(parts)}")
-    vector = []
-    for pos, part in enumerate(parts, 1):
-        try:
-            vector.append(field.of(part))
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(
-                f"component {pos} of {flag}, {part}, is not an element of {field!r}"
-            ) from None
-    return vector
+    return [_parse_scalar(x, field, f"component {pos} of {flag}") for pos, x in enumerate(parts, 1)]
 
 
 def _cmd_catalog(args) -> int:
@@ -356,8 +358,8 @@ def _cmd_construct(args) -> int:
             form = constructions.block_decompose(
                 first,
                 second,
-                first.field.of(args.alpha or "1"),
-                first.field.of(args.beta or "1"),
+                _parse_scalar(args.alpha or "1", field, "--alpha"),
+                _parse_scalar(args.beta or "1", field, "--beta"),
             )
         else:
             form = constructions.reducible_join(first, second)

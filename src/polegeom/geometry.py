@@ -21,11 +21,9 @@ from .poles import (
     _least_point_lines,
     _line_bases,
     _line_rref,
-    _pfaffian_quotient,
     _radical_lines,
     _scan_report,
-    _stripped,
-    _zero_set_matches,
+    _variety_degree,
     enumerate_poles,
     over_field,
 )
@@ -557,29 +555,6 @@ class GeometryFingerprint:
 
     def as_tuple(self) -> Tuple:
         return astuple(self)
-
-
-def _variety_degree(hf: TriForm, degrees: Sequence[Tuple[Vector, int]]) -> Optional[int]:
-    """Minimal degree among the verified per-index pole equations.
-
-    The minimum is the invariant content: the variety is a set, and any
-    verified equation bounds its degree from above.  None for even n or
-    when every point is a pole.  Each candidate is checked against
-    ``degrees``, the (point, degree) pair of every point of PG(n-1, p) in
-    a scan of hf over its finite field.
-    """
-    if hf.n % 2 == 0:
-        return None
-    g_terms = _pfaffian_quotient(hf)
-    if not g_terms:
-        return None
-    # g_i = +-G / u_i^v_i(G) has degree deg G - v_i(G); in ascending
-    # degree, the first verified candidate realizes the minimum
-    top = max(sum(e) for e in g_terms)
-    for v, g in sorted((_stripped(g_terms, i) for i in range(hf.n)), key=lambda vg: -vg[0]):
-        if _zero_set_matches(hf.field, g, degrees):
-            return top - v
-    return None
 
 
 def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> GeometryFingerprint:

@@ -9,7 +9,9 @@ Pfaffian of the i-th principal submatrix of the symbolic M_u.  These n
 Pfaffians are one polynomial: the signed sub-Pfaffian vector of an odd
 alternating matrix lies in its kernel (Buchsbaum-Eisenbud) and M_u u = 0,
 so Pf(M_u^(i)) = (-1)^(i+1) u_i G(u) over every field, and only
-Pf(M_u^(1)) is expanded.
+Pf(M_u^(1)) is expanded.  Only this module knows the layout of M_u
+(``_entries``) and how a pole equation is verified
+(``_zero_set_matches``, against a scan over GF(p) or a grid over Q).
 """
 
 from __future__ import annotations
@@ -65,6 +67,18 @@ def over_field(h: TriForm, field: Optional[Field] = None) -> TriForm:
     return h.reduce_mod(field)
 
 
+def _entries(h: TriForm) -> Iterator[Tuple[int, int, int, Scalar]]:
+    """M_u above its diagonal as (a, b, v, c), 1-based: the entry (a, b)
+    gets c*u_v, with c in h's field.  The coefficient c on the sorted
+    triple (i, j, k) gives M[j,k] = c*u_i, M[i,k] = -c*u_j, M[i,j] = c*u_k,
+    so each (entry, variable) pair comes from exactly one triple."""
+    neg = h.field.neg
+    for (i, j, k), c in h.coeffs.items():
+        yield j, k, i, c
+        yield i, k, j, neg(c)
+        yield i, j, k, c
+
+
 def symbolic_matrix(h: TriForm) -> PolyMatrix:
     """The alternating matrix of linear entries sum_i h(e_i,e_j,e_k) u_i."""
     if h.is_zero():
@@ -72,14 +86,9 @@ def symbolic_matrix(h: TriForm) -> PolyMatrix:
     n, F = h.n, h.field
     units = [tuple(int(v == w) for w in range(n)) for v in range(n)]
     terms: List[List[Dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, j, k), c in h.coeffs.items():
-        # coefficient c on the sorted triple (i, j, k) gives M[j,k] = c*u_i,
-        # M[i,k] = -c*u_j, M[i,j] = c*u_k, antisymmetric; each (entry,
-        # variable) pair comes from exactly one triple, so it is set once
-        neg = F.neg(c)
-        for (a, b, v, x, y) in ((j, k, i, c, neg), (i, k, j, neg, c), (i, j, k, c, neg)):
-            terms[a - 1][b - 1][units[v - 1]] = x
-            terms[b - 1][a - 1][units[v - 1]] = y
+    for a, b, v, c in _entries(h):
+        terms[a - 1][b - 1][units[v - 1]] = c
+        terms[b - 1][a - 1][units[v - 1]] = F.neg(c)
     return PolyMatrix(F, n, [[MultiPoly(n, F, t) for t in row] for row in terms])
 
 
@@ -113,22 +122,15 @@ def point_degree(h: TriForm, u: Sequence[Scalar]) -> Tuple[int, List[Vector]]:
     return h.n - 1 - rank, kernel
 
 
-def structure_cube(h: TriForm, field: GF) -> List[List[List[int]]]:
-    """The n x n x n tensor h(e_i, e_j, e_k) mod p for the scan kernels."""
-    n = h.n
+def structure_cube(h: TriForm) -> List[List[List[int]]]:
+    """The n x n x n tensor h(e_i, e_j, e_k) of a form over GF(p), on ints
+    mod p, for the scan kernels: cube[v][a][b] is the coefficient of u_v
+    in M_u[a, b]."""
+    n, p = h.n, h.field.p
     cube = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k), c in h.coeffs.items():
-        v = field.of(c)
-        neg = (-v) % field.p
-        for (a, b, cc, s) in (
-            (i, j, k, 1),
-            (j, k, i, 1),
-            (k, i, j, 1),
-            (j, i, k, -1),
-            (i, k, j, -1),
-            (k, j, i, -1),
-        ):
-            cube[a - 1][b - 1][cc - 1] = v if s > 0 else neg
+    for a, b, v, c in _entries(h):
+        cube[v - 1][a - 1][b - 1] = c
+        cube[v - 1][b - 1][a - 1] = -c % p
     return cube
 
 
@@ -180,7 +182,7 @@ def _scan_report(
     _require_enumerable(field, n, budget)
     # G = 0, every point a pole, leaves nothing to guard
     guard = (_pfaffian_quotient(hf) or None) if guarded and n % 2 else None
-    cube = structure_cube(hf, field)
+    cube = structure_cube(hf)
     total = num_projective_points(p, n)
     points, degrees, radicals = kernels.scan(cube, n, p, 0, total, with_radicals, guard)
     histogram = dict(sorted(Counter(degrees).items()))
@@ -204,21 +206,20 @@ def _pfaffian_quotient(h: TriForm) -> Dict[Tuple[int, ...], Scalar]:
     is expanded for the pole equation, and the only place it is.  Empty
     when that Pfaffian vanishes identically (every point a pole, or even n).
 
-    M_u^(1) is read straight off h's coefficients as in
-    ``symbolic_matrix``, each entry a linear form {key of u_v: c} with u_v
-    keyed 1 << width*(v-1): every exponent of the Pfaffian, of degree
-    (n-1)/2, fits in ``width`` bits.  It is expanded on plain ints (or
-    Fractions over Q), reduced in h's field once, and divided by u_1.
+    M_u^(1) is read straight off ``_entries``, each entry a linear form
+    {key of u_v: c} with u_v keyed 1 << width*(v-1): every exponent of the
+    Pfaffian, of degree (n-1)/2, fits in ``width`` bits.  It is expanded
+    on plain ints (or Fractions over Q), reduced in h's field once, and
+    divided by u_1.
     """
     if h.is_zero():
         raise ValueError("zero form has no contraction matrix")
     n, F = h.n, h.field
     width = ((n - 1) // 2).bit_length()
     upper: List[Dict[int, Dict[int, Scalar]]] = [{} for _ in range(n - 1)]
-    for (i, j, k), c in h.coeffs.items():
-        for a, b, v, x in ((j, k, i, c), (i, k, j, -c), (i, j, k, c)):
-            if a > 1:  # row and column 1 are deleted
-                upper[a - 2].setdefault(b - 2, {})[1 << width * (v - 1)] = x
+    for a, b, v, c in _entries(h):
+        if a > 1:  # row and column 1 are deleted
+            upper[a - 2].setdefault(b - 2, {})[1 << width * (v - 1)] = c
     mask = (1 << width) - 1
     out: Dict[Tuple[int, ...], Scalar] = {}
     for key, c in pfaffian(SparseAlternating(upper)).items():
@@ -242,32 +243,6 @@ def _stripped(g_terms: Dict[Tuple[int, ...], Scalar], i: int):
     return v, {e[:i] + (e[i] - v,) + e[i + 1 :]: c for e, c in g_terms.items()}
 
 
-def variety_candidates(h: TriForm) -> Dict[int, Tuple[MultiPoly, int, MultiPoly]]:
-    """All nonzero principal-Pfaffian candidates i -> (d_i, alpha_i, g_i),
-    from one Pfaffian.
-
-    For odd n the signed sub-Pfaffian vector of M_u spans its kernel where
-    rank M_u = n-1 and vanishes elsewhere (Buchsbaum-Eisenbud), and
-    M_u u = 0, so Pf(M_u^(i)) = (-1)^(i+1) u_i G(u) for one polynomial G,
-    over every field.  G is read off Pf(M_u^(1)) = u_1 G, and every d_i is
-    rebuilt from its terms: alpha_i = 1 + v_i(G) and
-    g_i = +-G / u_i^(v_i(G)).  The candidates are therefore all of 1..n or
-    none (G = 0, every point a pole; also every even n).
-    """
-    n, F = h.n, h.field
-    g_terms = _pfaffian_quotient(h)
-    out: Dict[int, Tuple[MultiPoly, int, MultiPoly]] = {}
-    if not g_terms:
-        return out
-    for i in range(n):
-        sign = F.one if i % 2 == 0 else F.neg(F.one)
-        v, stripped = _stripped(g_terms, i)
-        d = {e[:i] + (e[i] + 1,) + e[i + 1 :]: F.mul(sign, c) for e, c in g_terms.items()}
-        g = {e: F.mul(sign, c) for e, c in stripped.items()}
-        out[i + 1] = (MultiPoly(n, F, d), v + 1, MultiPoly(n, F, g))
-    return out
-
-
 def _rational_sample_points(n: int) -> Iterable[Tuple[int, ...]]:
     """A deterministic spread of 240 small integer points."""
     import random
@@ -285,37 +260,6 @@ def _rational_sample_points(n: int) -> Iterable[Tuple[int, ...]]:
             continue
         seen.add(vec)
         yield vec
-
-
-def _factored(terms: Iterable[Tuple[Tuple[int, ...], int]]) -> List[Tuple[int, List[int]]]:
-    """Integer terms (exponents, c) as (c, its variables each repeated by
-    its exponent), zero coefficients dropped: a polynomial evaluated on
-    ints by one product per term."""
-    return [(c, [i for i, e in enumerate(exps) for _ in range(e)]) for exps, c in terms if c]
-
-
-def _zero_set_matches(
-    field: GF, g_terms: Dict[Tuple[int, ...], Scalar], degrees: Iterable[Tuple[Vector, int]]
-) -> bool:
-    """Pointwise check that {g = 0} equals the pole set of a scan, for g
-    given by its terms {exponents: coefficient}.
-
-    ``degrees`` yields (point, degree) for every point of PG(n-1, p), with
-    integer coordinates.  g is evaluated on ints: each term becomes
-    (coefficient mod p, its variables each repeated by its exponent) once,
-    and the sum is reduced mod p once per point.
-    """
-    p = field.p
-    terms = _factored((exps, field.of(c)) for exps, c in g_terms.items())
-    for pt, deg in degrees:
-        total = 0
-        for c, factors in terms:
-            for i in factors:
-                c *= pt[i]
-            total += c
-        if (total % p == 0) != (deg >= 1):
-            return False
-    return True
 
 
 def _integer_rank(rows: List[List[int]]) -> int:
@@ -354,34 +298,43 @@ def _cleared(terms: Dict) -> Dict:
 
 def _grid_degrees(h: TriForm) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """(point, degree) at each sample point of a rational form, on
-    integers: h is scaled once to integer coefficients, which does not
-    change the rank of M_u, and each integer M_u is ranked by
-    ``_integer_rank``.  The degrees are those of ``point_degree``."""
+    integers: M_u is scaled once to integer coefficients, which does not
+    change its rank, and each integer M_u is ranked by ``_integer_rank``.
+    The degrees are those of ``point_degree``."""
     n = h.n
-    coeffs = [(i - 1, j - 1, k - 1, c) for (i, j, k), c in _cleared(h.coeffs).items()]
+    entries = _cleared({(a - 1, b - 1, v - 1): c for a, b, v, c in _entries(h)})
     for pt in _rational_sample_points(n):
-        # M_u as contraction_matrix builds it
         m = [[0] * n for _ in range(n)]
-        for i, j, k, c in coeffs:
-            for a, b, x in ((j, k, c * pt[i]), (i, k, -c * pt[j]), (i, j, c * pt[k])):
-                m[a][b] += x
-                m[b][a] -= x
+        for (a, b, v), c in entries.items():
+            x = c * pt[v]
+            m[a][b] += x
+            m[b][a] -= x
         yield pt, n - 1 - _integer_rank(m)
 
 
-def _grid_matches(h: TriForm, g_terms: Dict[Tuple[int, ...], Scalar]) -> bool:
-    """Pointwise check of {g = 0}, for g given by its terms, against the
-    poles of a rational form on a sampled grid, on integers: g is scaled
-    once to integer coefficients, which does not change its zeros, and the
-    degrees are ``_grid_degrees``."""
-    terms = _factored(_cleared(g_terms).items())
-    for pt, degree in _grid_degrees(h):
-        value = 0
+def _zero_set_matches(
+    field: Field, g_terms: Dict[Tuple[int, ...], Scalar], degrees: Iterable[Tuple[Vector, int]]
+) -> bool:
+    """Pointwise check that {g = 0} equals the pole set, for g given by its
+    terms {exponents: coefficient} and ``degrees`` yielding (point, degree)
+    on integer points: a scan's over GF(p), ``_grid_degrees`` over Q.
+
+    Each term is evaluated on ints as (coefficient, its variables each
+    repeated by its exponent).  Over GF(p) the coefficients are taken mod p
+    and each value is reduced mod p; over Q g is scaled once to integer
+    coefficients, which does not change its zeros, and each value is exact.
+    """
+    finite = field.is_finite
+    ints = {e: field.of(c) for e, c in g_terms.items()} if finite else _cleared(g_terms)
+    terms = [(c, [i for i, e in enumerate(es) for _ in range(e)]) for es, c in ints.items() if c]
+    p = field.p if finite else 0
+    for pt, deg in degrees:
+        total = 0
         for c, factors in terms:
-            for v in factors:
-                c *= pt[v]
-            value += c
-        if (value == 0) != (degree >= 1):
+            for i in factors:
+                c *= pt[i]
+            total += c
+        if ((total % p if p else total) == 0) != (deg >= 1):
             return False
     return True
 
@@ -394,50 +347,76 @@ def pole_variety(
 ) -> VarietyResult:
     """Equation of the pole set per the principal-Pfaffian pipeline.
 
-    Even n (or identically vanishing candidates) yields the designated
-    all-points result.  Otherwise candidate indices are tried in
-    ascending order; the first whose stripped polynomial has the correct
-    zero set is returned.  A finite form is checked against one scan of
-    itself, or against ``report`` when the caller already holds that scan
-    (``verified_over`` is its field); a rational form is checked on a
-    sampled grid (``verified_over`` is "grid").  An index i outside 1..n
+    The candidate at index i is d_i = Pf(M_u^(i)) = (-1)^(i+1) u_i G, with
+    alpha_i = 1 + v_i(G) and g_i = +-G / u_i^v_i(G), for the G of
+    ``_pfaffian_quotient``.  Even n, or G = 0, yields the designated
+    all-points result.  Otherwise the index i, or 1..n in ascending order,
+    is tried; the first whose g_i has the correct zero set is returned.
+    A finite form is checked against one scan of itself, or against
+    ``report`` when the caller already holds that scan (``verified_over``
+    is its field); a rational form is checked on a sampled grid, ranked
+    once per call (``verified_over`` is "grid").  An index i outside 1..n
     raises ValueError, for even n too.
     """
     if h.is_zero():
         raise ValueError("zero form")
-    if i is not None and not 1 <= i <= h.n:
-        raise ValueError(f"index {i} out of range 1..{h.n}")
-    if h.n % 2 == 0:
+    n, F = h.n, h.field
+    if i is not None and not 1 <= i <= n:
+        raise ValueError(f"index {i} out of range 1..{n}")
+    if n % 2 == 0:
         return VarietyResult(all_points=True)
-    candidates = variety_candidates(h)
-    if not candidates:
+    g_terms = _pfaffian_quotient(h)
+    if not g_terms:
         # every principal Pfaffian vanishes identically: for any u pick i
         # with u_i != 0, then rank M_u = rank M_u^(i) <= n-3, a pole
         return VarietyResult(all_points=True)
-    order = [i] if i is not None else sorted(candidates)
-    finite = h.field.is_finite
-    if finite and report is None:
+    order = [i] if i is not None else range(1, n + 1)
+    if not F.is_finite:
+        grid = list(_grid_degrees(h))
+    elif report is None:
         report = enumerate_poles(h, budget=budget, with_radicals=False)
-    failed: List[int] = []
     for idx in order:
-        d, alpha, g = candidates[idx]
-        if finite:
-            ok = _zero_set_matches(report.field, g.terms, zip(report.points, report.degrees))
-        else:
-            ok = _grid_matches(h, g.terms)
-        if ok:
+        v, stripped = _stripped(g_terms, idx - 1)
+        degrees = zip(report.points, report.degrees) if F.is_finite else grid
+        if _zero_set_matches(F, stripped, degrees):
+            sign = F.one if idx % 2 else F.neg(F.one)
+            g = {e: F.mul(sign, c) for e, c in stripped.items()}
+            # d_i = u_i^alpha_i g_i
+            d = {e[: idx - 1] + (e[idx - 1] + v + 1,) + e[idx:]: c for e, c in g.items()}
             return VarietyResult(
                 all_points=False,
                 index=idx,
-                d=d,
-                alpha=alpha,
-                g=g,
-                verified_over=repr(h.field) if finite else "grid",
+                d=MultiPoly(n, F, d),
+                alpha=v + 1,
+                g=MultiPoly(n, F, g),
+                verified_over=repr(F) if F.is_finite else "grid",
             )
-        failed.append(idx)
     raise VarietyError(
-        f"no candidate index verified (tried {failed}); candidates degenerate"
+        f"no candidate index verified (tried {list(order)}); candidates degenerate"
     )
+
+
+def _variety_degree(hf: TriForm, degrees: Sequence[Tuple[Vector, int]]) -> Optional[int]:
+    """Minimal degree among the verified per-index pole equations.
+
+    The minimum is the invariant content: the variety is a set, and any
+    verified equation bounds its degree from above.  None for even n or
+    when every point is a pole.  Each candidate is checked against
+    ``degrees``, the (point, degree) pair of every point of PG(n-1, p) in
+    a scan of hf over its finite field.
+    """
+    if hf.n % 2 == 0:
+        return None
+    g_terms = _pfaffian_quotient(hf)
+    if not g_terms:
+        return None
+    # g_i = +-G / u_i^v_i(G) has degree deg G - v_i(G); in ascending
+    # degree, the first verified candidate realizes the minimum
+    top = max(sum(e) for e in g_terms)
+    for v, g in sorted((_stripped(g_terms, i) for i in range(hf.n)), key=lambda vg: -vg[0]):
+        if _zero_set_matches(hf.field, g, degrees):
+            return top - v
+    return None
 
 
 @dataclass
@@ -554,7 +533,7 @@ def lines_through_point(
         raise ValueError("zero vector has no degree")
     scale = pow(uv[a], p - 2, p)
     u_pt = tuple(x * scale % p for x in uv)
-    cube = structure_cube(h, F)
+    cube = structure_cube(h)
     m = [
         [sum(x * c[j][k] for x, c in zip(u_pt, cube)) % p for k in range(n)]
         for j in range(n)

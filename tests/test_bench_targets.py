@@ -86,6 +86,18 @@ def test_traced_fingerprint_expands_one_pfaffian():
 
 
 @pytest.mark.parametrize(
+    "tag,lam,field", [("T9", None, GF(2)), ("T10_1", 2, GF(3))], ids=["odd-n", "even-n"]
+)
+def test_traced_fingerprint_records_one_variety_degree(tag, lam, field):
+    """``geometry.fingerprint`` calls the ``_variety_degree`` that
+    ``poles`` defines once, through the binding the tracer wraps, at odd
+    and at even n."""
+    with SPANS.Tracer() as tracer:
+        geometry.fingerprint(catalog_form(tag, field, param=lam), field)
+    assert [span[0] for span in tracer.spans].count("poles.variety_degree") == 1
+
+
+@pytest.mark.parametrize(
     "tag,lam,count", [("T9", None, 1), ("T10_1", 2, 0)], ids=["odd-n", "even-n"]
 )
 def test_traced_build_expands_the_guard_pfaffian(tag, lam, count):

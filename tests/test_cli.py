@@ -311,6 +311,64 @@ def test_bad_vector_component_exit_2(capsys, case):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+# scalar flags whose value is not an element of the field, with the error each gives
+BAD_SCALARS = {
+    "catalog-param-third-in-gf3": (
+        ("catalog", "--catalog", "T10_1", "--field", "gf(3)", "--param", "1/3"),
+        "--param, 1/3, is not an element of gf(3)",
+    ),
+    "fingerprint-param-third-in-gf3": (
+        ("fingerprint", "--catalog", "T10_1", "--field", "gf(3)", "--param", "1/3"),
+        "--param, 1/3, is not an element of gf(3)",
+    ),
+    "check-param-third-in-gf3": (
+        ("check", "spread", "--catalog", "T10_1", "--field", "gf(3)", "--param", "1/3"),
+        "--param, 1/3, is not an element of gf(3)",
+    ),
+    "catalog-param-over-zero-in-q": (
+        ("catalog", "--catalog", "T10_1", "--field", "q", "--param", "1/0"),
+        "--param, 1/0, is not an element of q",
+    ),
+    "catalog-param-letter-in-gf3": (
+        ("catalog", "--catalog", "T10_1", "--field", "gf(3)", "--param", "x"),
+        "--param, x, is not an element of gf(3)",
+    ),
+    "block-alpha-third-in-gf3": (
+        ("construct", "block", "--catalog", "T1", "--field", "gf(3)",
+         "--file2", str(Path(__file__).resolve().parent / "forms/n5_gf3.form"), "--alpha", "1/3"),
+        "--alpha, 1/3, is not an element of gf(3)",
+    ),
+    "block-beta-letter-in-gf3": (
+        ("construct", "block", "--catalog", "T1", "--field", "gf(3)",
+         "--file2", str(Path(__file__).resolve().parent / "forms/n5_gf3.form"), "--beta", "y"),
+        "--beta, y, is not an element of gf(3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCALARS))
+def test_bad_scalar_flag_exit_2(capsys, case):
+    """A --param, --alpha or --beta value that is not an element of the
+    field, a zero denominator or a non-number, exits 2 naming the flag,
+    the value and the field."""
+    argv, message = BAD_SCALARS[case]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_valid_param_keeps_its_label(capsys):
+    """A valid --param, a fraction included, parses to the field element
+    it names, so the catalog label reads as before, in GF(p) and over Q."""
+    for field, param, label in (
+        ("gf(3)", "2", "T10_1(2)"),
+        ("gf(3)", "1/2", "T10_1(2)"),
+        ("q", "4/2", "T10_1(2)"),
+    ):
+        code, out, _ = run_cli(
+            capsys, "radical", "--catalog", "T10_1", "--field", field, "--param", param
+        )
+        assert code == 0 and out.startswith(f"form: {label}\n"), out
+
+
 def test_budget_exceeded_message(capsys):
     code, _, err = run_cli(
         capsys,

@@ -21,6 +21,7 @@ from polegeom.poles import (
     _pfaffian_quotient,
     _radical_lines,
     _rational_sample_points,
+    _stripped,
     _upper_radical_by_wedge,
     _zero_set_matches,
     contraction_matrix,
@@ -34,7 +35,6 @@ from polegeom.poles import (
     pole_variety,
     symbolic_matrix,
     upper_radical_system,
-    variety_candidates,
 )
 from polegeom.poly import MultiPoly, equal_up_to_scalar, parse_poly, render_poly
 from polegeom.projective import (
@@ -205,7 +205,7 @@ def test_scan_hands_over_radicals_exactly_at_leading_poles(p):
             n = form.n
             report = enumerate_poles(form)
             guard = (_pfaffian_quotient(form) or None) if n % 2 else None
-            cube = structure_cube(form, field)
+            cube = structure_cube(form)
             total = len(report.points)
             cuts = [0, 1, total // 3, total // 2 + 1, total - 1, total]
             for guarded in (False, True):
@@ -308,7 +308,7 @@ def test_scan_radicals_match_the_pfaffian_adjoint(tag, lam, p):
     pulled = h.pullback(random_invertible(field, 6, random.Random(f"adjoint/{tag}-{p}")))
     for form in (h, pulled):
         report = enumerate_poles(form)
-        cube = structure_cube(form, field)
+        cube = structure_cube(form)
         assert {1, 3} & set(report.histogram)
         radicals = _radicals_or_rebuilt(report)
         for u, deg, radical in zip(report.points, report.degrees, radicals):
@@ -347,7 +347,7 @@ def test_scan_radicals_match_the_pfaffian_adjoint_n7(tag, lam, p):
     pulled = h.pullback(random_invertible(field, 7, random.Random(f"adjoint/{tag}-{p}")))
     for form in (h, pulled):
         report = enumerate_poles(form)
-        cube = structure_cube(form, field)
+        cube = structure_cube(form)
         assert {2, 4} & set(report.histogram)
         radicals = _radicals_or_rebuilt(report)
         for u, deg, radical in zip(report.points, report.degrees, radicals):
@@ -531,16 +531,48 @@ VARIETY_REFERENCE_CASES = (
 )
 
 
+def _candidates_from_the_quotient(h):
+    """Every candidate i -> (d_i, alpha_i, g_i) rebuilt from the one
+    Pfaffian Pf(M_u^(1)) = u_1*G: G from ``_pfaffian_quotient``, then
+    d_i = (-1)^(i+1) u_i G, and alpha_i = 1 + v_i(G) and
+    g_i = (-1)^(i+1) G / u_i^v_i(G) from ``_stripped``.  Empty when G = 0."""
+    n, field = h.n, h.field
+    g_terms = _pfaffian_quotient(h)
+    out = {}
+    for i in range(1, n + 1) if g_terms else ():
+        sign = MultiPoly.constant(n, field, 1 if i % 2 else -1)
+        ui = MultiPoly(n, field, {tuple(int(v == i - 1) for v in range(n)): 1})
+        v, stripped = _stripped(g_terms, i - 1)
+        d = sign * ui * MultiPoly(n, field, g_terms)
+        out[i] = (d, v + 1, sign * MultiPoly(n, field, stripped))
+    return out
+
+
 @pytest.mark.parametrize("tag, field, lam, pulled", VARIETY_REFERENCE_CASES)
 def test_variety_candidates_match_every_pfaffian(tag, field, lam, pulled):
     """The candidates derived from the one Pfaffian Pf(M_u^(1)) = u_1*G
     equal those of the all-Pfaffians route, on every odd-n desk instance
     over GF(2), GF(3), GF(5) and GF(7), as catalogued and pulled back by a
-    seeded map, and on the odd-n catalog forms over Q."""
+    seeded map, and on the odd-n catalog forms over Q; and, below PG(6, 7),
+    ``pole_variety(h, i=i)`` returns the reference's (d_i, alpha_i, g_i) at
+    each index that verifies."""
     h = catalog_form(tag, field, param=lam)
     if pulled:
         h = h.pullback(random_invertible(field, h.n, random.Random(f"{tag}/{field!r}")))
-    assert variety_candidates(h) == _candidates_from_every_pfaffian(h)
+    want = _candidates_from_every_pfaffian(h)
+    assert _candidates_from_the_quotient(h) == want
+    if field.is_finite and field.order**h.n > 5**7:
+        return  # n checks of the 137,257 points of PG(6, 7) take seconds per form
+    report = enumerate_poles(h, with_radicals=False) if field.is_finite else None
+    verified = 0
+    for i, candidate in want.items():
+        try:
+            result = pole_variety(h, i=i, report=report)
+        except VarietyError:
+            continue
+        verified += 1
+        assert (result.index, result.d, result.alpha, result.g) == (i, *candidate)
+    assert verified or not want
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(7), QQ], ids=repr)
@@ -550,29 +582,38 @@ def test_variety_candidates_match_every_pfaffian_random(n, field):
     for _ in range(4 if n == 7 else 8):
         h = random_form(n, field, rng)
         if not h.is_zero():
-            assert variety_candidates(h) == _candidates_from_every_pfaffian(h)
+            assert _candidates_from_the_quotient(h) == _candidates_from_every_pfaffian(h)
 
 
 def test_variety_candidates_guard_the_identity(monkeypatch):
     """A first Pfaffian with a term free of u_1 breaks Pf(M_u^(1)) = u_1*G
-    and is refused rather than turned into candidates."""
+    and is refused rather than turned into a pole equation."""
     h = catalog_form("T9", GF(3))
     real = poles.pfaffian
     # Pf(M_u^(1)) plus the constant 1, keyed 0, a term free of u_1
     monkeypatch.setattr(poles, "pfaffian", lambda m: {**real(m), 0: 1})
     with pytest.raises(RuntimeError, match="not divisible by u_1"):
-        variety_candidates(h)
+        pole_variety(h)
 
 
 def test_variety_candidates_strip():
     h = catalog_form("T6", GF(3))
-    for i, (d, alpha, g) in variety_candidates(h).items():
+    for i, (d, alpha, g) in _candidates_from_the_quotient(h).items():
         assert alpha >= 1
         rebuilt = g
         ui = parse_poly(f"u{i}", 7, GF(3))
         for _ in range(alpha):
             rebuilt = rebuilt * ui
         assert rebuilt == d
+
+
+def test_variety_exact_index_that_fails_over_q():
+    """T5 over Q verifies at index 2 on the grid; index 1 alone, asked for,
+    does not verify and raises."""
+    h = catalog_form("T5", QQ)
+    assert pole_variety(h).index == 2
+    with pytest.raises(VarietyError, match=r"tried \[1\]"):
+        pole_variety(h, i=1)
 
 
 def test_zero_form_guards():
@@ -896,18 +937,25 @@ def test_wedge_route_charges_its_lines_to_the_budget():
         _upper_radical_by_wedge(catalog_form("T9", GF(3)), budget=10_000)
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, pytest.param(None, id="q")])
 @pytest.mark.parametrize("pulled", [False, True], ids=["catalog", "pullback"])
 def test_zero_set_matches_both_verdicts(p, pulled):
-    field = GF(p)
+    """Over GF(p) against a scan's degrees, over Q against
+    ``_grid_degrees``: the real g matches, g + 1 does not, and neither does
+    g against degrees with one pole flipped."""
+    field = GF(p) if p else QQ
     h = catalog_form("T9", field)
     if pulled:
         rows = [[1 if j >= i else 0 for j in range(7)] for i in range(7)]
         rows[6][0] = 2  # unit upper triangular plus a corner: invertible
-        h = h.pullback(Matrix(field, rows))
-    report = enumerate_poles(h, field, with_radicals=False)
-    pairs = list(zip(report.points, report.degrees))
-    eq = pole_variety(h, report=report).g
+        h = h.pullback(Matrix(field, [[field.of(x) for x in row] for row in rows]))
+    if p:
+        report = enumerate_poles(h, field, with_radicals=False)
+        pairs = list(zip(report.points, report.degrees))
+        eq = pole_variety(h, report=report).g
+    else:
+        pairs = list(_grid_degrees(h))
+        eq = pole_variety(h).g
     assert _zero_set_matches(field, eq.terms, pairs)
     assert not _zero_set_matches(field, (eq + MultiPoly.constant(7, field, 1)).terms, pairs)
     first_pole = next(pos for pos, (_, deg) in enumerate(pairs) if deg >= 1)
@@ -1059,7 +1107,7 @@ def _assert_guard_agrees(h):
     """The guarded scan gives the full scan's points, degrees and radicals,
     window by window."""
     p, n = h.field.p, h.n
-    cube = structure_cube(h, h.field)
+    cube = structure_cube(h)
     guard = _pfaffian_quotient(h) or None
     for lo, hi in _scan_windows(p, n):
         want = kernels.scan(cube, n, p, lo, hi, True)
@@ -1136,7 +1184,7 @@ def test_guard_with_extra_zeros_raises():
     u1 = MultiPoly(7, field, {(1, 0, 0, 0, 0, 0, 0): 1})
     assert any(e[0] == 0 for e in g_terms)  # u_1 does not divide G
     bad = (g * u1).terms
-    cube = structure_cube(h, field)
+    cube = structure_cube(h)
     total = num_projective_points(3, 7)
     assert kernels.scan(cube, 7, 3, 0, total, False, g_terms)
     with pytest.raises(RuntimeError, match="not the pole equation"):
