@@ -270,7 +270,7 @@ def _cmd_poles(args) -> int:
 
 def _cmd_variety(args) -> int:
     form = _form_over(*_load_form(args))
-    result = pole_variety(form, i=args.index, budget=args.budget)
+    result = pole_variety(form, i=args.index)
     names = [f"x{i + 1}" for i in range(form.n)]
     if result.all_points:
         payload = {"form": form.label or "file", "i": None, "g": "all-points"}
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_poles)
 
     p = sub.add_parser("variety", help="pole-variety equation")
-    _add_form_source(p, "budget", "output")
+    _add_form_source(p, "output")
     p.add_argument("--index", type=int, help="principal index to use")
     p.set_defaults(func=_cmd_variety)
 

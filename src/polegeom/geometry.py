@@ -21,10 +21,10 @@ from .poles import (
     _least_point_lines,
     _line_bases,
     _line_rref,
+    _pfaffian_quotient,
     _radical_lines,
     _scan_report,
     _variety_degree,
-    enumerate_poles,
     over_field,
 )
 from .projective import (
@@ -75,10 +75,10 @@ def build_geometry(
     budget: Optional[int] = None,
 ) -> IncidenceStructure:
     """Enumerate the poles and radical lines of h over ``over_field(h,
-    field)`` and compute exact incidence.  The scan is guarded by G at odd
-    n: only the zeros of G are eliminated."""
+    field)`` and compute exact incidence, from one scan guarded by G
+    where the guard pays (``poles._scan_report``)."""
     hf = over_field(h, field)
-    report = _scan_report(hf, budget, True, guarded=True)
+    report = _scan_report(hf, budget, True)
     return IncidenceStructure(
         field=hf.field,
         n=hf.n,
@@ -542,8 +542,8 @@ class GeometryFingerprint:
     Every field is read off one scan of the point degrees: the rank from
     the number of points of degree n-1, the pole count and degree
     histogram directly, the line counts by the closed form in
-    ``fingerprint``, and the variety degree by checking each principal-
-    Pfaffian candidate against the scanned degrees."""
+    ``fingerprint``.  The variety degree is read off G's terms alone
+    (``poles._variety_degree``)."""
 
     rank: int
     n: int
@@ -558,7 +558,8 @@ class GeometryFingerprint:
 
 
 def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> GeometryFingerprint:
-    """The fingerprint of h over field, from one scan without radicals.
+    """The fingerprint of h over field, from one scan without radicals,
+    guarded by the same terms of G that give the variety degree.
 
     The degrees alone fix every line count.  A pole u of degree d has
     Rad(chi_u) of dimension d+1 containing u, and every [u, y] with y in
@@ -573,7 +574,8 @@ def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> Geometry
     (p^r - 1)/(p - 1) points of PG(Rad(h)) at that degree.
     """
     hf = over_field(h, field)
-    report = enumerate_poles(hf, budget=budget, with_radicals=False)
+    g_terms = _pfaffian_quotient(hf)
+    report = _scan_report(hf, budget, False, g_terms)
     p, n = field.p, hf.n
     radical_points = report.histogram.get(n - 1, 0)
     r = count = 0
@@ -603,7 +605,7 @@ def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> Geometry
         degree_histogram=tuple(sorted(deg_hist.items())),
         line_count=line_count,
         lines_per_point_histogram=tuple(sorted(lines_per_point.items())),
-        variety_degree=_variety_degree(hf, list(zip(report.points, report.degrees))),
+        variety_degree=_variety_degree(hf, g_terms),
     )
 
 

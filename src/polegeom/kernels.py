@@ -272,9 +272,7 @@ def scan(
     turns, and then tabulates G != 0 over the p values of the last digit
     (_guard_levels).  Where G(u) = 0 the point is eliminated as without a
     guard, and a full rank there raises RuntimeError: the guard is not G.
-    Only callers whose output verifies nothing pass a guard
-    (``build_geometry``, ``enumerate_upper_radical``); a scan that
-    witnesses a pole equation must not lean on it.
+    ``poles._scan_report`` decides which scans pass a guard.
     """
     from .projective import num_projective_points, projective_point_at
 

@@ -10,13 +10,12 @@ Pfaffians are one polynomial: the signed sub-Pfaffian vector of an odd
 alternating matrix lies in its kernel (Buchsbaum-Eisenbud) and M_u u = 0,
 so Pf(M_u^(i)) = (-1)^(i+1) u_i G(u) over every field, and only
 Pf(M_u^(1)) is expanded.  Only this module knows the layout of M_u
-(``_entries``) and how a pole equation is verified
-(``_zero_set_matches``, against a scan over GF(p) or a grid over Q).
+(``_entries``).  The pole set is Z(G) exactly, so a pole equation is
+decided from G's terms alone (``_cuts_out``), with no scan.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -167,21 +166,32 @@ def enumerate_poles(
     pole that leads a radical line (None at every other point; see
     ``PoleReport``).
     """
-    return _scan_report(over_field(h, field), budget, with_radicals, guarded=False)
+    return _scan_report(over_field(h, field), budget, with_radicals, {})
 
 
 def _scan_report(
-    hf: TriForm, budget: Optional[int], with_radicals: bool, guarded: bool
+    hf: TriForm,
+    budget: Optional[int],
+    with_radicals: bool,
+    g_terms: Optional[Dict[Tuple[int, ...], Scalar]] = None,
 ) -> PoleReport:
-    """One ``kernels.scan`` of hf over its finite field.  ``guarded`` is
-    for the paths that verify nothing (``build_geometry`` and
-    ``enumerate_upper_radical``): at odd n the scan then gets the terms of
-    G and eliminates only where G(u) = 0."""
+    """One ``kernels.scan`` of hf over its finite field, guarded by G where
+    the guard pays.  ``g_terms`` are G's terms (``_pfaffian_quotient``)
+    when the caller holds them; with None they are expanded here, and only
+    for a guard.  ``enumerate_poles`` passes {}, no terms: it is the
+    unguarded scan."""
     field = hf.field
     p, n = field.p, hf.n
     _require_enumerable(field, n, budget)
-    # G = 0, every point a pole, leaves nothing to guard
-    guard = (_pfaffian_quotient(hf) or None) if guarded and n % 2 else None
+    # The guard gives degree 0 with no elimination wherever G(u) != 0
+    # (G = 0, every point a pole, leaves nothing to guard).  It pays from
+    # p = 3: unguarded -> guarded, catalog and pullback scans of T9 and T7
+    # took -21% to -33% at GF(3) and -55% to -59% at GF(5).  At p = 2 G
+    # vanishes at about half the points, so the guard skips little
+    # elimination and adds its evaluation: +3% to +36% there.
+    guard = None
+    if n % 2 and p >= 3:
+        guard = (_pfaffian_quotient(hf) if g_terms is None else g_terms) or None
     cube = structure_cube(hf)
     total = num_projective_points(p, n)
     points, degrees, radicals = kernels.scan(cube, n, p, 0, total, with_radicals, guard)
@@ -204,7 +214,8 @@ class VarietyResult:
 def _pfaffian_quotient(h: TriForm) -> Dict[Tuple[int, ...], Scalar]:
     """The terms of G, read off Pf(M_u^(1)) = u_1 G: the one Pfaffian that
     is expanded for the pole equation, and the only place it is.  Empty
-    when that Pfaffian vanishes identically (every point a pole, or even n).
+    when that Pfaffian vanishes identically (every point a pole, as for
+    the zero form), and at even n; neither expands anything.
 
     M_u^(1) is read straight off ``_entries``, each entry a linear form
     {key of u_v: c} with u_v keyed 1 << width*(v-1): every exponent of the
@@ -212,9 +223,9 @@ def _pfaffian_quotient(h: TriForm) -> Dict[Tuple[int, ...], Scalar]:
     on plain ints (or Fractions over Q), reduced in h's field once, and
     divided by u_1.
     """
-    if h.is_zero():
-        raise ValueError("zero form has no contraction matrix")
     n, F = h.n, h.field
+    if n % 2 == 0 or h.is_zero():
+        return {}
     width = ((n - 1) // 2).bit_length()
     upper: List[Dict[int, Dict[int, Scalar]]] = [{} for _ in range(n - 1)]
     for a, b, v, c in _entries(h):
@@ -243,142 +254,59 @@ def _stripped(g_terms: Dict[Tuple[int, ...], Scalar], i: int):
     return v, {e[:i] + (e[i] - v,) + e[i + 1 :]: c for e, c in g_terms.items()}
 
 
-def _rational_sample_points(n: int) -> Iterable[Tuple[int, ...]]:
-    """A deterministic spread of 240 small integer points."""
-    import random
-
-    rng = random.Random(0xC0FFEE + n)
-    seen = set()
-    # include the standard basis and all 0/1 vectors of low weight first
-    for i in range(n):
-        vec = tuple(1 if j == i else 0 for j in range(n))
-        seen.add(vec)
-        yield vec
-    while len(seen) < 240:
-        vec = tuple(rng.randint(-3, 3) for _ in range(n))
-        if all(x == 0 for x in vec) or vec in seen:
-            continue
-        seen.add(vec)
-        yield vec
-
-
-def _integer_rank(rows: List[List[int]]) -> int:
-    """The rank of an integer matrix by fraction-free (Bareiss) elimination.
-
-    After a pivot every remaining entry is a minor of the input on the
-    pivot rows and columns so far, so dividing by the previous pivot is
-    exact and the entries stay as small as those minors.
-    """
-    work = [list(row) for row in rows]
-    nrows = len(work)
-    rank, prev = 0, 1
-    for c in range(len(work[0]) if work else 0):
-        piv = next((i for i in range(rank, nrows) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        top = work[rank]
-        a = top[c]
-        for row in work[rank + 1 :]:
-            b = row[c]
-            for j in range(c + 1, len(row)):
-                row[j] = (a * row[j] - b * top[j]) // prev
-            row[c] = 0
-        prev = a
-        rank += 1
-    return rank
+def _cuts_out(field: Field, v: int, g: Dict[Tuple[int, ...], Scalar], i: int) -> bool:
+    """Whether g = G / u_i^v (0-based i, from ``_stripped``) has the zero
+    set of G, which is the pole set.  Z(G) = {u_i = 0} ∪ Z(g), so it does
+    exactly when v = 0 or g vanishes on the hyperplane u_i = 0.  Over Q
+    the latter never holds: u_i does not divide g, so g with u_i = 0 is a
+    nonzero polynomial, which has a non-root.  Over GF(p) it holds exactly
+    when g with u_i = 0 reduces to 0 modulo the field equations x^p - x,
+    each exponent k >= 1 becoming ((k - 1) mod (p - 1)) + 1 (Lidl and
+    Niederreiter, Finite Fields, the reduced form of a polynomial
+    function)."""
+    if v == 0:
+        return True
+    if not field.is_finite:
+        return False
+    p = field.p
+    reduced: Dict[Tuple[int, ...], int] = {}
+    for e, c in g.items():
+        if not e[i]:
+            key = tuple((k - 1) % (p - 1) + 1 if k else 0 for k in e)
+            reduced[key] = (reduced.get(key, 0) + c) % p
+    return not any(reduced.values())
 
 
-def _cleared(terms: Dict) -> Dict:
-    """Rational coefficients times the least common multiple of their
-    denominators: integers with the same ratios."""
-    scale = math.lcm(*(c.denominator for c in terms.values()))
-    return {key: int(c * scale) for key, c in terms.items()}
-
-
-def _grid_degrees(h: TriForm) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """(point, degree) at each sample point of a rational form, on
-    integers: M_u is scaled once to integer coefficients, which does not
-    change its rank, and each integer M_u is ranked by ``_integer_rank``.
-    The degrees are those of ``point_degree``."""
-    n = h.n
-    entries = _cleared({(a - 1, b - 1, v - 1): c for a, b, v, c in _entries(h)})
-    for pt in _rational_sample_points(n):
-        m = [[0] * n for _ in range(n)]
-        for (a, b, v), c in entries.items():
-            x = c * pt[v]
-            m[a][b] += x
-            m[b][a] -= x
-        yield pt, n - 1 - _integer_rank(m)
-
-
-def _zero_set_matches(
-    field: Field, g_terms: Dict[Tuple[int, ...], Scalar], degrees: Iterable[Tuple[Vector, int]]
-) -> bool:
-    """Pointwise check that {g = 0} equals the pole set, for g given by its
-    terms {exponents: coefficient} and ``degrees`` yielding (point, degree)
-    on integer points: a scan's over GF(p), ``_grid_degrees`` over Q.
-
-    Each term is evaluated on ints as (coefficient, its variables each
-    repeated by its exponent).  Over GF(p) the coefficients are taken mod p
-    and each value is reduced mod p; over Q g is scaled once to integer
-    coefficients, which does not change its zeros, and each value is exact.
-    """
-    finite = field.is_finite
-    ints = {e: field.of(c) for e, c in g_terms.items()} if finite else _cleared(g_terms)
-    terms = [(c, [i for i, e in enumerate(es) for _ in range(e)]) for es, c in ints.items() if c]
-    p = field.p if finite else 0
-    for pt, deg in degrees:
-        total = 0
-        for c, factors in terms:
-            for i in factors:
-                c *= pt[i]
-            total += c
-        if ((total % p if p else total) == 0) != (deg >= 1):
-            return False
-    return True
-
-
-def pole_variety(
-    h: TriForm,
-    i: Optional[int] = None,
-    budget: Optional[int] = None,
-    report: Optional[PoleReport] = None,
-) -> VarietyResult:
+def pole_variety(h: TriForm, i: Optional[int] = None) -> VarietyResult:
     """Equation of the pole set per the principal-Pfaffian pipeline.
 
     The candidate at index i is d_i = Pf(M_u^(i)) = (-1)^(i+1) u_i G, with
     alpha_i = 1 + v_i(G) and g_i = +-G / u_i^v_i(G), for the G of
     ``_pfaffian_quotient``.  Even n, or G = 0, yields the designated
     all-points result.  Otherwise the index i, or 1..n in ascending order,
-    is tried; the first whose g_i has the correct zero set is returned.
-    A finite form is checked against one scan of itself, or against
-    ``report`` when the caller already holds that scan (``verified_over``
-    is its field); a rational form is checked on a sampled grid, ranked
-    once per call (``verified_over`` is "grid").  An index i outside 1..n
+    is tried; the first whose g_i cuts out the pole set (``_cuts_out``) is
+    returned, with ``verified_over`` the field.  An index i outside 1..n
     raises ValueError, for even n too.
     """
     if h.is_zero():
         raise ValueError("zero form")
-    n, F = h.n, h.field
-    if i is not None and not 1 <= i <= n:
-        raise ValueError(f"index {i} out of range 1..{n}")
-    if n % 2 == 0:
-        return VarietyResult(all_points=True)
-    g_terms = _pfaffian_quotient(h)
+    if i is not None and not 1 <= i <= h.n:
+        raise ValueError(f"index {i} out of range 1..{h.n}")
+    return _variety(h.field, h.n, _pfaffian_quotient(h), i)
+
+
+def _variety(
+    F: Field, n: int, g_terms: Dict[Tuple[int, ...], Scalar], i: Optional[int] = None
+) -> VarietyResult:
+    """``pole_variety`` for G given by its terms."""
     if not g_terms:
-        # every principal Pfaffian vanishes identically: for any u pick i
-        # with u_i != 0, then rank M_u = rank M_u^(i) <= n-3, a pole
+        # even n, or every principal Pfaffian vanishes identically: for any
+        # u pick i with u_i != 0, then rank M_u = rank M_u^(i) <= n-3, a pole
         return VarietyResult(all_points=True)
     order = [i] if i is not None else range(1, n + 1)
-    if not F.is_finite:
-        grid = list(_grid_degrees(h))
-    elif report is None:
-        report = enumerate_poles(h, budget=budget, with_radicals=False)
     for idx in order:
         v, stripped = _stripped(g_terms, idx - 1)
-        degrees = zip(report.points, report.degrees) if F.is_finite else grid
-        if _zero_set_matches(F, stripped, degrees):
+        if _cuts_out(F, v, stripped, idx - 1):
             sign = F.one if idx % 2 else F.neg(F.one)
             g = {e: F.mul(sign, c) for e, c in stripped.items()}
             # d_i = u_i^alpha_i g_i
@@ -389,32 +317,29 @@ def pole_variety(
                 d=MultiPoly(n, F, d),
                 alpha=v + 1,
                 g=MultiPoly(n, F, g),
-                verified_over=repr(F) if F.is_finite else "grid",
+                verified_over=repr(F),
             )
     raise VarietyError(
         f"no candidate index verified (tried {list(order)}); candidates degenerate"
     )
 
 
-def _variety_degree(hf: TriForm, degrees: Sequence[Tuple[Vector, int]]) -> Optional[int]:
-    """Minimal degree among the verified per-index pole equations.
+def _variety_degree(hf: TriForm, g_terms: Dict[Tuple[int, ...], Scalar]) -> Optional[int]:
+    """Minimal degree among the verified per-index pole equations of hf,
+    for its G given by its terms: None when there are none (even n, or
+    every point a pole).
 
     The minimum is the invariant content: the variety is a set, and any
-    verified equation bounds its degree from above.  None for even n or
-    when every point is a pole.  Each candidate is checked against
-    ``degrees``, the (point, degree) pair of every point of PG(n-1, p) in
-    a scan of hf over its finite field.
+    verified equation bounds its degree from above.
     """
-    if hf.n % 2 == 0:
-        return None
-    g_terms = _pfaffian_quotient(hf)
     if not g_terms:
         return None
     # g_i = +-G / u_i^v_i(G) has degree deg G - v_i(G); in ascending
     # degree, the first verified candidate realizes the minimum
     top = max(sum(e) for e in g_terms)
-    for v, g in sorted((_stripped(g_terms, i) for i in range(hf.n)), key=lambda vg: -vg[0]):
-        if _zero_set_matches(hf.field, g, degrees):
+    stripped = sorted(((_stripped(g_terms, i), i) for i in range(hf.n)), key=lambda c: -c[0][0])
+    for (v, g), i in stripped:
+        if _cuts_out(hf.field, v, g, i):
             return top - v
     return None
 
@@ -576,7 +501,7 @@ def enumerate_upper_radical(
     """All lines of the upper radical of h over ``over_field(h, field)``,
     canonical and sorted: one scan, guarded by G at odd n, each line
     assembled at its least pole."""
-    return _radical_lines(_scan_report(over_field(h, field), budget, True, guarded=True))
+    return _radical_lines(_scan_report(over_field(h, field), budget, True))
 
 
 def _upper_radical_by_wedge(
@@ -611,17 +536,19 @@ def full_report(
     budget: Optional[int] = None,
 ) -> dict:
     """The module's JSON report of h over ``over_field(h, field)``: poles,
-    histogram, upper radical, variety.  ``form`` names h as given."""
+    histogram, upper radical, variety.  ``form`` names h as given.  G is
+    expanded once, for the scan's guard and the variety both."""
     hf = over_field(h, field)
     field = hf.field
-    report = enumerate_poles(hf, budget=budget)
+    g_terms = _pfaffian_quotient(hf)
+    report = _scan_report(hf, budget, True, g_terms)
     lines = _radical_lines(report)
     from .poly import render_poly
 
     if hf.n % 2 == 0:
         variety = {"i": None, "g": "all-points", "verified": "parity"}
     else:
-        v = pole_variety(hf, budget=budget, report=report)
+        v = _variety(field, hf.n, g_terms)
         if v.all_points:
             variety = {"i": None, "g": "all-points", "verified": "symbolic"}
         else:

@@ -1,11 +1,14 @@
 """Shared test helpers."""
 
 import itertools
+import math
+import random
 import sys
 
 from polegeom.fields import GF, QQ
 from polegeom.forms import TriForm, catalog_tags
 from polegeom.linalg import Matrix, PolyMatrix
+from polegeom.poles import _entries
 from polegeom.poly import MultiPoly
 
 # parameter choices satisfying each parametric row's condition per field
@@ -130,3 +133,102 @@ def multipoly_pfaffian(m):
         return memo[live]
 
     return rec(tuple(range(m.size)))
+
+
+# -- sampled witnesses of a pole equation ------------------------------------
+#
+# The library decides a pole equation from G's terms alone.  These oracles
+# check a candidate g point by point instead: against a scan's degrees over
+# GF(p), and against the degrees of a grid of integer points over Q.
+
+
+def rational_sample_points(n):
+    """A deterministic spread of 240 small integer points."""
+    rng = random.Random(0xC0FFEE + n)
+    seen = set()
+    # include the standard basis and all 0/1 vectors of low weight first
+    for i in range(n):
+        vec = tuple(1 if j == i else 0 for j in range(n))
+        seen.add(vec)
+        yield vec
+    while len(seen) < 240:
+        vec = tuple(rng.randint(-3, 3) for _ in range(n))
+        if all(x == 0 for x in vec) or vec in seen:
+            continue
+        seen.add(vec)
+        yield vec
+
+
+def integer_rank(rows):
+    """The rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After a pivot every remaining entry is a minor of the input on the
+    pivot rows and columns so far, so dividing by the previous pivot is
+    exact and the entries stay as small as those minors.
+    """
+    work = [list(row) for row in rows]
+    nrows = len(work)
+    rank, prev = 0, 1
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, nrows) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        top = work[rank]
+        a = top[c]
+        for row in work[rank + 1 :]:
+            b = row[c]
+            for j in range(c + 1, len(row)):
+                row[j] = (a * row[j] - b * top[j]) // prev
+            row[c] = 0
+        prev = a
+        rank += 1
+    return rank
+
+
+def cleared(terms):
+    """Rational coefficients times the least common multiple of their
+    denominators: integers with the same ratios."""
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    return {key: int(c * scale) for key, c in terms.items()}
+
+
+def grid_degrees(h):
+    """(point, degree) at each sample point of a rational form, on
+    integers: M_u is scaled once to integer coefficients, which does not
+    change its rank, and each integer M_u is ranked by ``integer_rank``.
+    The degrees are those of ``point_degree``."""
+    n = h.n
+    entries = cleared({(a - 1, b - 1, v - 1): c for a, b, v, c in _entries(h)})
+    for pt in rational_sample_points(n):
+        m = [[0] * n for _ in range(n)]
+        for (a, b, v), c in entries.items():
+            x = c * pt[v]
+            m[a][b] += x
+            m[b][a] -= x
+        yield pt, n - 1 - integer_rank(m)
+
+
+def zero_set_matches(field, g_terms, degrees):
+    """Pointwise check that {g = 0} equals the pole set, for g given by its
+    terms {exponents: coefficient} and ``degrees`` yielding (point, degree)
+    on integer points: a scan's over GF(p), ``grid_degrees`` over Q.
+
+    Each term is evaluated on ints as (coefficient, its variables each
+    repeated by its exponent).  Over GF(p) the coefficients are taken mod p
+    and each value is reduced mod p; over Q g is scaled once to integer
+    coefficients, which does not change its zeros, and each value is exact.
+    """
+    finite = field.is_finite
+    ints = {e: field.of(c) for e, c in g_terms.items()} if finite else cleared(g_terms)
+    terms = [(c, [i for i, e in enumerate(es) for _ in range(e)]) for es, c in ints.items() if c]
+    p = field.p if finite else 0
+    for pt, deg in degrees:
+        total = 0
+        for c, factors in terms:
+            for i in factors:
+                c *= pt[i]
+            total += c
+        if ((total % p if p else total) == 0) != (deg >= 1):
+            return False
+    return True

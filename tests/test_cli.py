@@ -384,13 +384,15 @@ def test_budget_exceeded_message(capsys):
     assert err.startswith("budget exceeded")
 
 
-# each command that reads neither --budget nor --output, with valid arguments
+# each command that does not read --budget, with valid arguments; catalog,
+# eval and construct do not read --output either
 UNREAD_FLAG_COMMANDS = {
     "catalog": ("catalog", "--catalog", "T1", "--field", "gf(2)"),
     "eval": ("eval", "--catalog", "T1", "--field", "gf(2)", "--x", "1,0,0", "--y", "0,1,0",
              "--z", "0,0,1"),
     "radical": ("radical", "--catalog", "T1", "--field", "gf(2)"),
     "matrix": ("matrix", "--catalog", "T1", "--field", "gf(2)"),
+    "variety": ("variety", "--catalog", "T9", "--field", "gf(7)"),
     "construct": ("construct", "cch", "--dim", "5", "--field", "gf(2)"),
 }
 UNREAD_FLAGS = [
@@ -701,7 +703,7 @@ for _point in ("0,1,0,0,0,0,0", "0,0,0,2,0,0,0", "0,0,0,1,0,1,0"):
         ("radical-lines", *GOLDEN_INSTANCES["T7_gf3"], "--point", _point, "--output", "json"),
         0,
     )
-# pole-variety equations: T9 over Q (grid-verified), T9 at the even index 2,
+# pole-variety equations: T9 over Q, T9 at the even index 2,
 # whose d carries the sign (-1)^(i+1), and T11_1(2) over GF(3)
 GOLDEN_CASES["variety_T9_q"] = (
     ("variety", "--catalog", "T9", "--field", "q", "--output", "json"),

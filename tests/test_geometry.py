@@ -699,7 +699,7 @@ def test_fingerprint_refuses_a_radical_count_of_no_projective_space(monkeypatch)
     points), so the scan's degrees are inconsistent."""
     field = GF(3)
     report = PoleReport(field, 7, [], [], None, {0: 1089, 6: 2})
-    monkeypatch.setattr(geometry, "enumerate_poles", lambda *args, **kwargs: report)
+    monkeypatch.setattr(geometry, "_scan_report", lambda *args, **kwargs: report)
     with pytest.raises(RuntimeError, match="not a projective space"):
         fingerprint(catalog_form("T9", field), field)
 

@@ -3,6 +3,7 @@
 import collections
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,14 +17,13 @@ from polegeom.linalg import Matrix
 from polegeom.poles import (
     BudgetExceededError,
     VarietyError,
-    _grid_degrees,
-    _integer_rank,
+    _cuts_out,
     _pfaffian_quotient,
     _radical_lines,
-    _rational_sample_points,
     _stripped,
     _upper_radical_by_wedge,
-    _zero_set_matches,
+    _variety,
+    _variety_degree,
     contraction_matrix,
     enumerate_poles,
     structure_cube,
@@ -48,11 +48,15 @@ from polegeom.projective import (
 from conftest import (
     desk_instances,
     forbid_everywhere,
+    grid_degrees,
+    integer_rank,
     multipoly_pfaffian,
     principal_delete,
     random_form,
     random_invertible,
+    rational_sample_points,
     strip_variable_power,
+    zero_set_matches,
 )
 
 
@@ -209,7 +213,8 @@ def test_scan_hands_over_radicals_exactly_at_leading_poles(p):
             total = len(report.points)
             cuts = [0, 1, total // 3, total // 2 + 1, total - 1, total]
             for guarded in (False, True):
-                scanned = poles._scan_report(form, None, True, guarded)
+                # None: G expanded inside, guarding where the rule says so
+                scanned = poles._scan_report(form, None, True, None if guarded else {})
                 leading = {r1 for r1, _ in _radical_lines(scanned)}
                 assert [rad is not None for rad in scanned.radicals] == [
                     u in leading for u in scanned.points
@@ -404,7 +409,7 @@ def test_variety_t9_matches_quadric():
     result = pole_variety(catalog_form("T9", QQ))
     want = parse_poly("u7^2-u3*u6-u2*u5-u1*u4", 7, QQ)
     assert equal_up_to_scalar(result.g, want) is not None
-    assert result.verified_over == "grid"
+    assert result.verified_over == "q"
 
 
 def test_variety_t6_zero_set():
@@ -548,31 +553,64 @@ def _candidates_from_the_quotient(h):
     return out
 
 
+def _oracle_degrees(h):
+    """(point, degree) pairs for ``zero_set_matches``: every point of one
+    unguarded scan over GF(p), the integer grid over Q."""
+    if h.field.is_finite:
+        report = enumerate_poles(h, with_radicals=False)
+        return list(zip(report.points, report.degrees))
+    return list(grid_degrees(h))
+
+
+def _assert_rule_matches_oracle(h):
+    """At every index i, ``pole_variety(h, i=i)`` verifies exactly when the
+    sampled oracle finds that g_i has the pole set as its zero set, and
+    with no index given it picks the oracle's first such index.  Returns
+    the indices that verify."""
+    g_terms = _pfaffian_quotient(h)
+    degrees = _oracle_degrees(h)
+    matching = []
+    for i in range(1, h.n + 1):
+        try:
+            pole_variety(h, i=i)
+            verified = True
+        except VarietyError:
+            verified = False
+        assert verified == zero_set_matches(h.field, _stripped(g_terms, i - 1)[1], degrees), i
+        if verified:
+            matching.append(i)
+    assert pole_variety(h).index == matching[0]
+    return matching
+
+
 @pytest.mark.parametrize("tag, field, lam, pulled", VARIETY_REFERENCE_CASES)
 def test_variety_candidates_match_every_pfaffian(tag, field, lam, pulled):
     """The candidates derived from the one Pfaffian Pf(M_u^(1)) = u_1*G
     equal those of the all-Pfaffians route, on every odd-n desk instance
     over GF(2), GF(3), GF(5) and GF(7), as catalogued and pulled back by a
-    seeded map, and on the odd-n catalog forms over Q; and, below PG(6, 7),
-    ``pole_variety(h, i=i)`` returns the reference's (d_i, alpha_i, g_i) at
-    each index that verifies."""
+    seeded map, and on the odd-n catalog forms over Q; ``pole_variety(h,
+    i=i)`` returns the reference's (d_i, alpha_i, g_i) at each index that
+    verifies; and, below PG(6, 7), the rule and the sampled oracle verify
+    the same indices."""
     h = catalog_form(tag, field, param=lam)
     if pulled:
         h = h.pullback(random_invertible(field, h.n, random.Random(f"{tag}/{field!r}")))
     want = _candidates_from_every_pfaffian(h)
     assert _candidates_from_the_quotient(h) == want
-    if field.is_finite and field.order**h.n > 5**7:
-        return  # n checks of the 137,257 points of PG(6, 7) take seconds per form
-    report = enumerate_poles(h, with_radicals=False) if field.is_finite else None
     verified = 0
     for i, candidate in want.items():
         try:
-            result = pole_variety(h, i=i, report=report)
+            result = pole_variety(h, i=i)
         except VarietyError:
             continue
         verified += 1
         assert (result.index, result.d, result.alpha, result.g) == (i, *candidate)
+        assert result.verified_over == repr(field)
     assert verified or not want
+    if want and not (field.is_finite and field.order**h.n > 5**7):
+        # n oracle checks of the 137,257 points of PG(6, 7) take seconds per
+        # form; test_pole_set_is_the_zero_set_of_g covers G there
+        assert len(_assert_rule_matches_oracle(h)) == verified
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(7), QQ], ids=repr)
@@ -608,12 +646,97 @@ def test_variety_candidates_strip():
 
 
 def test_variety_exact_index_that_fails_over_q():
-    """T5 over Q verifies at index 2 on the grid; index 1 alone, asked for,
-    does not verify and raises."""
+    """T5 over Q verifies at index 2; index 1 alone, asked for, does not
+    verify and raises.  u_1 divides G there, and over Q a stripped
+    candidate never verifies: the grid oracle agrees at every index."""
     h = catalog_form("T5", QQ)
     assert pole_variety(h).index == 2
     with pytest.raises(VarietyError, match=r"tried \[1\]"):
         pole_variety(h, i=1)
+    assert _stripped(_pfaffian_quotient(h), 0)[0] >= 1
+    assert _assert_rule_matches_oracle(h)[0] == 2
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_rule_matches_the_oracle_on_random_forms(n, field):
+    """Seeded random forms, which strip u_i from G more often than the
+    catalog rows do: the rule and the sampled oracle verify the same
+    indices."""
+    rng = random.Random(f"rule/{n}/{field!r}")
+    for _ in range(2 if n == 7 and field == GF(5) else 4):
+        h = random_form(n, field, rng)
+        if not h.is_zero() and _pfaffian_quotient(h):
+            _assert_rule_matches_oracle(h)
+
+
+def _reduces_to_zero_by_brute_force(p, g, i):
+    """Whether g vanishes at every point of GF(p)^m with u_i = 0."""
+    m = len(next(iter(g)))
+    for u in itertools.product(range(p), repeat=m):
+        if u[i] == 0 and sum(c * math.prod(x**k for x, k in zip(u, e)) for e, c in g.items()) % p:
+            return False
+    return True
+
+
+def test_stripped_candidate_that_vanishes_on_its_hyperplane():
+    """The v >= 1 branch, which no catalog row reaches at n <= 7: g = G / z
+    cuts out Z(G) when g is 0 at every point of z = 0."""
+    x2y, xy2 = (2, 1, 0), (1, 2, 0)
+    # x^2*y + x*y^2 is 0 at every point of GF(2)^2; over Q it is not
+    assert _cuts_out(GF(2), 1, {x2y: 1, xy2: 1}, 2)
+    assert not _cuts_out(QQ, 1, {x2y: 1, xy2: 1}, 2)
+    # x^2*y is not 0 at (1, 1) over GF(3)
+    assert not _cuts_out(GF(3), 1, {x2y: 1}, 2)
+    # exponents above p: x^5*y = x^3*y = x*y as functions on GF(3)
+    assert _cuts_out(GF(3), 1, {(5, 1, 0): 1, (3, 1, 0): 2}, 2)
+    assert not _cuts_out(GF(3), 1, {(5, 1, 0): 1, (2, 1, 0): 2}, 2)
+    # a term with z in it is 0 on z = 0
+    assert _cuts_out(GF(2), 1, {x2y: 1, xy2: 1, (1, 0, 1): 1}, 2)
+    # v = 0: g = +-G, over every field
+    assert _cuts_out(GF(3), 0, {x2y: 1}, 2) and _cuts_out(QQ, 0, {x2y: 1}, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stripped_candidate_rule_matches_brute_force(p):
+    """The reduction modulo x^p - x against evaluation at every point of
+    the hyperplane, for seeded polynomials with exponents up to 2p + 1."""
+    rng = random.Random(f"reduce/{p}")
+    field = GF(p)
+    verdicts = collections.Counter()
+    for _ in range(60):
+        i = rng.randrange(3)
+        g = {}
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 2 * p + 1) for _ in range(3))
+            if rng.random() < 0.7:  # a term that survives on u_i = 0
+                e = e[:i] + (0,) + e[i + 1 :]
+            g[e] = rng.randrange(1, p)
+            # often cancel it by its reduced form, so both verdicts occur
+            reduced = tuple((k - 1) % (p - 1) + 1 if k else 0 for k in e)
+            if reduced not in g and rng.random() < 0.7:
+                g[reduced] = -g[e] % p
+        verdict = _cuts_out(field, 1, g, i)
+        assert verdict == _reduces_to_zero_by_brute_force(p, g, i), (g, i)
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_variety_of_g_that_every_variable_divides_but_one_strips_to_zero():
+    """G = z*(x^2*y + x*y^2) over GF(2): u_x and u_y leave z*(x*y + y^2)
+    and z*(x^2 + x*y), not 0 at (0, 1, 1) and (1, 0, 1) on their
+    hyperplanes, and u_z leaves x^2*y + x*y^2, 0 on z = 0: index 3,
+    alpha 2, variety degree 3."""
+    field = GF(2)
+    g_terms = {(2, 1, 1): 1, (1, 2, 1): 1}
+    result = _variety(field, 3, g_terms)
+    assert (result.index, result.alpha) == (3, 2)
+    assert result.g.terms == {(2, 1, 0): 1, (1, 2, 0): 1}
+    assert _variety_degree(TriForm(3, field, {(1, 2, 3): 1}), g_terms) == 3
+    with pytest.raises(VarietyError, match=r"tried \[1\]"):
+        _variety(field, 3, g_terms, 1)
+    with pytest.raises(VarietyError):
+        _variety(QQ, 3, g_terms)
 
 
 def test_zero_form_guards():
@@ -871,14 +994,14 @@ def test_fingerprint_reads_degrees_only(monkeypatch, tag, lam, lines):
 def test_fingerprint_rejects_inconsistent_degrees(monkeypatch):
     """One pole of degree 1 too many on T4/GF(3) (1 and 13 lines per pole)
     leaves a pole-line incidence count that p+1 = 4 does not divide."""
-    real = geometry.enumerate_poles
+    real = geometry._scan_report
 
     def one_pole_too_many(*args, **kwargs):
         report = real(*args, **kwargs)
         report.histogram[1] += 1
         return report
 
-    monkeypatch.setattr(geometry, "enumerate_poles", one_pole_too_many)
+    monkeypatch.setattr(geometry, "_scan_report", one_pole_too_many)
     with pytest.raises(RuntimeError, match="not a multiple of 4"):
         fingerprint(catalog_form("T4", GF(3)), GF(3))
 
@@ -893,15 +1016,12 @@ def test_system_membership_matches_lines():
 
 
 # One top-level call each; every one of them must scan PG(n-1, p) once.
-# T2/GF(3) has a first variety candidate that fails verification, so its
-# cases also try a second candidate against the same scan.
 ONE_SCAN_CALLS = {
     "full_report-odd-n": lambda: full_report(catalog_form("T2", GF(3))),
     "full_report-even-n": lambda: full_report(catalog_form("T10_1", GF(3), param=2)),
     "build_geometry": lambda: build_geometry(catalog_form("T7", GF(3))),
     "fingerprint": lambda: fingerprint(catalog_form("T9", GF(3)), GF(3)),
     "enumerate_upper_radical": lambda: enumerate_upper_radical(catalog_form("T5", GF(3))),
-    "pole_variety-gf": lambda: pole_variety(catalog_form("T2", GF(3))),
 }
 
 
@@ -920,10 +1040,20 @@ def test_one_scan_per_call(monkeypatch, name):
 
 
 def test_rational_pole_variety_makes_no_scan(monkeypatch):
-    """A rational form's equation is verified on the grid alone."""
+    """A rational form's equation is decided from G alone."""
     forbid_everywhere(monkeypatch, "scan")
     result = pole_variety(catalog_form("T9", QQ))
-    assert result.verified_over == "grid"
+    assert result.verified_over == "q"
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(7)], ids=repr)
+def test_finite_pole_variety_makes_no_scan(monkeypatch, field):
+    """Over GF(p) too, and with no budget to charge: T2, whose index 1
+    strips to a unit and is rejected, and T9, whose PG(6, 7) has 137,257
+    points."""
+    forbid_everywhere(monkeypatch, "scan")
+    assert pole_variety(catalog_form("T2", field)).index == 2
+    assert pole_variety(catalog_form("T9", field)).verified_over == repr(field)
 
 
 def test_budget_exceeded():
@@ -941,7 +1071,7 @@ def test_wedge_route_charges_its_lines_to_the_budget():
 @pytest.mark.parametrize("pulled", [False, True], ids=["catalog", "pullback"])
 def test_zero_set_matches_both_verdicts(p, pulled):
     """Over GF(p) against a scan's degrees, over Q against
-    ``_grid_degrees``: the real g matches, g + 1 does not, and neither does
+    ``grid_degrees``: the real g matches, g + 1 does not, and neither does
     g against degrees with one pole flipped."""
     field = GF(p) if p else QQ
     h = catalog_form("T9", field)
@@ -949,18 +1079,13 @@ def test_zero_set_matches_both_verdicts(p, pulled):
         rows = [[1 if j >= i else 0 for j in range(7)] for i in range(7)]
         rows[6][0] = 2  # unit upper triangular plus a corner: invertible
         h = h.pullback(Matrix(field, [[field.of(x) for x in row] for row in rows]))
-    if p:
-        report = enumerate_poles(h, field, with_radicals=False)
-        pairs = list(zip(report.points, report.degrees))
-        eq = pole_variety(h, report=report).g
-    else:
-        pairs = list(_grid_degrees(h))
-        eq = pole_variety(h).g
-    assert _zero_set_matches(field, eq.terms, pairs)
-    assert not _zero_set_matches(field, (eq + MultiPoly.constant(7, field, 1)).terms, pairs)
+    pairs = _oracle_degrees(h)
+    eq = pole_variety(h).g
+    assert zero_set_matches(field, eq.terms, pairs)
+    assert not zero_set_matches(field, (eq + MultiPoly.constant(7, field, 1)).terms, pairs)
     first_pole = next(pos for pos, (_, deg) in enumerate(pairs) if deg >= 1)
     pairs[first_pole] = (pairs[first_pole][0], 0)
-    assert not _zero_set_matches(field, eq.terms, pairs)
+    assert not zero_set_matches(field, eq.terms, pairs)
 
 
 def test_infinite_field_rejected():
@@ -1058,9 +1183,9 @@ def test_grid_degrees_match_point_degree(name, h):
     """The integer route gives the Field route's degree at every one of the
     240 sample points of a rational form."""
     assert h.field is QQ and not h.is_zero()
-    want = [(pt, point_degree(h, pt)[0]) for pt in _rational_sample_points(h.n)]
+    want = [(pt, point_degree(h, pt)[0]) for pt in rational_sample_points(h.n)]
     assert len(want) == 240
-    assert list(_grid_degrees(h)) == want
+    assert list(grid_degrees(h)) == want
 
 
 def test_integer_rank_matches_field_rank():
@@ -1081,7 +1206,7 @@ def test_integer_rank_matches_field_rank():
             cases.append(rows)
     cases += [[[0] * 4 for _ in range(3)], [[0, 0, 2], [0, 0, 4]]]
     for rows in cases:
-        assert _integer_rank(rows) == Matrix(QQ, [[QQ.of(x) for x in row] for row in rows]).rank()
+        assert integer_rank(rows) == Matrix(QQ, [[QQ.of(x) for x in row] for row in rows]).rank()
 
 
 # -- the G-guarded scan of build_geometry and enumerate_upper_radical ---------
@@ -1166,11 +1291,11 @@ def test_guarded_scan_matches_full_scan_n9():
 )
 def test_guard_vanishes_with_a_radical(tag, n, p):
     """A form with a nonzero radical has every point a pole, so G = 0:
-    the guarded path scans unguarded and gives enumerate_poles' answer."""
+    a guarded path scans unguarded and gives enumerate_poles' answer."""
     h = catalog_form(tag, GF(p), n=n)
     assert _pfaffian_quotient(h) == {}
     assert _assert_guard_agrees(h) is None
-    assert poles._scan_report(h, None, True, guarded=True) == enumerate_poles(h)
+    assert poles._scan_report(h, None, True, _pfaffian_quotient(h)) == enumerate_poles(h)
     assert enumerate_poles(h, with_radicals=False).histogram.get(0) is None
 
 
@@ -1199,15 +1324,19 @@ GUARD_CALLS = {
     "fingerprint": lambda h: fingerprint(h, h.field),
     "enumerate_poles": enumerate_poles,
 }
-GUARDED = {"build_geometry", "enumerate_upper_radical"}
 
 
 @pytest.mark.parametrize("name", sorted(GUARD_CALLS))
-@pytest.mark.parametrize("tag,lam", [("T9", None), ("T10_1", 2)], ids=["odd-n", "even-n"])
-def test_guard_reaches_only_the_unverifying_paths(monkeypatch, name, tag, lam):
-    """Only build_geometry and enumerate_upper_radical guard their scan,
-    and only at odd n; full_report, pole_variety and fingerprint verify the
-    pole equation against a full scan."""
+@pytest.mark.parametrize(
+    "tag,n,p,guarded",
+    [("T9", None, 3, True), ("T10_1", None, 3, False), ("T9", None, 2, False), ("T2", 7, 3, False)],
+    ids=["odd-n", "even-n", "odd-n-gf2", "odd-n-g0"],
+)
+def test_guard_reaches_only_the_unverifying_paths(monkeypatch, name, tag, n, p, guarded):
+    """No path verifies a pole equation against a scan, so one rule guards
+    every scan but the public one: pole_variety never scans,
+    enumerate_poles never guards, and every other path guards with G
+    exactly when n is odd, p >= 3 and G != 0."""
     seen = []
     real_scan = kernels.scan
 
@@ -1216,11 +1345,47 @@ def test_guard_reaches_only_the_unverifying_paths(monkeypatch, name, tag, lam):
         return real_scan(*args)
 
     monkeypatch.setattr(kernels, "scan", recording_scan)
-    h = catalog_form(tag, GF(3), param=lam)
+    h = catalog_form(tag, GF(p), n=n, param=2 if tag == "T10_1" else None)
     GUARD_CALLS[name](h)
-    if name in GUARDED and h.n % 2:
-        assert seen == [_pfaffian_quotient(h)]
-    elif name == "pole_variety" and h.n % 2 == 0:
-        assert seen == []  # even n: all points, by parity
-    else:
+    if name == "pole_variety":
+        assert seen == []
+    elif name == "enumerate_poles" or not guarded:
         assert seen == [None]
+    else:
+        assert seen == [_pfaffian_quotient(h)] and seen[0]
+
+
+# -- Z(G) is the pole set: the witness the library no longer runs ------------
+
+WITNESS_CASES = [
+    pytest.param(tag, field, lam, False, id=f"{tag}{'' if lam is None else f'({lam})'}-{field!r}")
+    for tag, field, lam in ODD_DESK
+] + [
+    pytest.param("T9", field, None, True, id=f"T9-{field!r}-pullback")
+    for field in (GF(2), GF(3), GF(5), GF(7))
+]
+
+
+@pytest.mark.parametrize("tag,field,lam,pulled", WITNESS_CASES)
+def test_pole_set_is_the_zero_set_of_g(tag, field, lam, pulled):
+    """On every odd-n desk instance and a seeded pullback, over GF(2),
+    GF(3), GF(5) and GF(7), the whole of PG(n-1, p):
+    - Z(G) is the pole set of the unguarded scan, the check that
+      ``pole_variety`` and ``fingerprint`` no longer make at run time;
+    - the scan of ``fingerprint``, ``full_report`` and ``build_geometry``
+      gives the unguarded scan's degrees, and its radicals;
+    - ``pole_variety`` verifies deg G at the least index that u_i does not
+      divide G, and that is the variety degree of ``fingerprint``."""
+    h = catalog_form(tag, field, param=lam)
+    if pulled:
+        h = h.pullback(random_invertible(field, h.n, random.Random(f"witness/{field!r}")))
+    g_terms = _pfaffian_quotient(h)
+    unguarded = enumerate_poles(h)
+    assert zero_set_matches(field, g_terms, zip(unguarded.points, unguarded.degrees))
+    assert poles._scan_report(h, None, True, g_terms) == unguarded
+    assert poles._scan_report(h, None, False, g_terms).degrees == unguarded.degrees
+    if g_terms:
+        top = max(sum(e) for e in g_terms)
+        first = next(i for i in range(h.n) if _stripped(g_terms, i)[0] == 0)
+        assert pole_variety(h).index == first + 1
+        assert _variety_degree(h, g_terms) == top
