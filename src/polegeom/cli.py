@@ -3,24 +3,21 @@
 Subcommands load a form (catalog tag or form file), run the pole and
 radical computations or a geometry check, and emit deterministic text or
 JSON.  Exit codes: 0 success, 1 check failed (a witness is printed),
-2 usage or environment errors (bad flags, unreadable file, budget).
+2 usage or environment errors (bad flags, unreadable file, budget, an
+output pipe closed by its reader).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Tuple
 
 from . import constructions, geometry, tables
-from .fields import Field, FieldError, parse_field
-from .forms import (
-    CATALOG_RANKS,
-    CatalogConditionError,
-    TriForm,
-    catalog_form,
-)
+from .fields import Field, parse_field
+from .forms import CATALOG_RANKS, TriForm, catalog_form
 from .poles import (
     BudgetExceededError,
     VarietyError,
@@ -145,21 +142,36 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
-# the flags a command takes only when it reads them
+# every flag beyond the form source; each parser adds the ones its command reads
 _FLAGS = {
+    "param": dict(help="parameter for the parametric types"),
+    "field": dict(help="field spec: gf(p) or q"),
+    "dim": dict(type=int, help="ambient dimension"),
     "budget": dict(type=int, help="enumeration budget (p^n cap, default 10^7)"),
     "output": dict(choices=("text", "json"), default="text", help="report format"),
+    "extra": dict(type=int, help="extension dimensions"),
+    "pairs": dict(help="bilinear pairs, e.g. 23,45,67"),
+    "direction": dict(type=int, help="expansion direction index"),
+    "file2": dict(help="second operand form file"),
+    "alpha": dict(help="first block scalar"),
+    "beta": dict(help="second block scalar"),
 }
 
 
-def _add_form_source(parser: argparse.ArgumentParser, *flags: str) -> None:
-    parser.add_argument("--catalog", help="catalog type tag, e.g. T9 or T10_1")
-    parser.add_argument("--file", help="path of a form file")
-    parser.add_argument("--param", help="parameter for the parametric types")
-    parser.add_argument("--field", help="field spec: gf(p) or q")
-    parser.add_argument("--dim", type=int, help="ambient dimension")
+def _add_flags(parser: argparse.ArgumentParser, *flags: str, required: bool = False) -> None:
     for flag in flags:
-        parser.add_argument(f"--{flag}", **_FLAGS[flag])
+        parser.add_argument(f"--{flag}", required=required, **_FLAGS[flag])
+
+
+def _add_form_source(parser: argparse.ArgumentParser, *flags: str, needs: Tuple[str, ...] = ()):
+    """Add a form source's flags, ``flags`` and the required ``needs``, then
+    the source, one of --catalog and --file; return the source's group."""
+    _add_flags(parser, "param", "field", "dim", *flags)
+    _add_flags(parser, *needs, required=True)
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--catalog", help="catalog type tag, e.g. T9 or T10_1")
+    source.add_argument("--file", help="path of a form file")
+    return source
 
 
 def _read_form(path: str) -> TriForm:
@@ -174,14 +186,14 @@ def _load_form(args) -> Tuple[TriForm, Field]:
     """The form as read and the field every command takes it over:
     --field, else a form file's own field.  A finite form file fixes its
     field, so a different --field contradicts it."""
-    if bool(args.catalog) == bool(args.file):
-        raise UsageError("exactly one form source (--catalog or --file) is required")
     field = parse_field(args.field) if args.field else None
-    if args.catalog:
+    if args.catalog is not None:
         if field is None:
             raise UsageError("--catalog needs --field")
         param = None if args.param is None else _parse_scalar(args.param, field, "--param")
         return catalog_form(args.catalog, field, n=args.dim, param=param), field
+    if args.param is not None or args.dim is not None:  # they describe a catalog row
+        raise UsageError("--param and --dim go with --catalog, not --file")
     form = _read_form(args.file)
     if field is None:
         return form, form.field
@@ -216,6 +228,8 @@ def _parse_vector(text: str, field, n: int, flag: str):
 
 def _cmd_catalog(args) -> int:
     if args.list:
+        if (args.param, args.field, args.dim) != (None, None, None):
+            raise UsageError("--list takes no other flag")
         for tag, rank in CATALOG_RANKS.items():
             print(f"{tag}\trank {rank}")
         return 0
@@ -324,19 +338,10 @@ def _cmd_radical_lines(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.what == "cch":
-        if not args.field or args.dim is None:
-            raise UsageError("construct cch needs --field and --dim")
         form = constructions.cch_hyperplane(args.dim, parse_field(args.field))
     elif args.what == "extend":
-        base = _form_over(*_load_form(args))
-        if args.extra is None:
-            raise UsageError("construct extend needs --extra")
-        form = constructions.trivial_extension(base, args.extra)
+        form = constructions.trivial_extension(_form_over(*_load_form(args)), args.extra)
     elif args.what == "expand":
-        if not (args.pairs and args.field) or args.dim is None or args.direction is None:
-            raise UsageError(
-                "construct expand needs --pairs, --direction, --dim, --field"
-            )
         field = parse_field(args.field)
         coeffs = {}
         for chunk in args.pairs.split(","):
@@ -351,8 +356,6 @@ def _cmd_construct(args) -> int:
         form = constructions.expansion(bilinear, args.direction)
     else:  # block or join
         first, field = _load_form(args)
-        if not args.file2:
-            raise UsageError(f"construct {args.what} needs --file2")
         first, second = _form_over(first, field), _form_over(_read_form(args.file2), field)
         if args.what == "block":
             form = constructions.block_decompose(
@@ -491,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="emit a catalog form (or --list the tags)")
-    _add_form_source(p)
-    p.add_argument("--list", action="store_true", help="list the catalog tags")
+    _add_form_source(p).add_argument("--list", action="store_true", help="list the catalog tags")
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("eval", help="evaluate the form on three vectors")
@@ -525,15 +527,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_radical_lines)
 
     p = sub.add_parser("construct", help="build a form and print its file")
-    p.add_argument("what", choices=("cch", "extend", "expand", "block", "join"))
-    _add_form_source(p)
-    p.add_argument("--extra", type=int, help="extension dimensions")
-    p.add_argument("--pairs", help="bilinear pairs, e.g. 23,45,67")
-    p.add_argument("--direction", type=int, help="expansion direction index")
-    p.add_argument("--file2", help="second operand form file")
-    p.add_argument("--alpha", help="first block scalar")
-    p.add_argument("--beta", help="second block scalar")
     p.set_defaults(func=_cmd_construct)
+    what = p.add_subparsers(dest="what", required=True)
+    c = what.add_parser("cch", help="the chain 123 + 345 + ... at odd --dim")
+    _add_flags(c, "dim", "field", required=True)
+    c = what.add_parser("extend", help="zero-pad the form by --extra dimensions")
+    _add_form_source(c, needs=("extra",))
+    c = what.add_parser("expand", help="lift the bilinear --pairs along --direction")
+    _add_flags(c, "pairs", "direction", "dim", "field", required=True)
+    c = what.add_parser("block", help="alpha*form + beta*file2 on disjoint supports")
+    _add_form_source(c, "alpha", "beta", needs=("file2",))
+    c = what.add_parser("join", help="the form and file2 joined at their one shared index")
+    _add_form_source(c, needs=("file2",))
 
     p = sub.add_parser("check", help="run a geometry check (exit 1 on failure)")
     p.add_argument("what", choices=CHECKS)
@@ -559,17 +564,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader is gone: send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (
-        UsageError,
-        CatalogConditionError,
-        FieldError,
-        VarietyError,
-        ValueError,
-    ) as exc:
+    # FieldError and CatalogConditionError are ValueErrors
+    except (UsageError, VarietyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,7 +63,7 @@ def trivial_extension(h0: TriForm, extra: int) -> TriForm:
     """Zero-pad a form by `extra` fresh trailing dimensions."""
     if extra < 1:
         raise ValueError("extra must be >= 1")
-    return h0.extend_to(h0.n + extra)
+    return TriForm(h0.n + extra, h0.field, h0.coeffs, label=h0.label)
 
 
 def expansion(h0: BilinearAltForm, direction: int) -> TriForm:

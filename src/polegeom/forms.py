@@ -12,7 +12,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import (
-    GF,
     QUAD_PURE,
     QUAD_SHIFTED,
     Field,
@@ -154,12 +153,6 @@ class TriForm:
             raise ValueError("scaling by zero destroys the hyperplane")
         return TriForm(self.n, F, {t: F.mul(k, c) for t, k in self.coeffs.items()})
 
-    def extend_to(self, n: int) -> "TriForm":
-        """Re-embed into a larger dimension (new basis vectors untouched)."""
-        if n < self.n:
-            raise ValueError("cannot shrink a form")
-        return TriForm(n, self.field, dict(self.coeffs), label=self.label)
-
     def radical_and_rank(self) -> Tuple[List[Vector], int]:
         """Radical basis (reduced echelon) and rank = n - dim(radical)."""
         if self.is_zero():
@@ -191,24 +184,6 @@ class TriForm:
                     if c != self.field.zero:
                         terms.append((i, j, k, c))
         return TriForm.from_terms(self.n, self.field, terms)
-
-    def reduce_mod(self, target: GF) -> "TriForm":
-        """This form over GF(p) = target: itself when it is over target
-        already, a rational form with every coefficient reduced mod p.
-
-        ValueError for a coefficient whose denominator p divides, and for a
-        form over another finite field, whose residues have no meaning mod p.
-        """
-        if self.field == target:
-            return self
-        if self.field.is_finite:
-            raise ValueError(f"a form over {self.field!r} is not a form over {target!r}")
-        for (i, j, k), c in self.coeffs.items():
-            if c.denominator % target.p == 0:
-                raise ValueError(
-                    f"coefficient {c} of {i} {j} {k} has a denominator divisible by {target.p}"
-                )
-        return TriForm(self.n, target, self.coeffs, label=self.label)
 
     def __eq__(self, other) -> bool:
         return (

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .constructions import BilinearAltForm
 from .fields import GF
 from .forms import TriForm
-from .kernels import _inverse_table, _rref_mod_p, kernel_mod_p
+from .kernels import _rref_mod_p, kernel_mod_p
 from .poles import (
     _least_point_lines,
     _line_bases,
@@ -140,7 +140,6 @@ def normal_spread_check(geom: IncidenceStructure) -> bool:
     if not spread_check(geom).is_spread:
         raise ValueError("normality is only defined for spreads")
     q = geom.field.p
-    inv = _inverse_table(q)
     lines = geom.lines
     count = len(lines)
     masks = [1 << i for i in range(count)]  # pair (i, j) done when bit j of masks[i]
@@ -151,7 +150,7 @@ def normal_spread_check(geom: IncidenceStructure) -> bool:
             j = (todo & -todo).bit_length() - 1
             eqs = kernel_mod_p([list(row) for row in lines[i] + lines[j]], q)
             plane = [list(row) for row in lines[i] + lines[j][:1]]
-            _rref_mod_p(plane, geom.n, q, inv)
+            _rref_mod_p(plane, q)
             members, group = [i], 1 << i
             for z in span_points_mod_p(q, plane):
                 m = geom.lines_by_point[z][0]
@@ -295,7 +294,7 @@ def _pencil_plane(geom: IncidenceStructure, u: Vector) -> Tuple[Vector, ...]:
     p = geom.field.p
     i, j = geom.lines_by_point[u][:2]
     work = [list(row) for row in geom.lines[i] + geom.lines[j]]
-    rank = len(_rref_mod_p(work, geom.n, p, _inverse_table(p)))
+    rank = len(_rref_mod_p(work, p))
     return tuple(tuple(row) for row in work[:rank])
 
 

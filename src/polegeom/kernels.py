@@ -18,14 +18,15 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 BACKEND = "python"
 
 
-def _rref_mod_p(work: List[List[int]], ncols: int, p: int, inv: Sequence[int]):
-    """In-place reduced row echelon form mod p; returns pivot columns."""
-    nrows = len(work)
+def _rref_mod_p(work: List[List[int]], p: int):
+    """In-place reduced row echelon form mod p of nonempty rows; returns pivot columns."""
+    nrows, ncols = len(work), len(work[0])
+    inv = _inverse_table(p)
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
@@ -74,7 +75,7 @@ def kernel_mod_p(rows: List[List[int]], p: int) -> List[Tuple[int, ...]]:
     ncols = len(rows[0])
     last = ncols - 1
     work = [[x % p for x in reversed(row)] for row in rows]
-    pivots = [last - c for c in _rref_mod_p(work, ncols, p, _inverse_table(p))]
+    pivots = [last - c for c in _rref_mod_p(work, p)]
     basis = []
     for f in range(ncols):
         if f in pivots:

@@ -56,14 +56,24 @@ def _require_enumerable(field: GF, n: int, budget: Optional[int]) -> None:
 
 
 def over_field(h: TriForm, field: Optional[Field] = None) -> TriForm:
-    """h over the GF(p) it is scanned over: ``field``, or h's own field
-    when None.  A rational form is reduced mod p (``TriForm.reduce_mod``);
-    a form over another finite field, or a field that is not finite,
-    raises ValueError."""
+    """h over the GF(p) it is scanned over, ``field`` or else h's own: h
+    itself when over it already, a rational h with each coefficient
+    reduced mod p.  ValueError for a field that is not finite, a form over
+    another finite field, whose residues mean nothing mod p, and a
+    coefficient whose denominator p divides."""
     field = h.field if field is None else field
     if not field.is_finite:
         raise ValueError(f"the pole scan needs a finite field gf(p), not {field!r}")
-    return h.reduce_mod(field)
+    if h.field == field:
+        return h
+    if h.field.is_finite:
+        raise ValueError(f"a form over {h.field!r} is not a form over {field!r}")
+    for (i, j, k), c in h.coeffs.items():
+        if c.denominator % field.p == 0:
+            raise ValueError(
+                f"coefficient {c} of {i} {j} {k} has a denominator divisible by {field.p}"
+            )
+    return TriForm(h.n, field, h.coeffs, label=h.label)
 
 
 def _entries(h: TriForm) -> Iterator[Tuple[int, int, int, Scalar]]:

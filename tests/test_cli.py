@@ -3,7 +3,10 @@
 import gzip
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ from polegeom.fields import GF
 from polegeom.forms import catalog_form
 from polegeom.projective import wedge2_coordinates
 
+ROOT = Path(__file__).resolve().parents[1]
+FORMS_DIR = ROOT / "tests" / "forms"
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -384,36 +389,6 @@ def test_budget_exceeded_message(capsys):
     assert err.startswith("budget exceeded")
 
 
-# each command that does not read --budget, with valid arguments; catalog,
-# eval and construct do not read --output either
-UNREAD_FLAG_COMMANDS = {
-    "catalog": ("catalog", "--catalog", "T1", "--field", "gf(2)"),
-    "eval": ("eval", "--catalog", "T1", "--field", "gf(2)", "--x", "1,0,0", "--y", "0,1,0",
-             "--z", "0,0,1"),
-    "radical": ("radical", "--catalog", "T1", "--field", "gf(2)"),
-    "matrix": ("matrix", "--catalog", "T1", "--field", "gf(2)"),
-    "variety": ("variety", "--catalog", "T9", "--field", "gf(7)"),
-    "construct": ("construct", "cch", "--dim", "5", "--field", "gf(2)"),
-}
-UNREAD_FLAGS = [
-    (command, flag, value)
-    for command in UNREAD_FLAG_COMMANDS
-    for flag, value in (("--budget", "1"), ("--output", "json"))
-    if flag == "--budget" or command in ("catalog", "eval", "construct")
-]
-
-
-@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
-def test_unread_flag_is_refused(capsys, command, flag, value):
-    """A command takes only the flags it reads: the rest exit 2."""
-    argv = UNREAD_FLAG_COMMANDS[command]
-    assert run_cli(capsys, *argv)[0] == 0
-    code, out, err = run_cli(capsys, *argv, flag, value)
-    assert code == 2
-    assert out == ""
-    assert f"unrecognized arguments: {flag} {value}" in err
-
-
 def test_deterministic_output(capsys):
     args = ("poles", "--catalog", "T5", "--field", "gf(2)", "--output", "json")
     _, out1, _ = run_cli(capsys, *args)
@@ -612,6 +587,110 @@ def test_rational_file_is_reduced_for_every_command(tmp_path, capsys, command):
     assert got == want
 
 
+# each command with valid arguments: the form commands with --file, and
+# catalog --list; "construct" is construct cch
+N5_GF3 = str(FORMS_DIR / "n5_gf3.form")
+VALID_ARGV = {
+    "catalog": ("catalog", "--catalog", "T1", "--field", "gf(2)"),
+    "eval": ("eval", "--catalog", "T1", "--field", "gf(2)", "--x", "1,0,0", "--y", "0,1,0",
+             "--z", "0,0,1"),
+    "radical": ("radical", "--catalog", "T1", "--field", "gf(2)"),
+    "matrix": ("matrix", "--catalog", "T1", "--field", "gf(2)"),
+    "variety": ("variety", "--catalog", "T9", "--field", "gf(7)"),
+    **{f"{command}-file": (command, *extra, "--file", N5_GF3)
+       for command, extra in FILE_COMMANDS.items()},
+    "catalog-list": ("catalog", "--list"),
+    "construct": ("construct", "cch", "--dim", "5", "--field", "gf(2)"),
+    "construct-extend": ("construct", "extend", "--catalog", "T1", "--field", "gf(2)",
+                         "--extra", "1"),
+    "construct-expand": ("construct", "expand", "--pairs", "23", "--direction", "1",
+                         "--dim", "4", "--field", "gf(2)"),
+    "construct-block": ("construct", "block", "--catalog", "T1", "--field", "gf(3)",
+                        "--dim", "6", "--file2", str(FORMS_DIR / "n6_gf3_456.form")),
+    "construct-join": ("construct", "join", "--catalog", "T1", "--field", "gf(3)",
+                       "--dim", "5", "--file2", str(FORMS_DIR / "n5_gf3_345.form")),
+}
+# every flag a construction may be given, with a value
+CONSTRUCT_FLAGS = {
+    "--catalog": "T1", "--file": N5_GF3, "--param": "2", "--field": "gf(3)", "--dim": "9",
+    "--extra": "1", "--pairs": "23", "--direction": "1", "--file2": N5_GF3, "--alpha": "2",
+    "--beta": "2", "--budget": "1", "--output": "json",
+}
+SOURCE = ("--catalog", "--file", "--param", "--field", "--dim")
+# the flags each construction reads, and (first) the ones it needs
+CONSTRUCT_READS = {
+    "construct": (("--dim", "--field"), ()),
+    "construct-extend": (("--catalog", "--extra"), SOURCE),
+    "construct-expand": (("--pairs", "--direction", "--dim", "--field"), ()),
+    "construct-block": (("--catalog", "--file2"), SOURCE + ("--alpha", "--beta")),
+    "construct-join": (("--catalog", "--file2"), SOURCE),
+}
+# (command, flag, value, error): the flag given with that value, or left
+# out when the value is None
+UNREAD_FLAGS = [
+    (command, flag, value, f"unrecognized arguments: {flag} {value}")
+    for command in ("catalog", "eval", "radical", "matrix", "variety")
+    for flag, value in (("--budget", "1"), ("--output", "json"))
+    if flag == "--budget" or command in ("catalog", "eval")
+] + [
+    (f"{command}-file", flag, value, "error: --param and --dim go with --catalog, not --file")
+    for command in FILE_COMMANDS
+    for flag, value in (("--param", "2"), ("--dim", "9"))
+] + [
+    ("catalog-list", flag, value, "error: --list takes no other flag")
+    for flag, value in (("--param", "2"), ("--field", "gf(7)"), ("--dim", "9"))
+] + [
+    (command, flag, value, f"unrecognized arguments: {flag} {value}")
+    for command, (needs, reads) in CONSTRUCT_READS.items()
+    for flag, value in CONSTRUCT_FLAGS.items()
+    if flag not in needs + reads
+] + [
+    (command, flag, None, "required")
+    for command, (needs, _) in CONSTRUCT_READS.items()
+    for flag in needs
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, error",
+    UNREAD_FLAGS,
+    ids=[f"{c}-{f}-{Path(v).name}" if v else f"{c}-without-{f}" for c, f, v, _ in UNREAD_FLAGS],
+)
+def test_unread_flag_is_refused(capsys, monkeypatch, command, flag, value, error):
+    """A command takes only the flags it reads, and needs the ones it
+    cannot do without: an unread flag or a missing one exits 2, with
+    nothing on stdout and before any scan."""
+    argv = VALID_ARGV[command]
+    assert run_cli(capsys, *argv)[0] in (0, 1)  # check spread fails on the file
+    if value is None:
+        at = argv.index(flag)
+        argv = argv[:at] + argv[at + 2:]
+    else:
+        argv += (flag, value)
+    forbid_everywhere(monkeypatch, "scan")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert error in err
+
+
+def test_closed_pipe_ends_quietly():
+    """A reader that closes the pipe after a few bytes ends the run with
+    exit 2 and nothing on stderr.  The report, about 3 MB, is far larger
+    than a pipe's buffer, so the writer meets the closed pipe mid-run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polegeom.cli", "poles", "--catalog", "T7", "--field", "gf(5)",
+         "--output", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "form"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (2, b"")
+
+
 def test_denominator_divisible_by_p_exit_2(tmp_path, capsys):
     form_file = tmp_path / "fifth.form"
     form_file.write_text("n = 5\nfield = q\n1 2 3 1/5\n3 4 5 1\n")
@@ -721,7 +800,6 @@ GOLDEN_CASES["variety_T11_1-2_gf3"] = (
 # the JSON writer's edge cases: T1 has no poles and no lines, so `poles`,
 # `upper_radical` and `lines` are all []; a form file has no label, so
 # `form` is the form's repr; and the text report of T7/GF(3)
-FORMS_DIR = Path(__file__).resolve().parent / "forms"
 for _command in ("poles", "radical-lines"):
     GOLDEN_CASES[f"{_command}_T1_gf2"] = (
         (_command, "--catalog", "T1", "--field", "gf(2)", "--output", "json"),

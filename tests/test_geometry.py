@@ -29,7 +29,7 @@ from polegeom.geometry import (
     t11_structure_check,
     unit_equation,
 )
-from polegeom.kernels import _inverse_table, _rref_mod_p
+from polegeom.kernels import _rref_mod_p
 from polegeom.linalg import Matrix
 from polegeom.poles import (
     PoleReport,
@@ -248,7 +248,6 @@ def _normal_by_points(geom):
     already verified are skipped by the same bitmask bookkeeping as
     ``normal_spread_check``."""
     q = geom.field.p
-    inv = _inverse_table(q)
     lines = geom.lines
     count = len(lines)
     masks = [1 << i for i in range(count)]  # pair (i, j) done when bit j of masks[i]
@@ -258,7 +257,7 @@ def _normal_by_points(geom):
         while todo:
             j = (todo & -todo).bit_length() - 1
             basis = [list(row) for row in lines[i] + lines[j]]
-            if len(_rref_mod_p(basis, geom.n, q, inv)) != 4:
+            if len(_rref_mod_p(basis, q)) != 4:
                 return False
             members = {geom.lines_by_point[pt][0] for pt in span_points_mod_p(q, basis)}
             if len(members) != q * q + 1:
