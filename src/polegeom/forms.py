@@ -49,6 +49,17 @@ def sort_triple(i: int, j: int, k: int) -> Tuple[Optional[Triple], int]:
     return (a, b, c), sign
 
 
+def coefficient_in(field: Field, c, i: int, j: int, k: int) -> Scalar:
+    """The coefficient c of triple i j k, as read (a literal or a Fraction),
+    in ``field``: ValueError, naming both, when its denominator is 0 or
+    divisible by p."""
+    try:
+        return field.of(c)
+    except ZeroDivisionError:
+        why = f"divisible by {field.p}" if field.is_finite else "of 0"
+        raise ValueError(f"coefficient {c} of {i} {j} {k} has a denominator {why}") from None
+
+
 class TriForm:
     """An alternating trilinear form given by coefficients on sorted triples."""
 
@@ -231,13 +242,7 @@ class TriForm:
             if n is None or fld is None:
                 raise ValueError("term line before n/field headers")
             i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-            try:
-                terms.append((i, j, k, fld.of(parts[3])))
-            except ZeroDivisionError:
-                why = f"divisible by {fld.p}" if fld.is_finite else "of 0"
-                raise ValueError(
-                    f"coefficient {parts[3]} of {i} {j} {k} has a denominator {why}"
-                ) from None
+            terms.append((i, j, k, coefficient_in(fld, parts[3], i, j, k)))
         if n is None or fld is None:
             raise ValueError("missing n or field header")
         return cls.from_terms(n, fld, terms)

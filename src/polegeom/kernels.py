@@ -1,22 +1,22 @@
 """GF(p) kernels: the point scan, kernel bases mod p, and incidence-graph statistics.
 
-scan walks PG(n-1, p) in the canonical order and returns every point's
-degree and, on request, the radical of each pole that leads a radical
-line as its reduced row echelon basis, the one radical format, which
-every line builder reads as it is.  M_u is one packed int, and each
-pivot of the forward elimination updates all of it with one product and
-one lane-wise reduction mod p.  It eliminates only as far as a
-caller reads: to the even maximal rank of M_u, and back-substitutes only
-at the poles that lead a line; at odd n a guard, the pole polynomial G,
-lets it skip the elimination wherever G(u) != 0.  kernel_mod_p gives the
-same basis for any matrix mod p.
+scan walks PG(n-1, p) in the canonical order, one lead block at a time
+through ``itertools.product``, and returns every point's degree and, on
+request, the radical of each pole that leads a radical line as its
+reduced row echelon basis, the one radical format, which line assembly
+reads as it is.  M_u is one packed int, and each pivot of the
+forward elimination updates all of it with one product and one
+lane-wise reduction mod p.  It eliminates only as far as a caller
+reads: to the even maximal rank of M_u, and back-substitutes only at
+the poles that lead a line; at odd n a guard, the pole polynomial G,
+evaluated once per scan on one packed int, hands it only the points
+where G(u) = 0.  kernel_mod_p gives the same basis for any matrix mod p.
 graph_stats gives girth, diameter and connectivity from int-bitset balls.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -156,6 +156,7 @@ def graph_stats(offsets: List[int], neighbors: List[int]) -> Tuple[int, int, boo
         cur = nxt
 
 
+@lru_cache(maxsize=None)
 def _packed_reducer(p: int, bound: int) -> Tuple[int, int, int]:
     """Lane width w, multiplier m and shift s such that, for every lane
     value x in [0, bound], (x * m) >> s == x // p and x * m < 2**w.
@@ -163,7 +164,8 @@ def _packed_reducer(p: int, bound: int) -> Tuple[int, int, int]:
     A packed int X with values x in lanes of w bits is then reduced mod p in
     all lanes at once by X - p * (((X * m) >> s) & LOW), LOW holding the low
     w - s bits of every lane: x * m stays inside its lane, and the bits that
-    the shift moves down from the lane above land above the LOW mask.
+    the shift moves down from the lane above land above the LOW mask.  So
+    does any lane wider than w, with LOW its low bits above s.
     """
     s = bound.bit_length() + p.bit_length()
     m = (1 << s) // p + 1
@@ -196,32 +198,69 @@ def _require_alternating(cube: List[List[List[int]]], n: int, p: int) -> None:
             raise ValueError("scan needs an alternating cube")
 
 
-def _guard_levels(guard: Dict[Tuple[int, ...], int], n: int, p: int):
-    """The tables that evaluate G along the odometer, one digit at a time.
+def _zero_marks(guard: Dict[Tuple[int, ...], int], n: int, p: int) -> bytes:
+    """Z(G) on {0, 1} x F_p^(n-1): byte L is nonzero exactly where G
+    vanishes at the vector whose base-p digits, u_0 first, spell L, so the
+    points of lead a are bytes p^m .. 2p^m - 1 (m = n-1-a) in scan order.
 
-    keys[i] lists the distinct exponent tuples of the variables u_i ..
-    u_{n-1} among G's terms, so keys[0] is G's terms themselves.  Putting
-    u_i = a into a coefficient vector over keys[i] adds c * a^e at position
-    k of one over keys[i+1], for each (j, e, k) of steps[i]: j is a
-    position in keys[i], e its exponent of u_i, k the position of its rest.
-    Returns G's coefficients mod p over keys[0], steps, the sizes of the
-    keys, a^e mod p as powers[a][e], and last_powers[t] listing t^e for
-    the exponents e of u_{n-1} over keys[n-1].
+    G's values are the whole-byte lanes of one packed int.  Its variables
+    go in one at a time, the last first: each term prefix over u_0 ..
+    u_{j-1} holds its values over F_p^(n-j), and u_j = a puts block a, the
+    sum of a^e times the values of the prefix's terms, at the a-th place.
+    With exponents taken to 0 .. p-1 (a^e = a^(((e-1) mod (p-1)) + 1) for
+    e >= 1), a lane sums at most p products below p^2.
     """
-    if any(len(e) != n for e in guard):
-        raise ValueError(f"the guard needs exponent tuples of length {n}")
-    keys = [sorted(guard)]
-    steps = []
-    for i in range(n - 1):
-        rest = sorted({e[1:] for e in keys[i]})
-        at = {e: k for k, e in enumerate(rest)}
-        steps.append([(j, e[0], at[e[1:]]) for j, e in enumerate(keys[i])])
-        keys.append(rest)
-    degree = max((sum(e) for e in guard), default=0)
-    powers = [[pow(a, e, p) for e in range(degree + 1)] for a in range(p)]
-    coeffs = [guard[e] % p for e in keys[0]]
-    last_powers = [[row[e[0]] for e in keys[-1]] for row in powers]
-    return coeffs, steps, [len(k) for k in keys], powers, last_powers
+    w, mul, shift = _packed_reducer(p, p * (p - 1) ** 2)
+    size = -(-w // 8)  # bytes per lane
+    width = 8 * size
+    count = 2 * p ** (n - 1)
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
+    low = ones * ((1 << (width - shift)) - 1)
+    powers = [[pow(a, e, p) for e in range(p)] for a in range(p)]
+    values: Dict[Tuple[int, ...], int] = {}
+    fold = [0]
+    for e, c in guard.items():
+        if len(e) != n:
+            raise ValueError(f"the guard needs exponent tuples of length {n}")
+        if max(e, default=0) >= len(fold):
+            fold += [(k - 1) % (p - 1) + 1 for k in range(len(fold), max(e) + 1)]
+        key = tuple(map(fold.__getitem__, e))
+        values[key] = (values.get(key, 0) + c) % p
+    span = 1
+    for j in range(n - 1, -1, -1):
+        # u_0 is 0 or 1 on the lanes that hold canonical points
+        digits = powers[:2] if j == 0 else powers
+        groups: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+        for key, v in values.items():
+            groups.setdefault(key[:-1], []).append((key[-1], v))
+        bits = span * width
+        values = {}
+        for rest, items in groups.items():
+            x = 0
+            for t, row in enumerate(digits):
+                block = 0
+                for e, v in items:
+                    block += row[e] * v
+                x |= block << (t * bits)
+            values[rest] = x - p * (((x * mul) >> shift) & low)
+        span *= len(digits)
+    high = ones << (width - 1)
+    # a lane below p is 0 exactly where high - lane keeps its top bit
+    return ((high - values.get((), 0)) & high).to_bytes(count * size, "little")[size - 1 :: size]
+
+
+def _leads_line(u: Tuple[int, ...], lead: int, piv_lanes: List[int], w: int) -> bool:
+    """Whether some zero of u after its lead is off the pivot columns: with
+    every pivot found, the test by which line assembly
+    (``poles._least_point_lines``) picks the poles it reads, and with some
+    of them, a condition for it."""
+    last = len(u) - 1
+    free = u.count(0) - lead  # u is 0 before its lead and 1 at it
+    for at in piv_lanes:
+        c = last - at // w
+        if c > lead and not u[c]:
+            free -= 1
+    return free > 0
 
 
 def scan(
@@ -237,54 +276,52 @@ def scan(
     line) of canonical projective points with enumeration indices in
     [start, stop).
 
-    The cube must be alternating (ValueError otherwise).  The points are
-    walked as an odometer in the canonical order, and M_u = sum_i u_i C_i is
-    kept as one packed int: the n*n entries are lanes of w bits, row j at
+    The cube must be alternating (ValueError otherwise).  M_u = sum_i u_i
+    C_i is one packed int: the n*n entries are lanes of w bits, row j at
     lanes j*n .. j*n+n-1 with column k in lane j*n + n-1-k, so the last
-    nonzero column of a row is its lowest lane, read off r & -r.  The tables
-    a*C_i mod p are built once, with a prefix sum per odometer digit, so
-    each point costs one addition; all lanes are then reduced mod p at once
-    by multiply-shift (_packed_reducer).  Forward elimination gives the
-    rank, one product per pivot on the whole packed M_u: with r the top
-    nonzero row, a its lowest lane (its last nonzero column) and c_j that
-    lane of row j, moved to lane 0 of every row, M_u becomes
-    a * M_u + (p - c) * r, which clears that column in every row and r
-    itself, and one multiply-shift reduces every lane (simultaneous modular
-    reduction, Dumas, Fousse and Salvy, J. Symbolic Comput. 46, 2011);
-    pivot rows are kept unscaled.  M_u is alternating, so its rank is even
-    and at most n-1: elimination stops two pivots short of that even
-    maximum if a nonzero row is left, as the rank is then the maximum (the
-    parity stop), except at even n with radicals wanted.  Back-substitution runs only when radicals
-    are wanted and u leads a line: some free column c after u's lead has
-    u[c] = 0, the test by which line assembly (``poles._least_point_lines``)
-    picks the poles it reads; it scales each pivot row to 1 at its pivot
-    first.  The kernel vector of a free column f is then 1 at f, 0 at the
-    other free columns and nonzero only after f: the reduced row echelon
-    basis of the radical, as kernel_mod_p returns it.  At every other point,
-    degree 0 included, None stands in its place; the rule reads u alone, so
-    any split into [start, stop) pieces agrees with the whole scan.
+    nonzero column of a row is its lowest lane, read off r & -r.  Each
+    lead block, the points of lead a, is walked in the canonical order by
+    ``itertools.product`` over the tables a*C_i mod p of the coordinates
+    after the lead, so M_u is one sum, reduced mod p in all lanes at once
+    by multiply-shift (_packed_reducer).  Forward elimination gives the rank, one product
+    per pivot on the whole packed M_u: with r the top nonzero row, a its
+    lowest lane (its last nonzero column) and c_j that lane of row j,
+    moved to lane 0 of every row, M_u becomes a * M_u + (p - c) * r, which
+    clears that column in every row and r itself, and one multiply-shift
+    reduces every lane (simultaneous modular reduction, Dumas, Fousse and
+    Salvy, J. Symbolic Comput. 46, 2011); pivot rows are kept unscaled.
+    M_u is alternating, so its rank is even and at most n-1: elimination
+    stops two pivots short of that even maximum if a nonzero row is left,
+    as the rank is then the maximum (the parity stop).  At even n with
+    radicals wanted it goes on only while the pivots so far leave a free
+    column after u's lead where u is 0.  Back-substitution runs only when radicals are wanted and u leads a
+    line: some free column c after u's lead has u[c] = 0, the test by
+    which line assembly (``poles._least_point_lines``) picks the poles it
+    reads; it scales each pivot row to 1 at its pivot first.  The kernel
+    vector of a free column f is then 1 at f, 0 at the other free columns
+    and nonzero only after f: the reduced row echelon basis of the
+    radical, as kernel_mod_p returns it.  At every other point, degree 0
+    included, None stands in its place; the rule reads u alone, so any
+    split into [start, stop) pieces agrees with the whole scan.
 
     ``guard``, for odd n, is the pole polynomial G of the cube mod p as
     {exponents: coefficient}, with Pf(M_u^(1)) = u_1 G.  The signed
     sub-Pfaffian vector of M_u is +-G(u) u, so rank M_u = n-1 exactly
     where G(u) != 0: such a point gets degree 0 (radical None) with no
-    elimination.  G is evaluated digit by digit as acc is: the state
-    after the digits before the last is refreshed only when one of them
-    turns, and then tabulates G != 0 over the p values of the last digit
-    (_guard_levels).  Where G(u) = 0 the point is eliminated as without a
-    guard, and a full rank there raises RuntimeError: the guard is not G.
+    elimination.  Z(G) is computed once per scan (_zero_marks), and
+    ``itertools.compress`` walks only its points, eliminated as without a
+    guard; a full rank there raises RuntimeError: the guard is not G.
     ``poles._scan_report`` decides which scans pass a guard.
     """
-    from .projective import num_projective_points, projective_point_at
+    from .projective import num_projective_points
 
-    points: List[Tuple[int, ...]] = []
-    degrees: List[int] = []
-    kernels: Optional[List[List[Tuple[int, ...]]]] = [] if want_kernels else None
+    count = stop - start
     _require_alternating(cube, n, p)
-    if start >= stop:
-        return points, degrees, kernels
+    if count <= 0:
+        return [], [], [] if want_kernels else None
     if stop > num_projective_points(p, n):
         raise IndexError("projective point index out of range")
+    marks = None if guard is None else _zero_marks(guard, n, p)
     inv = _inverse_table(p)
     # lanes hold at most n entries below p before reduction, and
     # a * x + (p - c) * y with a, c, x, y below p during elimination;
@@ -300,62 +337,44 @@ def scan(
     col0 = sum(lane << (j * row_bits) for j in range(n))
     p_ones = sum(p << (j * row_bits) for j in range(n))
     # tables[i][a]: a * C_i mod p, packed
+    lanes = [(j * n + n - 1 - k) * w for j in range(n) for k in range(n)]
     tables = []
-    for i in range(n):
-        plane = cube[i]
-        packed = [0] * p
-        for a in range(1, p):
-            x = 0
-            for j in range(n):
-                row = plane[j]
-                for k in range(n):
-                    x |= (a * row[k] % p) << ((j * n + n - 1 - k) * w)
-            packed[a] = x
-        tables.append(packed)
+    for plane in cube:
+        one = sum([x % p << at for at, x in zip(lanes, itertools.chain(*plane)) if x % p])
+        scaled = [a * one for a in range(p)]
+        tables.append([x - p * (((x * mul) >> shift) & all_low) for x in scaled])
 
-    u = list(projective_point_at(p, n, start))
-    lead = u.index(1)
-    keep = ~(row_mask << (lead * row_bits))
-    # acc[i]: the packed sum of u_i' C_i' over i' <= i
-    acc = [0] * n
-    acc[lead] = tables[lead][1]
-    for i in range(lead + 1, n):
-        acc[i] = acc[i - 1] + tables[i][u[i]]
     last = n - 1
     # the parity stop: M_u is alternating, so a nonzero row left two pivots
-    # short of the largest even rank `top` makes the rank top.  Not at even
-    # n with radicals wanted, where a pole of degree 1 may lead a line
+    # short of the largest even rank `top` makes the rank top.  At even n
+    # that is degree 1: with radicals wanted, elimination goes on past the
+    # stop while such a pole may still lead a line
     top = last - last % 2
-    short = top - 2 if n % 2 or not want_kernels else -1
-    if guard is not None:
-        coeffs, steps, sizes, powers, last_powers = _guard_levels(guard, n, p)
-        # state[i]: the coefficients of G with u_0 .. u_{i-1} put in, over
-        # keys[i] of _guard_levels; refresh(0) fills all but state[0]
-        state = [coeffs] * n
-        live = [False] * p
-
-        def refresh(level: int) -> None:
-            # put in u_level .. u_{last-1}, then tabulate G(u) != 0 over
-            # the values of the last digit
-            for i in range(level, last):
-                prev, row = state[i], powers[u[i]]
-                nxt = [0] * sizes[i + 1]
-                for j, e, k in steps[i]:
-                    nxt[k] += prev[j] * row[e]
-                state[i + 1] = nxt
-            rest = state[last]
-            live[:] = [sum(map(operator.mul, rest, row)) % p != 0 for row in last_powers]
-
-        refresh(0)
-    for _ in range(stop - start):
-        points.append(tuple(u))
-        if guard is not None and live[u[last]]:
-            # G(u) != 0: rank M_u = n-1, degree 0
-            degrees.append(0)
-            if want_kernels:
-                kernels.append(None)
-        else:
-            x = acc[last]
+    short = top - 2
+    finish = want_kernels and top != last
+    points: List[Tuple[int, ...]] = []
+    degrees = [0] * count
+    kernels: Optional[list] = [None] * count if want_kernels else None
+    offset = 0  # the index of the first point of lead `lead`
+    for lead in range(n):
+        block = p ** (last - lead)
+        lo, hi = max(start - offset, 0), min(stop - offset, block)
+        offset += block
+        if lo >= hi:
+            continue
+        first = len(points)
+        tails = itertools.product(range(p), repeat=last - lead)
+        points.extend(map(((0,) * lead + (1,)).__add__, itertools.islice(tails, lo, hi)))
+        where = range(first, len(points))
+        sums = itertools.islice(itertools.product(*tables[lead + 1 :]), lo, hi)
+        if marks is not None:
+            # G(u) != 0: degree 0 and no radical, the defaults, with no elimination
+            zeros = marks[block + lo : block + hi]
+            where, sums = itertools.compress(where, zeros), itertools.compress(sums, zeros)
+        base = tables[lead][1]
+        keep = ~(row_mask << (lead * row_bits))
+        for idx, parts in zip(where, sums):
+            x = sum(parts, base)
             x -= p * (((x * mul) >> shift) & all_low)
             # u^T M_u = h(u, u, .) = 0 for an alternating cube, so row `lead`
             # (u_lead = 1) is minus the sum of u_j times the other rows: it
@@ -371,7 +390,11 @@ def scan(
             # form on reversed columns; pivot rows stay unscaled
             piv_rows: List[int] = []
             piv_lanes: List[int] = []
-            while x and len(piv_rows) != short:
+            while x:
+                if len(piv_rows) == short and not (
+                    finish and _leads_line(points[idx], lead, piv_lanes, w)
+                ):
+                    break
                 r = x >> (x.bit_length() - 1) // row_bits * row_bits  # top row
                 at = ((r & -r).bit_length() - 1) // w * w
                 a = (r >> at) & lane
@@ -380,70 +403,39 @@ def scan(
                 piv_rows.append(r)
                 piv_lanes.append(at)
             rank = top if x else len(piv_rows)  # rows left: the parity stop
-            if guard is not None and rank == last:
+            if marks is not None and rank == last:
                 raise RuntimeError(
-                    f"the guard vanishes at {tuple(u)}, where M_u has full rank "
+                    f"the guard vanishes at {points[idx]}, where M_u has full rank "
                     f"{rank}: it is not the pole equation G of this cube mod {p}"
                 )
-            degrees.append(last - rank)
-            if want_kernels:
-                if rank == last or all(
-                    u[c] or (last - c) * w in piv_lanes for c in range(lead + 1, n)
-                ):
-                    # u leads no line: no free column after its lead has u
-                    # zero there (the test of poles._least_point_lines)
-                    kernels.append(None)
-                else:
-                    # back-substitution: each pivot row is zero at the
-                    # earlier pivot lanes; clear the later ones, last first,
-                    # each pivot row scaled to 1 at its pivot lane first
-                    for t in range(rank - 1, -1, -1):
-                        r, at = piv_rows[t], piv_lanes[t]
-                        a = (r >> at) & lane
-                        if a != 1:
-                            r *= inv[a]
-                            r = piv_rows[t] = r - p * (((r * mul) >> shift) & row_low)
-                        for q in range(t):
-                            y = piv_rows[q]
-                            a = (y >> at) & lane
-                            if a:
-                                y += (p - a) * r
-                                piv_rows[q] = y - p * (((y * mul) >> shift) & row_low)
-                    pivot_cols = [last - at // w for at in piv_lanes]
-                    basis = []
-                    for f in range(n):
-                        if f in pivot_cols:
-                            continue
-                        vec = [0] * n
-                        vec[f] = 1
-                        at = (last - f) * w
-                        for r, c in zip(piv_rows, pivot_cols):
-                            vec[c] = -((r >> at) & lane) % p
-                        basis.append(tuple(vec))
-                    kernels.append(basis)
-        # advance the odometer: the last coordinate turns fastest
-        i = last
-        while i > lead and u[i] == p - 1:
-            u[i] = 0
-            i -= 1
-        if i > lead:
-            u[i] += 1
-            x = acc[i - 1] + tables[i][u[i]]
-        elif lead < last:
-            u[lead] = 0
-            lead += 1
-            u[lead] = 1
-            keep = ~(row_mask << (lead * row_bits))
-            i = lead
-            x = tables[lead][1]
-        else:
-            break
-        for j in range(i, n):
-            acc[j] = x
-        if guard is not None:
-            if i == lead:
-                # the lead moved: the digit before it went from 1 to 0
-                refresh(i - 1)
-            elif i < last:
-                refresh(i)
+            degrees[idx] = last - rank
+            if not want_kernels or rank == last or not _leads_line(points[idx], lead, piv_lanes, w):
+                continue
+            # back-substitution: each pivot row is zero at the earlier pivot
+            # lanes; clear the later ones, last first, each pivot row scaled
+            # to 1 at its pivot lane first
+            for t in range(rank - 1, -1, -1):
+                r, at = piv_rows[t], piv_lanes[t]
+                a = (r >> at) & lane
+                if a != 1:
+                    r *= inv[a]
+                    r = piv_rows[t] = r - p * (((r * mul) >> shift) & row_low)
+                for q in range(t):
+                    y = piv_rows[q]
+                    a = (y >> at) & lane
+                    if a:
+                        y += (p - a) * r
+                        piv_rows[q] = y - p * (((y * mul) >> shift) & row_low)
+            pivot_cols = [last - at // w for at in piv_lanes]
+            basis = []
+            for f in range(n):
+                if f in pivot_cols:
+                    continue
+                vec = [0] * n
+                vec[f] = 1
+                at = (last - f) * w
+                for r, c in zip(piv_rows, pivot_cols):
+                    vec[c] = -((r >> at) & lane) % p
+                basis.append(tuple(vec))
+            kernels[idx] = basis
     return points, degrees, kernels

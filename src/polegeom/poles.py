@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import kernels
 from .fields import GF, Field, Scalar
-from .forms import TriForm
+from .forms import TriForm, coefficient_in
 from .linalg import Matrix, PolyMatrix, SparseAlternating, pfaffian
 from .poly import MultiPoly
 from .projective import (
@@ -68,12 +68,8 @@ def over_field(h: TriForm, field: Optional[Field] = None) -> TriForm:
         return h
     if h.field.is_finite:
         raise ValueError(f"a form over {h.field!r} is not a form over {field!r}")
-    for (i, j, k), c in h.coeffs.items():
-        if c.denominator % field.p == 0:
-            raise ValueError(
-                f"coefficient {c} of {i} {j} {k} has a denominator divisible by {field.p}"
-            )
-    return TriForm(h.n, field, h.coeffs, label=h.label)
+    coeffs = {t: coefficient_in(field, c, *t) for t, c in h.coeffs.items()}
+    return TriForm(h.n, field, coeffs, label=h.label)
 
 
 def _entries(h: TriForm) -> Iterator[Tuple[int, int, int, Scalar]]:
@@ -194,13 +190,11 @@ def _scan_report(
     p, n = field.p, hf.n
     _require_enumerable(field, n, budget)
     # The guard gives degree 0 with no elimination wherever G(u) != 0
-    # (G = 0, every point a pole, leaves nothing to guard).  It pays from
-    # p = 3: unguarded -> guarded, catalog and pullback scans of T9 and T7
-    # took -21% to -33% at GF(3) and -55% to -59% at GF(5).  At p = 2 G
-    # vanishes at about half the points, so the guard skips little
-    # elimination and adds its evaluation: +3% to +36% there.
+    # (G = 0, every point a pole, leaves nothing to guard).  The scan
+    # evaluates G once, packed, and walks only Z(G) in Python, so the
+    # guard pays at GF(2) too, where G vanishes at about half the points.
     guard = None
-    if n % 2 and p >= 3:
+    if n % 2:
         guard = (_pfaffian_quotient(hf) if g_terms is None else g_terms) or None
     cube = structure_cube(hf)
     total = num_projective_points(p, n)

@@ -79,8 +79,8 @@ def test_traced_scan_counts_its_points():
 
 def test_traced_fingerprint_expands_one_pfaffian():
     """An odd-n fingerprint expands the one Pfaffian Pf(M_u^(1)), from
-    which every pole-variety candidate follows: over GF(3) its scan's
-    guard reads the same terms."""
+    which every pole-variety candidate follows: its scan's guard reads
+    the same terms."""
     for field in (GF(2), GF(3)):
         with SPANS.Tracer() as tracer:
             geometry.fingerprint(catalog_form("T9", field), field)
@@ -101,13 +101,13 @@ def test_traced_fingerprint_records_one_variety_degree(tag, lam, field):
 
 @pytest.mark.parametrize(
     "tag,lam,p,count",
-    [("T9", None, 3, 1), ("T10_1", 2, 3, 0), ("T9", None, 2, 0)],
+    [("T9", None, 3, 1), ("T10_1", 2, 3, 0), ("T9", None, 2, 1)],
     ids=["odd-n", "even-n", "odd-n-gf2"],
 )
 def test_traced_build_expands_the_guard_pfaffian(tag, lam, p, count):
     """``build_geometry`` expands G for its guard alone: one Pfaffian at
-    odd n over GF(3), none at even n, and none over GF(2), where the guard
-    does not pay and the scan runs unguarded."""
+    odd n, over GF(2) as over GF(3), and none at even n, where the scan
+    runs unguarded."""
     with SPANS.Tracer() as tracer:
         geometry.build_geometry(catalog_form(tag, GF(p), param=lam))
     assert [span[0] for span in tracer.spans].count("linalg.pfaffian") == count
@@ -120,7 +120,7 @@ def test_traced_build_expands_the_guard_pfaffian(tag, lam, p, count):
 )
 def test_traced_report_expands_one_pfaffian(tag, lam, field, count):
     """``full_report`` decides the pole equation from one Pfaffian at odd
-    n, which over GF(3) also guards its scan, and expands none at even n,
+    n, which also guards its scan, and expands none at even n,
     where every point is on the variety."""
     with SPANS.Tracer() as tracer:
         poles.full_report(catalog_form(tag, field, param=lam))

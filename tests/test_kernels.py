@@ -2,6 +2,7 @@
 statistics against networkx."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -132,6 +133,44 @@ def test_packed_reducer_takes_the_elimination_bound():
         for bound in {max(n, 2 * p - 1) * (p - 1) for n in range(3, 9)}:
             w, m, s = kernels._packed_reducer(p, bound)
             assert bound * m < 1 << w
+
+
+def _random_guard(rng, n, p):
+    """A seeded random polynomial in n variables, exponents up to p + 2 and
+    coefficients from -2p .. 2p, so some exponents reach p and beyond and
+    some coefficients vanish mod p."""
+    return {
+        tuple(rng.randrange(p + 3) for _ in range(n)): rng.randint(-2 * p, 2 * p)
+        for _ in range(rng.randint(1, 8))
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_zero_marks_match_brute_force(n, p):
+    """Byte L of the mask is nonzero exactly where G vanishes at the
+    vector whose base-p digits spell L, checked by evaluating G at that
+    vector term by term: random G with exponents >= p, a nonzero
+    constant and the zero polynomial.  Every lane is checked when there
+    are at most 5,000, else a seeded sample of 3,000."""
+    rng = random.Random(f"marks/{n}/{p}")
+    count = 2 * p ** (n - 1)
+    lanes = range(count) if count <= 5000 else rng.sample(range(count), 3000)
+    guards = [_random_guard(rng, n, p) for _ in range(3)]
+    guards += [{(0,) * n: 1 - p}, {}]
+    for guard in guards:
+        marks = kernels._zero_marks(guard, n, p)
+        assert len(marks) == count
+        for lane in lanes:
+            u = [lane // p ** (n - 1 - i) % p for i in range(n)]
+            value = sum(c * math.prod(x**e for x, e in zip(u, exps)) for exps, c in guard.items())
+            assert bool(marks[lane]) == (value % p == 0), (guard, u)
+
+
+def test_scan_refuses_a_guard_of_another_length():
+    cube = _alternating_cube(random.Random(4), 4, 3)
+    with pytest.raises(ValueError, match="exponent tuples of length 4"):
+        kernels.scan(cube, 4, 3, 0, 1, False, {(1, 0, 0): 1})
 
 
 def test_scan_rejects_non_alternating_cube():

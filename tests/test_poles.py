@@ -1284,6 +1284,34 @@ def test_guarded_scan_matches_full_scan_n9():
     assert guard is not None and {sum(e) for e in guard} == {3}
 
 
+CUT_CASES = [(n, p, seed) for n in (5, 7) for p in (2, 3) for seed in range(2)]
+
+
+@pytest.mark.parametrize("n,p,seed", CUT_CASES, ids=[f"n{n}-gf{p}-{s}" for n, p, s in CUT_CASES])
+def test_guarded_scan_matches_full_scan_on_random_cuts(n, p, seed):
+    """Seeded random [start, stop) pieces, most of them ending inside a
+    lead block, scanned with and without the guard: each guarded piece
+    is the unguarded one, and the pieces put together are the whole
+    scan, with and without radicals."""
+    rng = random.Random(f"cuts/{n}/{p}/{seed}")
+    h = random_form(n, GF(p), rng, density=0.7)
+    while not _pfaffian_quotient(h):
+        h = random_form(n, GF(p), rng, density=0.7)
+    guard = _pfaffian_quotient(h)
+    cube = structure_cube(h)
+    total = num_projective_points(p, n)
+    cuts = [0, *sorted(rng.sample(range(1, total), 12)), total]
+    for want_kernels in (False, True):
+        whole = kernels.scan(cube, n, p, 0, total, want_kernels)
+        pieces = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            piece = kernels.scan(cube, n, p, lo, hi, want_kernels, guard)
+            assert piece == kernels.scan(cube, n, p, lo, hi, want_kernels), (lo, hi)
+            pieces.append(piece)
+        for part in range(2 + want_kernels):
+            assert [x for piece in pieces for x in piece[part]] == whole[part]
+
+
 @pytest.mark.parametrize(
     "tag,n,p",
     [("T2", 7, 3), ("T9", 9, 2), ("T1", 5, 5)],
@@ -1329,14 +1357,14 @@ GUARD_CALLS = {
 @pytest.mark.parametrize("name", sorted(GUARD_CALLS))
 @pytest.mark.parametrize(
     "tag,n,p,guarded",
-    [("T9", None, 3, True), ("T10_1", None, 3, False), ("T9", None, 2, False), ("T2", 7, 3, False)],
+    [("T9", None, 3, True), ("T10_1", None, 3, False), ("T9", None, 2, True), ("T2", 7, 3, False)],
     ids=["odd-n", "even-n", "odd-n-gf2", "odd-n-g0"],
 )
 def test_guard_reaches_only_the_unverifying_paths(monkeypatch, name, tag, n, p, guarded):
     """No path verifies a pole equation against a scan, so one rule guards
     every scan but the public one: pole_variety never scans,
     enumerate_poles never guards, and every other path guards with G
-    exactly when n is odd, p >= 3 and G != 0."""
+    exactly when n is odd and G != 0, over GF(2) as over GF(3)."""
     seen = []
     real_scan = kernels.scan
 
