@@ -9,6 +9,7 @@ a deterministic fingerprint used as a near-equivalence proxy.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import astuple, dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -20,7 +21,6 @@ from .kernels import _rref_mod_p, kernel_mod_p
 from .poles import (
     _least_point_lines,
     _line_bases,
-    _line_rref,
     _pfaffian_quotient,
     _radical_lines,
     _scan_report,
@@ -389,27 +389,26 @@ class HexagonStats:
 def incidence_graph_stats(geom: IncidenceStructure) -> HexagonStats:
     """Exact statistics of the bipartite point-line incidence graph.
 
-    The graph goes to ``kernels.graph_stats`` in CSR form, points first and
-    then lines; girth and diameter come from its int-bitset balls, and are
-    None for an acyclic or a disconnected graph respectively."""
+    The graph goes to ``kernels.graph_stats`` in CSR form, the poles'
+    rows (``lines_by_point``) first and then the lines' rows
+    (``points_by_line``); girth and diameter come from its int-bitset
+    balls, and are None for an acyclic or a disconnected graph
+    respectively."""
     from . import kernels
 
-    point_ids = {pt: i for i, pt in enumerate(geom.points)}
     np_, nl = len(geom.points), len(geom.lines)
-    adj: List[List[int]] = [[] for _ in range(np_ + nl)]
-    for li, pts in enumerate(geom.points_by_line):
-        for pt in pts:
-            pi = point_ids[pt]
-            adj[pi].append(np_ + li)
-            adj[np_ + li].append(pi)
+    point_ids = {pt: i for i, pt in enumerate(geom.points)}
     offsets = [0]
     neighbors: List[int] = []
-    for nbrs in adj:
-        neighbors.extend(nbrs)
+    for pt in geom.points:
+        neighbors.extend(map(np_.__add__, geom.lines_by_point.get(pt, ())))
         offsets.append(len(neighbors))
-    ppl = {len(pts) for pts in geom.points_by_line}
-    lpp = {len(geom.lines_by_point.get(pt, ())) for pt in geom.points}
-    girth, diameter, connected = kernels.graph_stats(offsets, neighbors)
+    for pts in geom.points_by_line:
+        neighbors.extend(map(point_ids.__getitem__, pts))
+        offsets.append(len(neighbors))
+    sizes = [b - a for a, b in zip(offsets, offsets[1:])]
+    lpp, ppl = set(sizes[:np_]), set(sizes[np_:])
+    girth, diameter, connected = kernels.graph_stats(offsets, neighbors, np_)
     return HexagonStats(
         points=np_,
         lines=nl,
@@ -518,10 +517,10 @@ def t4_line_check(geom: IncidenceStructure) -> T4Report:
     expected = {(zero + s, zero + t) for s, t in _line_bases(p, 3)}
     for a in span_points_mod_p(p, [unit_equation(n, i) for i in (1, 2, 3)]):
         omega_a = a[3:] + a[:3]
-        for code in range(p**3):
-            # a+b for b in V1 is canonical with a's lead, as _line_rref needs
-            b = (code % p, code // p % p, code // (p * p))
-            expected.add(_line_rref(p, a[:3] + b, omega_a))
+        for b in itertools.product(range(p), repeat=3):
+            pair = [list(a[:3] + b), list(omega_a)]
+            _rref_mod_p(pair, p)
+            expected.add((tuple(pair[0]), tuple(pair[1])))
     lines_ok = set(geom.lines) == expected
     hist_ok = True
     witness = None

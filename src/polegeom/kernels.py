@@ -11,7 +11,8 @@ reads: to the even maximal rank of M_u, and back-substitutes only at
 the poles that lead a line; at odd n a guard, the pole polynomial G,
 evaluated once per scan on one packed int, hands it only the points
 where G(u) = 0.  kernel_mod_p gives the same basis for any matrix mod p.
-graph_stats gives girth, diameter and connectivity from int-bitset balls.
+graph_stats gives girth, diameter and connectivity of a bipartite graph,
+such as a point-line incidence graph, from int-bitset balls.
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ def kernel_mod_p(rows: List[List[int]], p: int) -> List[Tuple[int, ...]]:
     return basis
 
 
-def graph_stats(offsets: List[int], neighbors: List[int]) -> Tuple[int, int, bool]:
-    """Exact girth and diameter of a simple undirected graph in CSR form.
+def graph_stats(offsets: List[int], neighbors: List[int], left: int) -> Tuple[int, int, bool]:
+    """Exact girth and diameter of a simple bipartite graph in CSR form,
+    every edge joining [0, left) to [left, V) (ValueError otherwise).
 
     Returns (girth, diameter, connected); girth is -1 for a forest and the
     diameter is -1 for a disconnected graph.  The girth is the least over
@@ -101,20 +103,26 @@ def graph_stats(offsets: List[int], neighbors: List[int]) -> Tuple[int, int, boo
     grows and some ball is not full, the graph is disconnected.  Only two
     generations of balls are held, about V^2/8 bytes each.
 
-    The girth comes from the same balls.  At radius d, for a vertex v and
-    two distinct neighbours u1, u2, a vertex w outside R_{d-1}(v) lying in
-    R_{d-1}(u1) and R_{d-1}(u2) shows a cycle of length <= 2d (even test),
-    and one lying in R_{d-1}(u1) and R_d(u2) a cycle of length <= 2d+1
-    (odd test).  Sound: shortest paths u1..w and u2..w avoid v, as w is
-    farther from v than their lengths allow, so the closed walk
-    v, u1..w..u2, v passes v once between distinct neighbours and contains
-    a cycle through v no longer than itself.  Complete: a shortest cycle is
-    isometric, so with v on it, u1 and u2 its neighbours on it and w the
-    vertex (or one of the two vertices) opposite v, it passes the test at
-    exactly half its length.  So the first radius with a hit gives the
+    The girth comes from the same pass.  Every cycle of a bipartite graph
+    is even.  At radius d, for a vertex v and two distinct neighbours u1,
+    u2, a vertex w outside R_{d-1}(v) lying in R_{d-1}(u1) and R_{d-1}(u2)
+    shows a cycle of length <= 2d.  Sound: shortest paths u1..w and u2..w
+    avoid v, as w is farther from v than their lengths allow, so the
+    closed walk v, u1..w..u2, v contains a cycle through v no longer than
+    itself.  Complete: a shortest cycle, of length 2k, is isometric, so
+    with v on it, u1 and u2 its neighbours on it and w opposite v, it
+    passes the test at radius k.  So the first radius with a hit gives the
     girth, and every cycle shows by the radius of its component's diameter.
     """
     nv = len(offsets) - 1
+    # two C-level passes: the rows of [0, left) reach only [left, V), and back
+    split = offsets[left] if 0 <= left <= nv else -1
+    if (
+        split < 0
+        or min(neighbors[:split], default=left) < left
+        or max(neighbors[split:], default=-1) >= left
+    ):
+        raise ValueError(f"graph_stats needs every edge to join [0, {left}) to [{left}, {nv})")
     if nv <= 1:
         return -1, 0, True
     adj = [neighbors[offsets[v] : offsets[v + 1]] for v in range(nv)]
@@ -126,29 +134,15 @@ def graph_stats(offsets: List[int], neighbors: List[int]) -> Tuple[int, int, boo
         d += 1
         nxt = []
         for v, nbrs in enumerate(adj):
-            ball = cur[v]
+            # seen: union of the neighbours' R_{d-1} so far; dup: in two of them
+            seen = dup = 0
             for u in nbrs:
-                ball |= cur[u]
-            nxt.append(ball)
-        if girth < 0:
-            odd = False
-            for v, nbrs in enumerate(adj):
-                # seen*: union over the neighbours so far; dup: in two of the
-                # R_{d-1}; hit: in R_{d-1} of one and R_d of another
-                seen_in = seen_out = dup = hit = 0
-                for u in nbrs:
-                    inner, outer = cur[u], nxt[u]
-                    dup |= seen_in & inner
-                    hit |= (seen_in & outer) | (seen_out & inner)
-                    seen_in |= inner
-                    seen_out |= outer
-                if dup & ~cur[v]:
-                    girth = 2 * d
-                    break
-                if not odd and hit & ~cur[v]:
-                    odd = True
-            if girth < 0 and odd:
-                girth = 2 * d + 1
+                ball = cur[u]
+                dup |= seen & ball
+                seen |= ball
+            if girth < 0 and dup & ~cur[v]:
+                girth = 2 * d
+            nxt.append(cur[v] | seen)
         if all(ball == full for ball in nxt):
             return girth, d, True
         if nxt == cur:

@@ -376,24 +376,6 @@ def upper_radical_system(h: TriForm) -> PluckerSystem:
     return PluckerSystem(n=n, pairs=pairs, equations=eq, solution=kernel)
 
 
-def _line_rref(p: int, u: Vector, y: Sequence[int]) -> Line:
-    """Reduced-echelon basis (r1, r2) of the line [u, y] mod p, for a
-    canonical point u and a vector y outside <u>."""
-    a = next(i for i, x in enumerate(u) if x)
-    t = y[a]
-    if t:
-        y = [(x - t * w) % p for x, w in zip(y, u)]
-    b = next(i for i, x in enumerate(y) if x)
-    s = pow(y[b], p - 2, p)
-    y = tuple(x * s % p for x in y)
-    if b < a:
-        return y, u  # u[b] == 0 and y[a] == 0 already
-    t = u[b]
-    if t:
-        return tuple((w - t * x) % p for w, x in zip(u, y)), y
-    return u, y
-
-
 def _least_point_lines(
     p: int, spaces: Iterable[Tuple[Vector, Sequence[Vector]]]
 ) -> List[Line]:
@@ -449,7 +431,8 @@ def lines_through_point(
     ``kernel_mod_p``.  The canonical u is the sum of u[c] times the row of
     pivot c, with coefficient 1 on the row at its lead, so the other rows
     span a complement of <u> in Rad(chi_u).  The points y of that
-    complement are the directions of the lines through [u], one each.
+    complement are the directions of the lines through [u], one each, and
+    ``kernels._rref_mod_p`` reduces each pair [u, y] to the line's basis.
     """
     h = over_field(h, field)
     F = h.field
@@ -468,7 +451,12 @@ def lines_through_point(
         for j in range(n)
     ]
     complement = [y for y in kernels.kernel_mod_p(m, p) if y.index(1) != a]
-    return sorted(_line_rref(p, u_pt, y) for y in span_points_mod_p(p, complement))
+    lines: List[Line] = []
+    for y in span_points_mod_p(p, complement):
+        pair = [list(u_pt), list(y)]
+        kernels._rref_mod_p(pair, p)
+        lines.append((tuple(pair[0]), tuple(pair[1])))
+    return sorted(lines)
 
 
 def _line_bases(p: int, n: int) -> Iterator[Line]:

@@ -209,10 +209,12 @@ def _csr(nv, edges):
 def test_graph_stats_matches_networkx():
     import networkx as nx  # a test-only reference
     rng = random.Random(4040)
+    kinds = set()
     for _ in range(400):
         nv = rng.randint(1, 16)
+        left = rng.randint(0, nv)
         density = rng.choice((0.1, 0.2, 0.3, 0.5, 0.8))
-        edges = [(a, b) for a in range(nv) for b in range(a + 1, nv) if rng.random() < density]
+        edges = [(a, b) for a in range(left) for b in range(left, nv) if rng.random() < density]
         graph = nx.Graph()
         graph.add_nodes_from(range(nv))
         graph.add_edges_from(edges)
@@ -223,21 +225,42 @@ def test_graph_stats_matches_networkx():
             nx.diameter(graph) if connected else -1,
             connected,
         )
-        assert kernels.graph_stats(*_csr(nv, edges)) == want, (nv, edges)
+        assert kernels.graph_stats(*_csr(nv, edges), left) == want, (nv, left, edges)
+        kinds.add("empty side" if left in (0, nv) else "two sides")
+        kinds.add("forest" if want[0] < 0 else "cycle")
+        kinds.add("connected" if connected else "disconnected")
+        if nv > 1 and min(d for _, d in graph.degree) == 0:
+            kinds.add("isolated vertex")
+    assert len(kinds) == 7, kinds
 
 
 def test_graph_stats_known_values():
-    # a 6-cycle: girth 6, diameter 3
-    cycle = [(i, (i + 1) % 6) for i in range(6)]
-    assert kernels.graph_stats(*_csr(6, cycle)) == (6, 3, True)
-    # a path: acyclic
-    assert kernels.graph_stats(*_csr(3, [(0, 1), (1, 2)])) == (-1, 2, True)
+    # a 6-cycle, its sides {0, 1, 2} and {3, 4, 5} alternating: girth 6, diameter 3
+    cycle = [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)]
+    assert kernels.graph_stats(*_csr(6, cycle), 3) == (6, 3, True)
+    # a path through vertex 0: acyclic
+    assert kernels.graph_stats(*_csr(3, [(0, 1), (0, 2)]), 1) == (-1, 2, True)
     # two isolated vertices: disconnected
-    assert kernels.graph_stats([0, 0, 0], []) == (-1, -1, False)
+    assert kernels.graph_stats([0, 0, 0], [], 1) == (-1, -1, False)
     # the girth of a disconnected graph is the least over its components,
-    # whichever vertex comes first
-    triangle = [(1, 2), (2, 3), (1, 3)]
-    assert kernels.graph_stats(*_csr(4, triangle)) == (3, -1, False)
-    triangle_first = [(0, 1), (1, 2), (0, 2)]
-    assert kernels.graph_stats(*_csr(4, triangle_first)) == (3, -1, False)
+    # whether the isolated vertex comes first or last
+    square = [(1, 3), (3, 2), (2, 4), (4, 1)]
+    assert kernels.graph_stats(*_csr(5, square), 3) == (4, -1, False)
+    square_first = [(0, 2), (2, 1), (1, 3), (3, 0)]
+    assert kernels.graph_stats(*_csr(5, square_first), 2) == (4, -1, False)
+
+
+@pytest.mark.parametrize(
+    "nv, edges, left",
+    [
+        (4, [(1, 2), (2, 3), (1, 3)], 2),  # a triangle: edge (2, 3) inside [2, 4)
+        (4, [(0, 1), (1, 2), (0, 2)], 1),  # a triangle: edge (1, 2) inside [1, 4)
+        (3, [(0, 1), (1, 2)], 2),  # edge (0, 1) inside [0, 2)
+        (2, [], 3),  # the split lies past the last vertex
+        (2, [], -1),
+    ],
+)
+def test_graph_stats_needs_a_bipartite_split(nv, edges, left):
+    with pytest.raises(ValueError):
+        kernels.graph_stats(*_csr(nv, edges), left)
 

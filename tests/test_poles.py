@@ -920,9 +920,9 @@ def test_wedge2_mod_p_matches_field_wedge(p):
 )
 def test_line_assembly_stays_on_ints(monkeypatch, call):
     """Reports, geometries and fingerprints over GF(p) build their lines
-    without the Field-based Pluecker map or a per-line reduction."""
+    without the Field-based Pluecker map or any echelon reduction."""
     forbid_everywhere(monkeypatch, "wedge2_coordinates")
-    forbid_everywhere(monkeypatch, "_line_rref")
+    forbid_everywhere(monkeypatch, "_rref_mod_p")
     call()
 
 
