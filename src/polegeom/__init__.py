@@ -8,7 +8,7 @@ that classify the resulting point-line geometries over small fields.
 """
 
 from .fields import GF, QQ, parse_field, quadratic_irreducible, cubic_irreducible
-from .forms import TriForm, catalog_form, catalog_tags, CatalogEntry
+from .forms import TriForm, catalog_form, catalog_tags
 from .poles import (
     enumerate_poles,
     enumerate_upper_radical,
@@ -31,7 +31,6 @@ __all__ = [
     "TriForm",
     "catalog_form",
     "catalog_tags",
-    "CatalogEntry",
     "enumerate_poles",
     "enumerate_upper_radical",
     "lines_through_point",

@@ -8,7 +8,6 @@ conditions, embedded so the radical sits on the trailing basis vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import (
@@ -284,25 +283,6 @@ CATALOG_RANKS: Dict[str, int] = {
 PARAMETRIC_TAGS = ("T10_1", "T10_2", "T11_1", "T11_2", "T12")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A catalog row: type tag, optional parameter, expected rank."""
-
-    type_tag: str
-    parameter: Optional[Scalar] = None
-    expected_rank: int = dc_field(init=False, default=0)
-
-    def __post_init__(self):
-        if self.type_tag not in CATALOG_RANKS:
-            raise ValueError(f"unknown type tag {self.type_tag!r}")
-        if (self.parameter is not None) != (self.type_tag in PARAMETRIC_TAGS):
-            raise ValueError(
-                f"{self.type_tag} takes a parameter exactly when it is one of "
-                f"{PARAMETRIC_TAGS}"
-            )
-        object.__setattr__(self, "expected_rank", CATALOG_RANKS[self.type_tag])
-
-
 def check_catalog_conditions(tag: str, field: Field, param: Optional[Scalar]) -> None:
     """Validate the special conditions of a parametric catalog row."""
     if tag in ("T10_1", "T11_1"):
@@ -355,14 +335,19 @@ def catalog_form(
     param: Optional[Scalar] = None,
 ) -> TriForm:
     """Instantiate a catalog row over a field, embedded in dimension n."""
-    entry = CatalogEntry(tag, field.of(param) if param is not None else None)
-    rank = entry.expected_rank
+    lam = field.of(param) if param is not None else None
+    if tag not in CATALOG_RANKS:
+        raise ValueError(f"unknown type tag {tag!r}")
+    if (lam is not None) != (tag in PARAMETRIC_TAGS):
+        raise ValueError(
+            f"{tag} takes a parameter exactly when it is one of {PARAMETRIC_TAGS}"
+        )
+    rank = CATALOG_RANKS[tag]
     if n is None:
         n = rank
     if n < rank:
         raise ValueError(f"{tag} needs n >= {rank}, got {n}")
-    check_catalog_conditions(tag, field, entry.parameter)
-    lam = entry.parameter
+    check_catalog_conditions(tag, field, lam)
     if tag in _PLAIN_TERMS:
         terms = [(i, j, k, field.one) for (i, j, k) in _PLAIN_TERMS[tag]]
     elif tag == "T10_1":
@@ -375,7 +360,7 @@ def catalog_form(
         terms = _t10_terms(field, lam, 2) + [(1, 4, 7, field.one)]
     elif tag == "T12":
         terms = [(i, j, k, lam) for (i, j, k) in _PLAIN_TERMS["T9"]]
-    else:  # pragma: no cover - guarded by CatalogEntry
+    else:  # pragma: no cover - unknown tags are refused above
         raise ValueError(tag)
     label = tag if lam is None else f"{tag}({field.format(lam)})"
     form = TriForm.from_terms(n, field, terms, label=label)

@@ -76,9 +76,9 @@ def build_geometry(
 ) -> IncidenceStructure:
     """Enumerate the poles and radical lines of h over ``over_field(h,
     field)`` and compute exact incidence, from one scan guarded by G
-    where the guard pays (``poles._scan_report``)."""
+    (``poles._scan_report``)."""
     hf = over_field(h, field)
-    report = _scan_report(hf, budget, True)
+    report = _scan_report(hf, budget, True, _pfaffian_quotient(hf))
     return IncidenceStructure(
         field=hf.field,
         n=hf.n,

@@ -305,7 +305,7 @@ def scan(
     elimination.  Z(G) is computed once per scan (_zero_marks), and
     ``itertools.compress`` walks only its points, eliminated as without a
     guard; a full rank there raises RuntimeError: the guard is not G.
-    ``poles._scan_report`` decides which scans pass a guard.
+    ``poles._scan_report`` passes the terms of G that its caller hands it.
     """
     from .projective import num_projective_points
 

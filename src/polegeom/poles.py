@@ -16,6 +16,7 @@ decided from G's terms alone (``_cuts_out``), with no scan.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -179,26 +180,25 @@ def _scan_report(
     hf: TriForm,
     budget: Optional[int],
     with_radicals: bool,
-    g_terms: Optional[Dict[Tuple[int, ...], Scalar]] = None,
+    g_terms: Dict[Tuple[int, ...], Scalar],
 ) -> PoleReport:
-    """One ``kernels.scan`` of hf over its finite field, guarded by G where
-    the guard pays.  ``g_terms`` are G's terms (``_pfaffian_quotient``)
-    when the caller holds them; with None they are expanded here, and only
-    for a guard.  ``enumerate_poles`` passes {}, no terms: it is the
+    """One ``kernels.scan`` of hf over its finite field, guarded by G's
+    terms ``g_terms`` when there are any.  Every caller but
+    ``enumerate_poles`` passes ``_pfaffian_quotient(hf)``, which is empty
+    exactly at even n and where G = 0, so those scans are guarded exactly
+    when n is odd and G != 0; ``enumerate_poles`` passes {}, the
     unguarded scan."""
     field = hf.field
     p, n = field.p, hf.n
     _require_enumerable(field, n, budget)
-    # The guard gives degree 0 with no elimination wherever G(u) != 0
-    # (G = 0, every point a pole, leaves nothing to guard).  The scan
-    # evaluates G once, packed, and walks only Z(G) in Python, so the
-    # guard pays at GF(2) too, where G vanishes at about half the points.
-    guard = None
-    if n % 2:
-        guard = (_pfaffian_quotient(hf) if g_terms is None else g_terms) or None
+    # The guard gives degree 0 with no elimination wherever G(u) != 0.
+    # The scan evaluates G once, packed, and walks only Z(G) in Python, so
+    # the guard pays at GF(2) too, where G vanishes at about half the points.
     cube = structure_cube(hf)
     total = num_projective_points(p, n)
-    points, degrees, radicals = kernels.scan(cube, n, p, 0, total, with_radicals, guard)
+    points, degrees, radicals = kernels.scan(
+        cube, n, p, 0, total, with_radicals, g_terms or None
+    )
     histogram = dict(sorted(Counter(degrees).items()))
     return PoleReport(field, n, points, degrees, radicals, histogram)
 
@@ -217,9 +217,11 @@ class VarietyResult:
 
 def _pfaffian_quotient(h: TriForm) -> Dict[Tuple[int, ...], Scalar]:
     """The terms of G, read off Pf(M_u^(1)) = u_1 G: the one Pfaffian that
-    is expanded for the pole equation, and the only place it is.  Empty
-    when that Pfaffian vanishes identically (every point a pole, as for
-    the zero form), and at even n; neither expands anything.
+    is expanded for the pole equation and the scan's guard, and the only
+    place it is.  Empty at even n and when that Pfaffian vanishes
+    identically (every point a pole, as for the zero form), and only
+    then, so a scan handed these terms is guarded exactly when n is odd
+    and G != 0.  Even n and the zero form expand nothing.
 
     M_u^(1) is read straight off ``_entries``, each entry a linear form
     {key of u_v: c} with u_v keyed 1 << width*(v-1): every exponent of the
@@ -352,7 +354,6 @@ def _variety_degree(hf: TriForm, g_terms: Dict[Tuple[int, ...], Scalar]) -> Opti
 class PluckerSystem:
     """Linear conditions on Pluecker coordinates cutting out the upper radical."""
 
-    n: int
     pairs: List[Tuple[int, int]]
     equations: Matrix
     solution: List[Vector]
@@ -373,7 +374,7 @@ def upper_radical_system(h: TriForm) -> PluckerSystem:
     ]
     eq = Matrix(F, rows)
     _, kernel = eq.rank_and_kernel()
-    return PluckerSystem(n=n, pairs=pairs, equations=eq, solution=kernel)
+    return PluckerSystem(pairs=pairs, equations=eq, solution=kernel)
 
 
 def _least_point_lines(
@@ -461,28 +462,15 @@ def lines_through_point(
 
 def _line_bases(p: int, n: int) -> Iterator[Line]:
     """The reduced-echelon basis of every line of PG(n-1, p), on ints, by
-    echelon shape: pivots i < j, then the free entries as a base-p odometer."""
-    for i in range(n):
-        for j in range(i + 1, n):
-            free1 = [c for c in range(i + 1, n) if c != j]
-            free2 = [c for c in range(j + 1, n)]
-            slots = free1 + free2
-            total = p ** len(slots)
-            for code in range(total):
-                vals = []
-                rem = code
-                for _ in slots:
-                    vals.append(rem % p)
-                    rem //= p
-                row1 = [0] * n
-                row2 = [0] * n
-                row1[i] = 1
-                row2[j] = 1
-                for c, v in zip(free1, vals[: len(free1)]):
-                    row1[c] = v
-                for c, v in zip(free2, vals[len(free1) :]):
-                    row2[c] = v
-                yield tuple(row1), tuple(row2)
+    echelon shape: pivots i < j, then every choice of the free entries,
+    row 1's after i but at j and row 2's after j."""
+    ps = range(p)
+    for i, j in itertools.combinations(range(n), 2):
+        for head in itertools.product(ps, repeat=j - i - 1):
+            for tail1 in itertools.product(ps, repeat=n - j - 1):
+                row1 = (0,) * i + (1,) + head + (0,) + tail1
+                for tail2 in itertools.product(ps, repeat=n - j - 1):
+                    yield row1, (0,) * j + (1,) + tail2
 
 
 def enumerate_upper_radical(
@@ -491,9 +479,10 @@ def enumerate_upper_radical(
     budget: Optional[int] = None,
 ) -> List[Line]:
     """All lines of the upper radical of h over ``over_field(h, field)``,
-    canonical and sorted: one scan, guarded by G at odd n, each line
-    assembled at its least pole."""
-    return _radical_lines(_scan_report(over_field(h, field), budget, True))
+    canonical and sorted: one scan, guarded by G, each line assembled at
+    its least pole."""
+    hf = over_field(h, field)
+    return _radical_lines(_scan_report(hf, budget, True, _pfaffian_quotient(hf)))
 
 
 def _upper_radical_by_wedge(

@@ -3,10 +3,12 @@
 Points are represented by their unique vector with first nonzero
 coordinate 1; a line (``Line``) is the reduced-echelon pair (r1, r2) of
 its 2-space, a plain tuple that sorts and hashes as one, whose Pluecker
-coordinates ``wedge2_mod_p`` computes only where a report prints them.  The enumeration order of canonical points is fixed
-(first-nonzero position ascending, then the trailing coordinates as a
-base-p odometer) and supports random access, which a scan that starts
-mid-space (its ``start`` index) relies on.
+coordinates ``wedge2_mod_p`` computes only where a report prints them.
+The enumeration order of canonical points is fixed (first-nonzero
+position ascending, then the trailing coordinates as a base-p odometer).
+``kernels.scan`` reaches its ``start`` index in that order with
+``itertools.islice``; ``projective_point_at`` gives the point at any one
+index, for ``span_points`` and the tests.
 """
 
 from __future__ import annotations

@@ -232,14 +232,6 @@ DEFAULT_CONTEXT: Dict[str, Tuple[Field, Optional[Scalar]]] = {
 }
 
 
-def _context(tag: str, field: Optional[Field], param: Optional[Scalar]):
-    if field is None:
-        field, default_param = DEFAULT_CONTEXT.get(tag, (QQ, None))
-        if param is None:
-            param = default_param
-    return field, param
-
-
 def _parse_entry(
     text: str, nvars: int, field: Field, names: Sequence[str], lam: Optional[Scalar]
 ) -> MultiPoly:
@@ -256,13 +248,12 @@ def fixture_matrix_rows(tag: str) -> List[List[str]]:
 
 
 def compare_matrix(
-    tag: str, field: Optional[Field] = None, param: Optional[Scalar] = None
+    tag: str, field: Field, param: Optional[Scalar] = None
 ) -> List[Tuple[int, int, str, str]]:
     """Cell-level diff between the transcribed matrix and the recomputed
     symbolic contraction; empty means exact equality."""
     from .poly import render_poly
 
-    field, param = _context(tag, field, param)
     rows = fixture_matrix_rows(tag)
     n = len(rows)
     h = catalog_form(tag, field, n=n, param=param)
@@ -297,16 +288,11 @@ def _system_rows(
 
 
 def compare_system(
-    tag: str,
-    field: Optional[Field] = None,
-    param: Optional[Scalar] = None,
-    n: Optional[int] = None,
+    tag: str, field: Field, param: Optional[Scalar] = None
 ) -> Optional[str]:
     """None when the fixture equations span the same solution space as the
     recomputed radical system, else a description of the difference."""
-    field, param = _context(tag, field, param)
-    if n is None:
-        n = 6 if tag in GEOMETRY_TABLE_SMALL else 7
+    n = 6 if tag in GEOMETRY_TABLE_SMALL else 7
     h = catalog_form(tag, field, n=n, param=param)
     system = upper_radical_system(h)
     computed_span = subspace_rref(field, [list(r) for r in system.equations.rows])
@@ -323,11 +309,10 @@ def compare_system(
 
 
 def compare_pole_equation(
-    tag: str, field: Optional[Field] = None, param: Optional[Scalar] = None
+    tag: str, field: Field, param: Optional[Scalar] = None
 ) -> Optional[str]:
     """None when the recomputed variety equation is a nonzero scalar multiple
     of the transcribed one (or both agree that every point is a pole)."""
-    field, param = _context(tag, field, param)
     if tag in GEOMETRY_TABLE_SMALL:
         h = catalog_form(tag, field, n=6, param=param)
         result = pole_variety(h)
@@ -351,38 +336,20 @@ def compare_pole_equation(
 
 def tables_fixture(which: int) -> dict:
     """Recompute one appendix table and diff it against the transcription."""
+    tags = {2: TABLE2_TAGS, 3: TABLE3_TAGS, 4: TABLE4_TAGS, 5: TABLE5_TAGS}.get(which)
+    if tags is None:
+        raise ValueError("table number must be 2, 3, 4 or 5")
     rows = []
-    if which == 2 or which == 3:
-        tags = TABLE2_TAGS if which == 2 else TABLE3_TAGS
-        for tag in tags:
-            field, param = _context(tag, None, None)
-            diffs = compare_matrix(tag, field, param)
-            rows.append(
-                {
-                    "tag": tag,
-                    "field": repr(field),
-                    "ok": not diffs,
-                    "diff": [
-                        {"row": r, "col": c, "fixture": w, "computed": g}
-                        for (r, c, w, g) in diffs
-                    ],
-                }
-            )
-    elif which == 4 or which == 5:
-        tags = TABLE4_TAGS if which == 4 else TABLE5_TAGS
-        for tag in tags:
-            field, param = _context(tag, None, None)
+    for tag in tags:
+        field, param = DEFAULT_CONTEXT.get(tag, (QQ, None))
+        if which in (2, 3):
+            diff = [
+                {"row": r, "col": c, "fixture": w, "computed": g}
+                for (r, c, w, g) in compare_matrix(tag, field, param)
+            ]
+        else:
             system_diff = compare_system(tag, field, param)
             pole_diff = compare_pole_equation(tag, field, param)
-            problems = [d for d in (system_diff, pole_diff) if d]
-            rows.append(
-                {
-                    "tag": tag,
-                    "field": repr(field),
-                    "ok": not problems,
-                    "diff": problems,
-                }
-            )
-    else:
-        raise ValueError("table number must be 2, 3, 4 or 5")
+            diff = [d for d in (system_diff, pole_diff) if d]
+        rows.append({"tag": tag, "field": repr(field), "ok": not diff, "diff": diff})
     return {"table": which, "ok": all(r["ok"] for r in rows), "rows": rows}

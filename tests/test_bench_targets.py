@@ -100,16 +100,31 @@ def test_traced_fingerprint_records_one_variety_degree(tag, lam, field):
 
 
 @pytest.mark.parametrize(
-    "tag,lam,p,count",
-    [("T9", None, 3, 1), ("T10_1", 2, 3, 0), ("T9", None, 2, 1)],
-    ids=["odd-n", "even-n", "odd-n-gf2"],
+    "module,name,tag,lam,p,count",
+    [
+        (geometry, "build_geometry", "T9", None, 3, 1),
+        (geometry, "build_geometry", "T10_1", 2, 3, 0),
+        (geometry, "build_geometry", "T9", None, 2, 1),
+        (poles, "enumerate_upper_radical", "T9", None, 3, 1),
+        (poles, "enumerate_upper_radical", "T10_1", 2, 3, 0),
+        (poles, "enumerate_upper_radical", "T9", None, 2, 1),
+    ],
+    ids=[
+        "odd-n",
+        "even-n",
+        "odd-n-gf2",
+        "upper-radical-odd-n",
+        "upper-radical-even-n",
+        "upper-radical-odd-n-gf2",
+    ],
 )
-def test_traced_build_expands_the_guard_pfaffian(tag, lam, p, count):
-    """``build_geometry`` expands G for its guard alone: one Pfaffian at
-    odd n, over GF(2) as over GF(3), and none at even n, where the scan
-    runs unguarded."""
+def test_traced_build_expands_the_guard_pfaffian(module, name, tag, lam, p, count):
+    """``build_geometry`` and ``enumerate_upper_radical`` expand G for
+    their guard alone: one Pfaffian at odd n, over GF(2) as over GF(3),
+    and none at even n, where the scan runs unguarded."""
     with SPANS.Tracer() as tracer:
-        geometry.build_geometry(catalog_form(tag, GF(p), param=lam))
+        # looked up inside the tracer, which rebinds the name
+        getattr(module, name)(catalog_form(tag, GF(p), param=lam))
     assert [span[0] for span in tracer.spans].count("linalg.pfaffian") == count
 
 

@@ -4,6 +4,7 @@ geometry of a catalog row embedded at the same n.  A miss means a missing
 row, a fingerprint collision or a bug, never a test to relax."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -142,3 +143,31 @@ def test_n6_orbit_sizes_at_q2_are_the_census_counts():
     sizes = _n6_orbit_sizes(2)
     sizes["T10_2"] = sizes.pop("T10")
     assert sizes == EXPECTED
+
+
+def test_n6_census_at_q5_within_binomial_bounds():
+    """300 seeded uniform forms on GF(5)^6 each match a catalog row, and
+    the row counts lie within 4 sigma of the binomial means that the orbit
+    sizes give: T4 (19.96%, 59.9 +- 6.9 forms) and T3 + T10_1 (80.0%)
+    each, and T1 + T2 (mean 0.12 forms) at most 3.
+
+    T3 (41.9%) and T10_1 (38.1%) are not bounded apart: their means differ
+    by 11.4 forms, under 1.4 sigma of either count, so a 4 sigma bound on
+    each would still pass with the two rows' fingerprints swapped and
+    would catch nothing that their sum misses.  Eight other seeded draws
+    (``census/6/5/0`` to ``/7``) read T3 112 to 138 and T10_1 105 to 141,
+    ranges that overlap."""
+    q, count = 5, 300
+    field = GF(q)
+    forms = _uniform_forms(6, field, count, random.Random(f"census/6/{q}"))
+    counts = _census(forms, 6, field)
+    assert sum(counts.values()) == count
+    sizes = _n6_orbit_sizes(q)
+
+    def within_4_sigma(rows, observed):
+        share = sum(sizes[r] for r in rows) / (q ** 20 - 1)
+        return abs(observed - count * share) <= 4 * math.sqrt(count * share * (1 - share))
+
+    assert within_4_sigma(["T4"], counts["T4"]), counts
+    assert within_4_sigma(["T3", "T10"], counts["T3"] + counts["T10_1"]), counts
+    assert counts["T1"] + counts["T2"] <= 3, counts

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -9,7 +10,6 @@ from polegeom.fields import GF, QQ
 from polegeom.forms import (
     CATALOG_RANKS,
     CatalogConditionError,
-    CatalogEntry,
     TriForm,
     catalog_form,
 )
@@ -42,10 +42,16 @@ def test_catalog_condition_errors():
         catalog_form("T12", GF(3), param=2)  # cubing is onto mod 3
     with pytest.raises(ValueError):
         catalog_form("T9", GF(2), n=5)  # below the rank
-    with pytest.raises(ValueError):
-        CatalogEntry("T9", parameter=1)
-    with pytest.raises(ValueError):
-        CatalogEntry("T12")
+    takes = re.escape(
+        "takes a parameter exactly when it is one of "
+        "('T10_1', 'T10_2', 'T11_1', 'T11_2', 'T12')"
+    )
+    with pytest.raises(ValueError, match=f"^T9 {takes}$"):
+        catalog_form("T9", GF(2), param=1)
+    with pytest.raises(ValueError, match=f"^T12 {takes}$"):
+        catalog_form("T12", GF(7))
+    with pytest.raises(ValueError, match=r"^unknown type tag 'T99'$"):
+        catalog_form("T99", GF(2))
 
 
 def test_evaluate_form_signs():

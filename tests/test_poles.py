@@ -208,13 +208,13 @@ def test_scan_hands_over_radicals_exactly_at_leading_poles(p):
         for form in (h, h.pullback(random_invertible(field, h.n, rng))):
             n = form.n
             report = enumerate_poles(form)
-            guard = (_pfaffian_quotient(form) or None) if n % 2 else None
+            g_terms = _pfaffian_quotient(form)
+            guard = g_terms or None
             cube = structure_cube(form)
             total = len(report.points)
             cuts = [0, 1, total // 3, total // 2 + 1, total - 1, total]
             for guarded in (False, True):
-                # None: G expanded inside, guarding where the rule says so
-                scanned = poles._scan_report(form, None, True, None if guarded else {})
+                scanned = poles._scan_report(form, None, True, g_terms if guarded else {})
                 leading = {r1 for r1, _ in _radical_lines(scanned)}
                 assert [rad is not None for rad in scanned.radicals] == [
                     u in leading for u in scanned.points
