@@ -20,8 +20,8 @@ from .forms import TriForm
 from .kernels import _rref_mod_p, kernel_mod_p
 from .poles import (
     _least_point_lines,
+    _guard_terms,
     _line_bases,
-    _pfaffian_quotient,
     _radical_lines,
     _scan_report,
     _variety_degree,
@@ -78,7 +78,7 @@ def build_geometry(
     field)`` and compute exact incidence, from one scan guarded by G
     (``poles._scan_report``)."""
     hf = over_field(h, field)
-    report = _scan_report(hf, budget, True, _pfaffian_quotient(hf))
+    report = _scan_report(hf, budget, True, _guard_terms(hf, budget))
     return IncidenceStructure(
         field=hf.field,
         n=hf.n,
@@ -572,7 +572,7 @@ def fingerprint(h: TriForm, field: GF, budget: Optional[int] = None) -> Geometry
     (p^r - 1)/(p - 1) points of PG(Rad(h)) at that degree.
     """
     hf = over_field(h, field)
-    g_terms = _pfaffian_quotient(hf)
+    g_terms = _guard_terms(hf, budget)
     report = _scan_report(hf, budget, False, g_terms)
     p, n = field.p, hf.n
     radical_points = report.histogram.get(n - 1, 0)

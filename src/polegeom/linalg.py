@@ -1,12 +1,10 @@
 """Exact linear algebra over field scalars and over polynomial entries.
 
 Scalar matrices support rank/kernel (reduced echelon form).  The
-Pfaffian (first-row expansion, of a scalar or a sparse polynomial
-alternating matrix, on plain ints or Fractions) and the determinant
-(cofactor expansion, of a scalar or a MultiPoly matrix, in the entries'
-own arithmetic) are each one expansion memoized on index subsets, which
-stays exact in every characteristic (including 2, where "alternating"
-degenerates to zero diagonal plus symmetry).
+Pfaffian of an alternating matrix of sparse polynomials, given by the
+entries above its diagonal, on plain ints or Fractions, is one
+first-row expansion memoized on index subsets, which stays exact in
+every characteristic.
 """
 
 from __future__ import annotations
@@ -44,19 +42,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
-
-    def mul_vec(self, vec: Sequence[Scalar]) -> Tuple[Scalar, ...]:
-        F = self.field
-        v = [F.of(x) for x in vec]
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.rows:
-            acc = F.zero
-            for a, b in zip(row, v):
-                acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
-        return tuple(out)
 
     def rref(self) -> Tuple["Matrix", List[int]]:
         """Reduced row echelon form and its pivot column list."""
@@ -106,19 +91,6 @@ class Matrix:
             basis.append(tuple(vec))
         return len(pivots), basis
 
-    def is_alternating(self) -> bool:
-        """Zero diagonal and entry(j,k) == -entry(k,j) (symmetric in char 2)."""
-        if self.nrows != self.ncols:
-            return False
-        F = self.field
-        for i in range(self.nrows):
-            if self.rows[i][i] != F.zero:
-                return False
-            for j in range(i + 1, self.ncols):
-                if self.rows[i][j] != F.neg(self.rows[j][i]):
-                    return False
-        return True
-
 
 class PolyMatrix:
     """A square matrix with MultiPoly entries."""
@@ -165,9 +137,10 @@ class PolyMatrix:
         )
 
 
-class SparseAlternating:
-    """An alternating matrix of sparse polynomials, kept as the entries
-    above its diagonal.
+def pfaffian(upper: Sequence[Dict[int, Dict[int, object]]]) -> Dict[int, object]:
+    """Pfaffian of an alternating matrix of sparse polynomials, given by
+    the entries above its diagonal, by one first-row expansion on plain
+    ints (or Fractions), memoized on the tuple of live indices.
 
     ``upper[i]`` maps each j > i whose entry (i, j) is nonzero to that
     entry, a dict {key: coefficient} of nonzero int or Fraction
@@ -175,40 +148,10 @@ class SparseAlternating:
     int, so the key of a product of monomials is the sum of their keys and
     0 is the key of the monomial 1; the digits must be wide enough for
     every exponent of the Pfaffian.
+
+    The Pfaffian comes back as terms {key: coefficient}, zeros dropped and
+    none reduced.  Odd sizes give {}, the empty matrix {0: 1}.
     """
-
-    __slots__ = ("upper",)
-
-    def __init__(self, upper: Sequence[Dict[int, Dict[int, object]]]):
-        self.upper = list(upper)
-
-
-def pfaffian(m):
-    """Pfaffian of an alternating Matrix or SparseAlternating, by one
-    first-row expansion over sparse polynomials on plain ints (or
-    Fractions), memoized on the tuple of live indices.
-
-    A SparseAlternating gives its Pfaffian as terms {key: coefficient},
-    zeros dropped and none reduced.  A Matrix is expanded with its entries
-    as constants {0: x}, GF(p) scalars as plain ints reduced once at the
-    end, which is exact: the Pfaffian is an integer polynomial in the
-    entries.  Odd sizes give 0; the square of the result equals the
-    determinant.
-    """
-    if isinstance(m, SparseAlternating):
-        upper = m.upper
-    elif isinstance(m, Matrix):
-        if m.nrows != m.ncols:
-            raise ValueError("pfaffian needs a square matrix")
-        if not m.is_alternating():
-            raise ValueError("pfaffian needs an alternating matrix")
-        rows = m.rows
-        upper = [
-            {j: {0: rows[i][j]} for j in range(i + 1, m.ncols) if rows[i][j]}
-            for i in range(m.nrows)
-        ]
-    else:
-        raise TypeError(f"unsupported matrix type {type(m).__name__}")
     memo: Dict[Tuple[int, ...], Dict[int, object]] = {}
 
     def rec(live: Tuple[int, ...]) -> Dict[int, object]:
@@ -232,49 +175,4 @@ def pfaffian(m):
         memo[live] = acc = {k: c for k, c in acc.items() if c}
         return acc
 
-    terms = rec(tuple(range(len(upper))))
-    return m.field.of(terms.get(0, 0)) if isinstance(m, Matrix) else terms
-
-
-def _expansion_ring(m):
-    """The rows of a Matrix or PolyMatrix, the zero the determinant sums
-    from, and the map from its result to the answer, where None is the
-    empty product, one.  GF(p) scalars are expanded as plain ints and
-    reduced once at the end, which is exact: the determinant is an integer
-    polynomial in the entries."""
-    if isinstance(m, Matrix):
-        if m.nrows != m.ncols:
-            raise ValueError("determinant needs a square matrix")
-        F = m.field
-        return m.rows, 0, lambda x: F.one if x is None else F.of(x)
-    if isinstance(m, PolyMatrix):
-        zero, one = (MultiPoly.constant(m.nvars, m.field, c) for c in (0, 1))
-        return m.entries, zero, lambda x: one if x is None else x
-    raise TypeError(f"unsupported matrix type {type(m).__name__}")
-
-
-def determinant(m):
-    """Exact determinant of a square Matrix or PolyMatrix, by cofactor
-    expansion along the rows memoized on the columns left (which fix the
-    row: the number of columns removed)."""
-    rows, zero, finish = _expansion_ring(m)
-    n = len(rows)
-    memo: Dict[Tuple[int, ...], object] = {}
-
-    def rec(cols: Tuple[int, ...]):
-        if not cols:
-            return None
-        if cols in memo:
-            return memo[cols]
-        row = rows[n - len(cols)]
-        acc = zero
-        for pos, c in enumerate(cols):
-            a = row[c]
-            if a:
-                inner = rec(cols[:pos] + cols[pos + 1 :])
-                term = a if inner is None else a * inner
-                acc = acc - term if pos % 2 else acc + term
-        memo[cols] = acc
-        return acc
-
-    return finish(rec(tuple(range(n))))
+    return rec(tuple(range(len(upper))))

@@ -24,12 +24,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from . import kernels
 from .fields import GF, Field, Scalar
 from .forms import TriForm, coefficient_in
-from .linalg import Matrix, PolyMatrix, SparseAlternating, pfaffian
+from .linalg import Matrix, PolyMatrix, pfaffian
 from .poly import MultiPoly
 from .projective import (
     Line,
     Vector,
-    num_projective_lines,
     num_projective_points,
     pair_list,
     span_points_mod_p,
@@ -40,8 +39,7 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured budget (p^n, or the line
-    count of a walk over every line)."""
+    """An enumeration would exceed the configured budget of p^n."""
 
 
 class VarietyError(RuntimeError):
@@ -184,9 +182,9 @@ def _scan_report(
 ) -> PoleReport:
     """One ``kernels.scan`` of hf over its finite field, guarded by G's
     terms ``g_terms`` when there are any.  Every caller but
-    ``enumerate_poles`` passes ``_pfaffian_quotient(hf)``, which is empty
-    exactly at even n and where G = 0, so those scans are guarded exactly
-    when n is odd and G != 0; ``enumerate_poles`` passes {}, the
+    ``enumerate_poles`` passes ``_guard_terms(hf, budget)``, which is
+    empty exactly at even n and where G = 0, so those scans are guarded
+    exactly when n is odd and G != 0; ``enumerate_poles`` passes {}, the
     unguarded scan."""
     field = hf.field
     p, n = field.p, hf.n
@@ -239,7 +237,7 @@ def _pfaffian_quotient(h: TriForm) -> Dict[Tuple[int, ...], Scalar]:
             upper[a - 2].setdefault(b - 2, {})[1 << width * (v - 1)] = c
     mask = (1 << width) - 1
     out: Dict[Tuple[int, ...], Scalar] = {}
-    for key, c in pfaffian(SparseAlternating(upper)).items():
+    for key, c in pfaffian(upper).items():
         c = F.of(c)
         if c == F.zero:
             continue
@@ -251,6 +249,13 @@ def _pfaffian_quotient(h: TriForm) -> Dict[Tuple[int, ...], Scalar]:
         key -= 1  # divided by u_1, keyed 1
         out[tuple(key >> width * v & mask for v in range(n))] = c
     return out
+
+
+def _guard_terms(hf: TriForm, budget: Optional[int]) -> Dict[Tuple[int, ...], Scalar]:
+    """``_pfaffian_quotient(hf)``, the guard of a scan of hf, once the
+    budget admits that scan: a call the budget refuses expands nothing."""
+    _require_enumerable(hf.field, hf.n, budget)
+    return _pfaffian_quotient(hf)
 
 
 def _stripped(g_terms: Dict[Tuple[int, ...], Scalar], i: int):
@@ -357,10 +362,6 @@ class PluckerSystem:
     pairs: List[Tuple[int, int]]
     equations: Matrix
     solution: List[Vector]
-
-    def contains(self, wedge: Sequence[Scalar]) -> bool:
-        F = self.equations.field
-        return all(x == F.zero for x in self.equations.mul_vec(wedge))
 
 
 def upper_radical_system(h: TriForm) -> PluckerSystem:
@@ -482,33 +483,7 @@ def enumerate_upper_radical(
     canonical and sorted: one scan, guarded by G, each line assembled at
     its least pole."""
     hf = over_field(h, field)
-    return _radical_lines(_scan_report(hf, budget, True, _pfaffian_quotient(hf)))
-
-
-def _upper_radical_by_wedge(
-    h: TriForm,
-    field: Optional[GF] = None,
-    budget: Optional[int] = None,
-) -> List[Line]:
-    """The upper radical by the reference route: every line of PG(n-1, p)
-    filtered through the linear system ``upper_radical_system``.  The
-    tests cross-check ``enumerate_upper_radical`` against it.  The lines it
-    walks are charged to the budget, as well as p^n."""
-    h = over_field(h, field)
-    field = h.field
-    _require_enumerable(field, h.n, budget)
-    limit = DEFAULT_BUDGET if budget is None else budget
-    count = num_projective_lines(field.p, h.n)
-    if count > limit:
-        raise BudgetExceededError(
-            f"{count} lines of PG({h.n - 1}, {field.p}) exceed budget {limit}"
-        )
-    system = upper_radical_system(h)
-    return sorted(
-        line
-        for line in _line_bases(field.p, h.n)
-        if system.contains(wedge2_mod_p(field.p, *line))
-    )
+    return _radical_lines(_scan_report(hf, budget, True, _guard_terms(hf, budget)))
 
 
 def full_report(
@@ -521,7 +496,7 @@ def full_report(
     expanded once, for the scan's guard and the variety both."""
     hf = over_field(h, field)
     field = hf.field
-    g_terms = _pfaffian_quotient(hf)
+    g_terms = _guard_terms(hf, budget)
     report = _scan_report(hf, budget, True, g_terms)
     lines = _radical_lines(report)
     from .poly import render_poly

@@ -37,11 +37,6 @@ def num_projective_points(p: int, n: int) -> int:
     return (p**n - 1) // (p - 1)
 
 
-def num_projective_lines(p: int, n: int) -> int:
-    """The Gaussian binomial [n choose 2]_p: the lines of PG(n-1, p)."""
-    return (p**n - 1) * (p ** (n - 1) - 1) // ((p * p - 1) * (p - 1))
-
-
 def projective_point_at(p: int, n: int, index: int) -> Tuple[int, ...]:
     """Random access into the canonical enumeration order."""
     if index < 0:

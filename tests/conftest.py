@@ -7,9 +7,18 @@ import sys
 
 from polegeom.fields import GF, QQ
 from polegeom.forms import TriForm, catalog_tags
-from polegeom.linalg import Matrix, PolyMatrix
-from polegeom.poles import _entries
+from polegeom.linalg import Matrix, PolyMatrix, pfaffian
+from polegeom.poles import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    _entries,
+    _line_bases,
+    _require_enumerable,
+    over_field,
+    upper_radical_system,
+)
 from polegeom.poly import MultiPoly
+from polegeom.projective import wedge2_mod_p
 
 # parameter choices satisfying each parametric row's condition per field
 CATALOG_PARAMS = {
@@ -133,6 +142,114 @@ def multipoly_pfaffian(m):
         return memo[live]
 
     return rec(tuple(range(m.size)))
+
+
+def is_alternating(m):
+    """Zero diagonal and entry(j,k) == -entry(k,j) (symmetric in char 2)."""
+    if m.nrows != m.ncols:
+        return False
+    F = m.field
+    for i in range(m.nrows):
+        if m.rows[i][i] != F.zero:
+            return False
+        for j in range(i + 1, m.ncols):
+            if m.rows[i][j] != F.neg(m.rows[j][i]):
+                return False
+    return True
+
+
+def scalar_pfaffian(m):
+    """The Pfaffian of an alternating scalar Matrix by ``linalg.pfaffian``,
+    each entry the constant {0: x}: GF(p) scalars are expanded as plain
+    ints and reduced once at the end, which is exact, since the Pfaffian
+    is an integer polynomial in the entries."""
+    if m.nrows != m.ncols:
+        raise ValueError("pfaffian needs a square matrix")
+    if not is_alternating(m):
+        raise ValueError("pfaffian needs an alternating matrix")
+    rows = m.rows
+    upper = [
+        {j: {0: rows[i][j]} for j in range(i + 1, m.ncols) if rows[i][j]}
+        for i in range(m.nrows)
+    ]
+    return m.field.of(pfaffian(upper).get(0, 0))
+
+
+def _expansion_ring(m):
+    """The rows of a Matrix or PolyMatrix, the zero the determinant sums
+    from, and the map from its result to the answer, where None is the
+    empty product, one.  GF(p) scalars are expanded as plain ints and
+    reduced once at the end, which is exact: the determinant is an integer
+    polynomial in the entries."""
+    if isinstance(m, Matrix):
+        if m.nrows != m.ncols:
+            raise ValueError("determinant needs a square matrix")
+        F = m.field
+        return m.rows, 0, lambda x: F.one if x is None else F.of(x)
+    if isinstance(m, PolyMatrix):
+        zero, one = (MultiPoly.constant(m.nvars, m.field, c) for c in (0, 1))
+        return m.entries, zero, lambda x: one if x is None else x
+    raise TypeError(f"unsupported matrix type {type(m).__name__}")
+
+
+def determinant(m):
+    """Exact determinant of a square Matrix or PolyMatrix, by cofactor
+    expansion along the rows memoized on the columns left (which fix the
+    row: the number of columns removed)."""
+    rows, zero, finish = _expansion_ring(m)
+    n = len(rows)
+    memo = {}
+
+    def rec(cols):
+        if not cols:
+            return None
+        if cols in memo:
+            return memo[cols]
+        row = rows[n - len(cols)]
+        acc = zero
+        for pos, c in enumerate(cols):
+            a = row[c]
+            if a:
+                inner = rec(cols[:pos] + cols[pos + 1 :])
+                term = a if inner is None else a * inner
+                acc = acc - term if pos % 2 else acc + term
+        memo[cols] = acc
+        return acc
+
+    return finish(rec(tuple(range(n))))
+
+
+def num_projective_lines(p, n):
+    """The Gaussian binomial [n choose 2]_p: the lines of PG(n-1, p)."""
+    return (p**n - 1) * (p ** (n - 1) - 1) // ((p * p - 1) * (p - 1))
+
+
+def annihilated_mod_p(rows, p, vec):
+    """Whether every row of ``rows`` times ``vec`` is 0 mod p."""
+    return not any(sum(a * b for a, b in zip(row, vec)) % p for row in rows)
+
+
+def upper_radical_by_wedge(h, field=None, budget=None):
+    """The upper radical by the reference route: every line of PG(n-1, p)
+    filtered through the linear system ``upper_radical_system``, applied
+    mod p to the line's Pluecker coordinates.  It cross-checks
+    ``enumerate_upper_radical``.  The lines it walks are charged to the
+    budget, as well as p^n."""
+    h = over_field(h, field)
+    field = h.field
+    _require_enumerable(field, h.n, budget)
+    limit = DEFAULT_BUDGET if budget is None else budget
+    count = num_projective_lines(field.p, h.n)
+    if count > limit:
+        raise BudgetExceededError(
+            f"{count} lines of PG({h.n - 1}, {field.p}) exceed budget {limit}"
+        )
+    rows = upper_radical_system(h).equations.rows
+    return sorted(
+        line
+        for line in _line_bases(field.p, h.n)
+        if annihilated_mod_p(rows, field.p, wedge2_mod_p(field.p, *line))
+    )
 
 
 # -- sampled witnesses of a pole equation ------------------------------------

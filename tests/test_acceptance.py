@@ -12,7 +12,14 @@ GF(7), where cubing is not onto).
 import itertools
 import random
 
-from conftest import desk_instances, random_alternating, random_invertible
+from conftest import (
+    desk_instances,
+    determinant,
+    random_alternating,
+    random_invertible,
+    scalar_pfaffian,
+    upper_radical_by_wedge,
+)
 from polegeom.constructions import cch_hyperplane
 from polegeom.fields import GF, QQ
 from polegeom.forms import TriForm, catalog_form
@@ -27,9 +34,8 @@ from polegeom.geometry import (
     t4_line_check,
     t11_structure_check,
 )
-from polegeom.linalg import Matrix, determinant, pfaffian
+from polegeom.linalg import Matrix
 from polegeom.poles import (
-    _upper_radical_by_wedge,
     contraction_matrix,
     enumerate_poles,
     enumerate_upper_radical,
@@ -71,7 +77,7 @@ def test_criterion_2_pfaffian_identity():
         for n in (2, 3, 4, 5, 6):
             for _ in range(25):
                 m = random_alternating(field, n, rng)
-                pf = pfaffian(m)
+                pf = scalar_pfaffian(m)
                 if field.mul(pf, pf) != determinant(m):
                     ok = False
                 checked += 1
@@ -105,7 +111,7 @@ def _t1_expected_lines(field):
         pts = span_points(field, list(line))
         if not any(all(x == field.zero for x in pt[:3]) for pt in pts):
             return False
-    by_wedge = _upper_radical_by_wedge(h, field)
+    by_wedge = upper_radical_by_wedge(h, field)
     return lines == by_wedge and len(lines) > 0
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import upper_radical_by_wedge
 from polegeom.constructions import (
     BilinearAltForm,
     block_decompose,
@@ -13,7 +14,6 @@ from polegeom.constructions import (
 from polegeom.fields import GF, QQ
 from polegeom.forms import TriForm, catalog_form
 from polegeom.poles import (
-    _upper_radical_by_wedge,
     enumerate_poles,
     enumerate_upper_radical,
     pole_variety,
@@ -115,7 +115,7 @@ def test_symplectic_expansion_pole_geometry():
         assert h0.evaluate(x, y) == field.zero
     # every totally isotropic line of the carrier occurs
     count = 0
-    for line in _upper_radical_by_wedge(h, field):
+    for line in upper_radical_by_wedge(h, field):
         count += 1
     assert len(lines) == count == 315
 

@@ -21,7 +21,6 @@ from polegeom.poles import (
     _pfaffian_quotient,
     _radical_lines,
     _stripped,
-    _upper_radical_by_wedge,
     _variety,
     _variety_degree,
     contraction_matrix,
@@ -46,6 +45,7 @@ from polegeom.projective import (
     wedge2_mod_p,
 )
 from conftest import (
+    annihilated_mod_p,
     desk_instances,
     forbid_everywhere,
     grid_degrees,
@@ -56,6 +56,7 @@ from conftest import (
     random_invertible,
     rational_sample_points,
     strip_variable_power,
+    upper_radical_by_wedge,
     zero_set_matches,
 )
 
@@ -256,7 +257,7 @@ def test_degree_laws(p):
             else:
                 assert radical is None
             # the point itself lies in the radical of its contraction
-            assert all(x == field.zero for x in m.mul_vec(u))
+            assert annihilated_mod_p(m.rows, p, u)
 
 
 @functools.lru_cache(maxsize=None)
@@ -811,7 +812,7 @@ def test_enumerate_upper_radical_t1():
     del span
     expected = sum(
         1
-        for line in _upper_radical_by_wedge(h)
+        for line in upper_radical_by_wedge(h)
     )
     assert len(lines) == expected
 
@@ -856,7 +857,7 @@ def test_methods_agree(tag, lam, p):
     n = 6 if tag in ("T1", "T4") else None
     h = catalog_form(tag, field, param=lam, n=n)
     by_points = enumerate_upper_radical(h)
-    by_wedge = _upper_radical_by_wedge(h)
+    by_wedge = upper_radical_by_wedge(h)
     assert by_points == by_wedge
 
 
@@ -1009,10 +1010,10 @@ def test_fingerprint_rejects_inconsistent_degrees(monkeypatch):
 def test_system_membership_matches_lines():
     field = GF(3)
     h = catalog_form("T5", field)
-    system = upper_radical_system(h)
+    rows = upper_radical_system(h).equations.rows
     lines = enumerate_upper_radical(h)
     for line in lines[:50]:
-        assert system.contains(wedge2_coordinates(field, *line))
+        assert annihilated_mod_p(rows, field.p, wedge2_mod_p(field.p, *line))
 
 
 # One top-level call each; every one of them must scan PG(n-1, p) once.
@@ -1064,7 +1065,25 @@ def test_budget_exceeded():
 def test_wedge_route_charges_its_lines_to_the_budget():
     # p^7 = 2,187 is under the budget, the 99,463 lines of PG(6, 3) are not
     with pytest.raises(BudgetExceededError, match="99463 lines"):
-        _upper_radical_by_wedge(catalog_form("T9", GF(3)), budget=10_000)
+        upper_radical_by_wedge(catalog_form("T9", GF(3)), budget=10_000)
+
+
+BUDGETED_GUARD_CALLS = {
+    "build_geometry": build_geometry,
+    "enumerate_upper_radical": enumerate_upper_radical,
+    "full_report": full_report,
+    "fingerprint": lambda h, budget: fingerprint(h, h.field, budget),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED_GUARD_CALLS))
+def test_budget_refuses_before_g_is_expanded(monkeypatch, name):
+    """A guarded call the budget refuses expands no Pfaffian: G of an
+    n = 9 form costs more than the check that turns the scan away."""
+    h = random_form(9, GF(2), random.Random("budget/9"), density=0.6)
+    forbid_everywhere(monkeypatch, "pfaffian")
+    with pytest.raises(BudgetExceededError):
+        BUDGETED_GUARD_CALLS[name](h, budget=10)
 
 
 @pytest.mark.parametrize("p", [5, 7, pytest.param(None, id="q")])
